@@ -1,35 +1,34 @@
 // Metadata store benchmark (DESIGN.md §5d + §5i): the log-structured MV
-// backend measured against the legacy one-JSON-file-per-entry backend,
-// API-to-API — both sides run the same MetadataVolume drivers, only
-// `Options::log_structured` differs:
+// measured API-to-API through the MetadataVolume drivers:
 //
-//   create    64 concurrent writers; legacy pays Create+WriteAll per
-//             entry, log-structured group-commits them into batched WAL
-//             appends (the tentpole win)
-//   stat      GetRef over a hot sample (decoded-index cache on both)
-//   readdir   ListChildren (volume range scan vs keydir range scan)
-//   count     index_count (CountPrefix walk vs O(1) keydir counter)
+//   create    64 concurrent writers, group-committed into batched WAL
+//             appends
+//   stat      GetRef over a hot sample (decoded-index cache on)
+//   readdir   ListChildren (keydir range scan)
+//   count     index_count (O(1) keydir counter)
 //
 // Each op reports host wall-clock ops/s AND simulated seconds (the
 // deterministic number CI can gate on), plus simulated p50/p99 latency for
-// create and stat. Differential modes: (a) cached-vs-plain MV per backend,
-// (b) legacy-vs-LS — the same randomized Put/Get/Remove/snapshot/wipe/
-// restore sequence against both backends must agree on every status code
-// and every decoded byte, and a crash-replayed (re-attached) LS store must
-// match too; any divergence fails the run.
+// create and stat. Gate: create simulated seconds stay within 10% of the
+// figure committed in BENCH_MV.json for that size. Differential mode: a
+// cached and a cache-disabled store run the same randomized
+// Put/Get/Remove/burst sequence with a mid-run snapshot/wipe/restore and
+// must agree on every status code and every decoded byte; the cached store
+// is then crash-replayed (re-attached from its volume) and must reproduce
+// its own pre-crash views. Any divergence fails the run.
 //
-// Flags: --smoke (tiny sizes, CI), --large (adds 1M entries to the
-// comparison), --scale (LS-only 1M + 10M with RSS gate and recovery
-// timing), --scale-smoke (LS-only 1M, for the mv-scale-smoke CI job).
+// Flags: --smoke (tiny sizes, CI), --scale (1M + 10M with RSS gate and
+// recovery timing), --scale-smoke (1M, for the mv-scale-smoke CI job).
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
-#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/json.h"
@@ -51,6 +50,42 @@ using namespace ros;
 using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kCreateWriters = 64;
+
+// Create simulated seconds committed in BENCH_MV.json, by entry count
+// (results rows up to 100k, scale rows above).
+constexpr std::pair<std::size_t, double> kCommittedCreateSimS[] = {
+    {10'000, 0.020494995},
+    {100'000, 0.241616539},
+    {1'000'000, 3.626539282},
+    {10'000'000, 40.563946723},
+};
+
+// Sim time is deterministic; the headroom admits small model changes, not
+// a regression of the commit path.
+constexpr double kCreateSimHeadroom = 1.10;
+
+// Upper bound on create simulated seconds at `n` entries: the committed
+// figure of the nearest committed size at or above `n` (else the largest),
+// scaled per entry.
+double CreateSimBound(std::size_t n) {
+  const auto* row = std::find_if(
+      std::begin(kCommittedCreateSimS), std::end(kCommittedCreateSimS),
+      [n](const auto& committed) { return n <= committed.first; });
+  if (row == std::end(kCommittedCreateSimS)) {
+    --row;
+  }
+  return row->second * static_cast<double>(n) /
+         static_cast<double>(row->first) * kCreateSimHeadroom;
+}
+
+void CheckCreateSim(std::size_t n, double create_sim_s,
+                    std::vector<std::string>* failures) {
+  if (create_sim_s > CreateSimBound(n)) {
+    failures->push_back("create sim seconds " + std::to_string(create_sim_s) +
+                        " above bound " + std::to_string(CreateSimBound(n)) +
+                        " at n=" + std::to_string(n));
+  }
+}
 
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -79,40 +114,24 @@ std::uint64_t CurrentRssBytes() {
 struct Fixture {
   Fixture(std::uint64_t capacity, std::size_t cache_capacity)
       : device(sim, "ssd", capacity, disk::SsdPerf()),
-        volume(sim, &device, disk::MetadataVolumeParams()),
-        mv(std::make_unique<olfs::MetadataVolume>(&volume, cache_capacity)) {
+        volume(sim, &device, disk::MetadataVolumeParams()) {
+    options.cache_capacity = cache_capacity;
+    Reattach();
   }
-  Fixture(std::uint64_t capacity, olfs::MetadataVolume::Options options)
-      : device(sim, "ssd", capacity, disk::SsdPerf()),
-        volume(sim, &device, disk::MetadataVolumeParams()),
-        mv(std::make_unique<olfs::MetadataVolume>(sim, &volume, options)) {}
 
   // Destroys the store object and attaches a fresh one over the same
   // volume contents — the crash model (host dies, SSD pair survives).
-  void Reattach(olfs::MetadataVolume::Options options) {
-    mv.reset();  // old observer must unregister before the new one lands
+  void Reattach() {
+    mv.reset();
     mv = std::make_unique<olfs::MetadataVolume>(sim, &volume, options);
   }
 
   sim::Simulator sim;
   disk::StorageDevice device;
   disk::Volume volume;
+  olfs::MetadataVolume::Options options;
   std::unique_ptr<olfs::MetadataVolume> mv;
 };
-
-olfs::MetadataVolume::Options LsOptions(std::size_t cache_capacity) {
-  olfs::MetadataVolume::Options options;
-  options.log_structured = true;
-  options.cache_capacity = cache_capacity;
-  return options;
-}
-
-olfs::MetadataVolume::Options LegacyOptions(std::size_t cache_capacity) {
-  olfs::MetadataVolume::Options options;
-  options.log_structured = false;
-  options.cache_capacity = cache_capacity;
-  return options;
-}
 
 olfs::IndexFile MakeIndex(const std::string& path, std::uint64_t size) {
   olfs::IndexFile index(path, olfs::EntryType::kFile);
@@ -126,8 +145,8 @@ olfs::IndexFile MakeIndex(const std::string& path, std::uint64_t size) {
 // --- coroutine drivers (one RunUntilComplete per measured loop) ---
 
 // One of kCreateWriters concurrent writers: strided slice of the paths,
-// per-Put simulated latency recorded (this is where the log-structured
-// backend's group commit coalesces appends across writers).
+// per-Put simulated latency recorded (group commit coalesces appends
+// across writers).
 sim::Task<Status> CreateShard(sim::Simulator* sim, olfs::MetadataVolume* mv,
                               const std::vector<std::string>* paths,
                               std::size_t first, std::size_t stride,
@@ -205,14 +224,20 @@ olfs::IndexFile RandomIndex(Rng& rng, const std::string& path) {
   return index;
 }
 
+sim::Task<Status> PutIndex(olfs::MetadataVolume* mv, olfs::IndexFile index) {
+  co_return co_await mv->Put(std::move(index));
+}
+
 // Applies one operation to an MV, reducing the outcome to a comparable
 // string: status code for failures, the re-encoded index bytes for reads.
-sim::Task<std::string> ApplyOp(olfs::MetadataVolume* mv, int op,
-                               std::string path, olfs::IndexFile index,
-                               std::vector<std::uint8_t> raw) {
+// Puts take `indexes.front()`; a burst Puts all of them concurrently, so
+// they share one group-commit window.
+sim::Task<std::string> ApplyOp(sim::Simulator* sim, olfs::MetadataVolume* mv,
+                               int op, std::string path,
+                               std::vector<olfs::IndexFile> indexes) {
   std::string outcome;
   if (op == 0) {  // Put
-    Status status = co_await mv->Put(std::move(index));
+    Status status = co_await mv->Put(std::move(indexes.front()));
     outcome = "put:";
     outcome += StatusCodeName(status.code());
   } else if (op == 1) {  // Get: the shared-ref fast path, then the value
@@ -235,52 +260,73 @@ sim::Task<std::string> ApplyOp(olfs::MetadataVolume* mv, int op,
     Status status = co_await mv->Remove(std::move(path));
     outcome = "rm:";
     outcome += StatusCodeName(status.code());
-  } else {  // Raw volume write behind the MV's back (may be garbage).
-    const std::string name = olfs::MetadataVolume::IndexName(path);
-    if (!mv->volume()->Exists(name)) {
-      outcome = "raw:absent";
-    } else {
-      Status status =
-          co_await mv->volume()->WriteAll(name, std::move(raw));
-      outcome = "raw:";
-      outcome += StatusCodeName(status.code());
+  } else {  // concurrent Put burst
+    std::vector<sim::Task<Status>> burst;
+    for (olfs::IndexFile& index : indexes) {
+      burst.push_back(PutIndex(mv, std::move(index)));
     }
+    Status status = co_await sim::AllOk(*sim, std::move(burst));
+    outcome = "burst:";
+    outcome += StatusCodeName(status.code());
   }
   co_return outcome;
 }
 
-// Compares two MVs' namespace views; appends human-readable mismatches.
-void CompareViews(olfs::MetadataVolume& a, olfs::MetadataVolume& b,
-                  const std::string& tag,
+// Everything a reader can observe of a store's namespace.
+struct Views {
+  std::uint64_t count = 0;
+  std::vector<std::string> all_paths;
+  std::vector<std::string> listings;  // per probed directory
+  std::vector<std::string> reads;     // per path: the Get outcome
+};
+
+Views Capture(Fixture& f, const std::vector<std::string>& paths) {
+  Views v;
+  v.count = f.mv->index_count();
+  v.all_paths = f.mv->AllPaths();
+  for (const char* dir : {"/", "/diff", "/diff/d0", "/diff/d5"}) {
+    std::string listing = f.mv->HasChildren(dir) ? "has:" : "none:";
+    for (const std::string& child : f.mv->ListChildren(dir)) {
+      listing += child + ",";
+    }
+    v.listings.push_back(std::move(listing));
+  }
+  for (const std::string& path : paths) {
+    v.reads.push_back(f.sim.RunUntilComplete(
+        ApplyOp(&f.sim, f.mv.get(), 1, path, {})));
+  }
+  return v;
+}
+
+// Appends human-readable mismatches between two captures.
+void CompareViews(const Views& a, const Views& b, const std::string& tag,
+                  const std::vector<std::string>& paths,
                   std::vector<std::string>* mismatches) {
-  if (a.index_count() != b.index_count()) {
+  if (a.count != b.count) {
     mismatches->push_back(tag + ": index_count diverged");
   }
-  if (a.AllPaths() != b.AllPaths()) {
+  if (a.all_paths != b.all_paths) {
     mismatches->push_back(tag + ": AllPaths diverged");
   }
-  for (const char* dir : {"/", "/diff", "/diff/d0", "/diff/d5"}) {
-    if (a.ListChildren(dir) != b.ListChildren(dir)) {
-      mismatches->push_back(tag + ": ListChildren diverged for " + dir);
-    }
-    if (a.HasChildren(dir) != b.HasChildren(dir)) {
-      mismatches->push_back(tag + ": HasChildren diverged for " + dir);
+  if (a.listings != b.listings) {
+    mismatches->push_back(tag + ": ListChildren/HasChildren diverged");
+  }
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    if (a.reads[i] != b.reads[i]) {
+      mismatches->push_back(tag + ": read of " + paths[i] + " diverged");
     }
   }
 }
 
-// Runs the same randomized operation sequence against a small cached MV and
-// a cache-disabled MV of the SAME backend; every op outcome and every
-// namespace view must match. Returns mismatches (empty = identical).
-std::vector<std::string> RunDifferential(std::uint64_t seed, int ops,
-                                         bool log_structured) {
+// Runs the same randomized operation sequence against a small cached MV
+// and a cache-disabled MV; every op outcome and every namespace view must
+// match. Then crash-replays the cached store: the re-attached store must
+// reproduce its own pre-crash views. Returns mismatches (empty = identical).
+std::vector<std::string> RunDifferential(std::uint64_t seed, int ops) {
   constexpr std::size_t kPaths = 64;
   constexpr std::size_t kSmallCache = 32;  // < kPaths, to force evictions
-  const std::string tag = log_structured ? "ls" : "legacy";
-  Fixture cached(256 * kMiB, log_structured ? LsOptions(kSmallCache)
-                                            : LegacyOptions(kSmallCache));
-  Fixture plain(256 * kMiB,
-                log_structured ? LsOptions(0) : LegacyOptions(0));
+  Fixture cached(256 * kMiB, kSmallCache);
+  Fixture plain(256 * kMiB, 0);
   std::vector<std::string> mismatches;
 
   Rng rng(seed);
@@ -293,7 +339,7 @@ std::vector<std::string> RunDifferential(std::uint64_t seed, int ops,
   for (int i = 0; i < ops; ++i) {
     const std::string& path = paths[rng.Below(paths.size())];
     const int op = static_cast<int>(rng.Below(10));
-    // op 0-3: Put, 4-6: Get, 7: Remove, 8: raw rewrite, 9: raw corrupt.
+    // op 0-3: Put, 4-6: Get, 7: Remove, 8-9: concurrent Put burst.
     int kind = 0;
     if (op >= 4 && op <= 6) {
       kind = 1;
@@ -302,29 +348,24 @@ std::vector<std::string> RunDifferential(std::uint64_t seed, int ops,
     } else if (op >= 8) {
       kind = 3;
     }
-    olfs::IndexFile index = RandomIndex(rng, path);
-    std::vector<std::uint8_t> raw;
+    std::vector<olfs::IndexFile> indexes = {RandomIndex(rng, path)};
     if (kind == 3) {
-      if (op == 8) {
-        const std::string doc = RandomIndex(rng, path).ToJson();
-        raw.assign(doc.begin(), doc.end());
-      } else {
-        raw.resize(rng.Below(64) + 1);
-        for (auto& b : raw) {
-          b = static_cast<std::uint8_t>(rng.Next());
-        }
+      const std::size_t extra = 1 + rng.Below(4);
+      for (std::size_t j = 0; j < extra; ++j) {
+        indexes.push_back(
+            RandomIndex(rng, paths[rng.Below(paths.size())]));
       }
     }
     const std::string a = cached.sim.RunUntilComplete(
-        ApplyOp(cached.mv.get(), kind, path, index, raw));
+        ApplyOp(&cached.sim, cached.mv.get(), kind, path, indexes));
     const std::string b = plain.sim.RunUntilComplete(
-        ApplyOp(plain.mv.get(), kind, path, index, raw));
+        ApplyOp(&plain.sim, plain.mv.get(), kind, path, indexes));
     if (a != b) {
-      mismatches.push_back(tag + ": op " + std::to_string(i) + " on " +
-                           path + ": cached=" + a + " plain=" + b);
+      mismatches.push_back("op " + std::to_string(i) + " on " + path +
+                           ": cached=" + a + " plain=" + b);
     }
     if (cached.mv->cache_size() > kSmallCache) {
-      mismatches.push_back(tag + ": cache exceeded its bound at op " +
+      mismatches.push_back("cache exceeded its bound at op " +
                            std::to_string(i));
     }
 
@@ -335,7 +376,7 @@ std::vector<std::string> RunDifferential(std::uint64_t seed, int ops,
         auto snapshot = f->sim.RunUntilComplete(
             f->mv->BuildSnapshotImage("mv-snap", 256 * kMiB));
         if (!snapshot.ok()) {
-          mismatches.push_back(tag + ": snapshot failed: " +
+          mismatches.push_back("snapshot failed: " +
                                snapshot.status().ToString());
           continue;
         }
@@ -343,146 +384,41 @@ std::vector<std::string> RunDifferential(std::uint64_t seed, int ops,
         Status restored =
             f->sim.RunUntilComplete(f->mv->RestoreFromSnapshot(*snapshot));
         if (!restored.ok()) {
-          mismatches.push_back(tag + ": restore failed: " +
-                               restored.ToString());
+          mismatches.push_back("restore failed: " + restored.ToString());
         }
       }
     }
   }
 
   // Final sweep: namespace views and every decoded index must agree.
-  CompareViews(*cached.mv, *plain.mv, tag, &mismatches);
-  for (const std::string& path : paths) {
-    const std::string a = cached.sim.RunUntilComplete(
-        ApplyOp(cached.mv.get(), 1, path, olfs::IndexFile(), {}));
-    const std::string b = plain.sim.RunUntilComplete(
-        ApplyOp(plain.mv.get(), 1, path, olfs::IndexFile(), {}));
-    if (a != b) {
-      mismatches.push_back(tag + ": final read of " + path + " diverged");
-    }
-  }
+  const Views before_crash = Capture(cached, paths);
+  CompareViews(before_crash, Capture(plain, paths), "cached-vs-plain", paths,
+               &mismatches);
   if (cached.mv->cache_stats().evictions == 0) {
-    mismatches.push_back(tag +
-                         ": expected LRU evictions with 64 paths in a "
-                         "32-entry cache");
-  }
-  return mismatches;
-}
-
-// Legacy-vs-log-structured: the same Put/Get/Remove sequence against both
-// backends must agree on every status code and every decoded byte, through
-// a mid-sequence snapshot/wipe/restore AND a crash-replay (the LS store is
-// re-attached from its volume and must still match the legacy views).
-std::vector<std::string> RunBackendDifferential(std::uint64_t seed,
-                                                int ops) {
-  Fixture legacy(256 * kMiB, LegacyOptions(32));
-  Fixture ls(256 * kMiB, LsOptions(32));
-  std::vector<std::string> mismatches;
-
-  Rng rng(seed);
-  constexpr std::size_t kPaths = 64;
-  std::vector<std::string> paths;
-  for (std::size_t i = 0; i < kPaths; ++i) {
-    paths.push_back("/diff/d" + std::to_string(i % 8) + "/f" +
-                    std::to_string(i));
+    mismatches.push_back(
+        "expected LRU evictions with 64 paths in a 32-entry cache");
   }
 
-  for (int i = 0; i < ops; ++i) {
-    const std::string& path = paths[rng.Below(paths.size())];
-    const int op = static_cast<int>(rng.Below(8));
-    // op 0-3: Put, 4-6: Get, 7: Remove. (No raw volume pokes here: the
-    // backends' on-volume layouts are intentionally different.)
-    int kind = 0;
-    if (op >= 4 && op <= 6) {
-      kind = 1;
-    } else if (op == 7) {
-      kind = 2;
-    }
-    olfs::IndexFile index = RandomIndex(rng, path);
-    const std::string a = legacy.sim.RunUntilComplete(
-        ApplyOp(legacy.mv.get(), kind, path, index, {}));
-    const std::string b = ls.sim.RunUntilComplete(
-        ApplyOp(ls.mv.get(), kind, path, index, {}));
-    if (a != b) {
-      mismatches.push_back("backend: op " + std::to_string(i) + " on " +
-                           path + ": legacy=" + a + " ls=" + b);
-    }
-
-    if (i == ops / 2) {
-      // Snapshots are backend-independent: build on each, restore on each.
-      for (Fixture* f : {&legacy, &ls}) {
-        auto snapshot = f->sim.RunUntilComplete(
-            f->mv->BuildSnapshotImage("mv-snap", 256 * kMiB));
-        if (!snapshot.ok()) {
-          mismatches.push_back("backend: snapshot failed: " +
-                               snapshot.status().ToString());
-          continue;
-        }
-        f->mv->WipeAll();
-        Status restored =
-            f->sim.RunUntilComplete(f->mv->RestoreFromSnapshot(*snapshot));
-        if (!restored.ok()) {
-          mismatches.push_back("backend: restore failed: " +
-                               restored.ToString());
-        }
-      }
-    }
-  }
-
-  CompareViews(*legacy.mv, *ls.mv, "backend", &mismatches);
-  for (const std::string& path : paths) {
-    const std::string a = legacy.sim.RunUntilComplete(
-        ApplyOp(legacy.mv.get(), 1, path, olfs::IndexFile(), {}));
-    const std::string b = ls.sim.RunUntilComplete(
-        ApplyOp(ls.mv.get(), 1, path, olfs::IndexFile(), {}));
-    if (a != b) {
-      mismatches.push_back("backend: final read of " + path + " diverged");
-    }
-  }
-
-  // Crash-replay: drop the LS store object mid-life (acked mutations only
-  // — RunUntilComplete returned for each), re-attach from the volume, and
-  // replay. The recovered store must still match the legacy one.
-  ls.Reattach(LsOptions(32));
-  Status opened = ls.sim.RunUntilComplete(ls.mv->Open());
+  // Crash-replay: drop the store object mid-life (acked mutations only —
+  // RunUntilComplete returned for each), re-attach from the volume, and
+  // replay. The recovered store must match what it showed before.
+  cached.Reattach();
+  Status opened = cached.sim.RunUntilComplete(cached.mv->Open());
   if (!opened.ok()) {
-    mismatches.push_back("backend: recovery open failed: " +
-                         opened.ToString());
+    mismatches.push_back("recovery open failed: " + opened.ToString());
   }
-  CompareViews(*legacy.mv, *ls.mv, "backend-replayed", &mismatches);
-  for (const std::string& path : paths) {
-    const std::string a = legacy.sim.RunUntilComplete(
-        ApplyOp(legacy.mv.get(), 1, path, olfs::IndexFile(), {}));
-    const std::string b = ls.sim.RunUntilComplete(
-        ApplyOp(ls.mv.get(), 1, path, olfs::IndexFile(), {}));
-    if (a != b) {
-      mismatches.push_back("backend-replayed: read of " + path +
-                           " diverged");
-    }
-  }
+  CompareViews(before_crash, Capture(cached, paths), "replayed", paths,
+               &mismatches);
   return mismatches;
 }
 
 // --- measured sections ---
 
-struct OpResult {
-  std::string op;
-  double baseline_ops_s = 0;
-  double fast_ops_s = 0;
-  double baseline_sim_s = 0;
-  double fast_sim_s = 0;
-};
-
-json::Value ToJson(const OpResult& r) {
+json::Value OpRow(const std::string& op, double ops_s, double sim_s) {
   json::Object o;
-  o["op"] = r.op;
-  o["baseline_ops_s"] = r.baseline_ops_s;
-  o["fast_ops_s"] = r.fast_ops_s;
-  o["speedup"] = r.baseline_ops_s > 0 ? r.fast_ops_s / r.baseline_ops_s : 0.0;
-  o["baseline_sim_s"] = r.baseline_sim_s;
-  o["fast_sim_s"] = r.fast_sim_s;
-  o["sim_speedup"] =
-      r.fast_sim_s > 0 ? r.baseline_sim_s / r.fast_sim_s : 0.0;
+  o["op"] = op;
+  o["ops_s"] = ops_s;
+  o["sim_s"] = sim_s;
   return o;
 }
 
@@ -506,8 +442,8 @@ std::vector<std::string> MakePaths(std::size_t n) {
   return paths;
 }
 
-// Everything measured for one backend at one size.
-struct BackendRun {
+// Everything measured at one size.
+struct Run {
   double create_ops_s = 0;
   double create_sim_s = 0;
   SummaryStats create_lat;
@@ -522,17 +458,13 @@ struct BackendRun {
   bool ok = false;
 };
 
-BackendRun MeasureBackend(bool log_structured, std::size_t n,
-                          std::size_t stat_sample, int stat_rounds,
-                          int readdir_calls, int count_calls) {
-  BackendRun out;
+Run Measure(std::size_t n, std::size_t stat_sample, int stat_rounds,
+            int readdir_calls, int count_calls) {
+  Run out;
   const std::size_t dirs = std::max<std::size_t>(1, n / 256);
   const std::uint64_t capacity =
       static_cast<std::uint64_t>(n) * 4 * kKiB + 64 * kMiB;
-  Fixture fx(capacity,
-             log_structured
-                 ? LsOptions(olfs::MetadataVolume::kDefaultCacheCapacity)
-                 : LegacyOptions(olfs::MetadataVolume::kDefaultCacheCapacity));
+  Fixture fx(capacity, olfs::MetadataVolume::kDefaultCacheCapacity);
   const std::vector<std::string> paths = MakePaths(n);
 
   {
@@ -630,7 +562,7 @@ BackendRun MeasureBackend(bool log_structured, std::size_t n,
   return out;
 }
 
-// LS-only scale run: create at scale, stat a sample, then crash-replay the
+// Scale run: create at scale, stat a sample, then crash-replay the
 // whole store and time recovery. Gates (deterministic or stable only):
 // RSS per entry bounded, memtable bounded, recovered count exact.
 json::Value RunScale(std::size_t n, std::vector<std::string>* failures) {
@@ -638,8 +570,7 @@ json::Value RunScale(std::size_t n, std::vector<std::string>* failures) {
   row["entries"] = json::Value(static_cast<std::int64_t>(n));
   const std::uint64_t capacity =
       static_cast<std::uint64_t>(n) * 1 * kKiB + 512 * kMiB;
-  Fixture fx(capacity,
-             LsOptions(olfs::MetadataVolume::kDefaultCacheCapacity));
+  Fixture fx(capacity, olfs::MetadataVolume::kDefaultCacheCapacity);
   const std::vector<std::string> paths = MakePaths(n);
   const std::uint64_t rss_before = CurrentRssBytes();
 
@@ -656,8 +587,9 @@ json::Value RunScale(std::size_t n, std::vector<std::string>* failures) {
     }
     row["create_ops_s"] =
         json::Value(static_cast<double>(n) / SecondsSince(start));
-    row["create_sim_s"] =
-        json::Value(sim::ToSeconds(fx.sim.now() - sim_start));
+    const double create_sim_s = sim::ToSeconds(fx.sim.now() - sim_start);
+    row["create_sim_s"] = json::Value(create_sim_s);
+    CheckCreateSim(n, create_sim_s, failures);
     row["create_latency"] = ToJson(Summarize(std::move(latencies_us)));
   }
 
@@ -681,7 +613,7 @@ json::Value RunScale(std::size_t n, std::vector<std::string>* failures) {
     row["stat_latency"] = ToJson(Summarize(std::move(lat_us)));
   }
 
-  // O(1) count: microseconds regardless of n (the legacy walk is O(n)).
+  // O(1) count: microseconds regardless of n.
   {
     auto start = Clock::now();
     std::uint64_t total = 0;
@@ -735,7 +667,7 @@ json::Value RunScale(std::size_t n, std::vector<std::string>* failures) {
   // re-attached store must recover every entry. Replay is near-linear in
   // the store's byte size (segments stream + WAL tail).
   {
-    fx.Reattach(LsOptions(olfs::MetadataVolume::kDefaultCacheCapacity));
+    fx.Reattach();
     const sim::TimePoint sim_start = fx.sim.now();
     auto start = Clock::now();
     Status opened = fx.sim.RunUntilComplete(fx.mv->Open());
@@ -764,14 +696,11 @@ json::Value RunScale(std::size_t n, std::vector<std::string>* failures) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  bool large = false;
   bool scale = false;
   bool scale_smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--large") == 0) {
-      large = true;
     } else if (std::strcmp(argv[i], "--scale") == 0) {
       scale = true;
     } else if (std::strcmp(argv[i], "--scale-smoke") == 0) {
@@ -784,8 +713,6 @@ int main(int argc, char** argv) {
   doc["bench"] = json::Value("mv_hotpath");
 
   if (scale || scale_smoke) {
-    // LS-only scale mode (the legacy backend at 10M would dominate the run
-    // for no new information; its curve is in the comparison section).
     std::vector<std::size_t> sizes =
         scale_smoke ? std::vector<std::size_t>{1'000'000}
                     : std::vector<std::size_t>{1'000'000, 10'000'000};
@@ -794,21 +721,15 @@ int main(int argc, char** argv) {
       rows.push_back(RunScale(n, &failures));
     }
     doc["scale"] = json::Value(std::move(rows));
-    // Quick backend differential keeps the ASan CI job honest about
-    // correctness, not just throughput.
+    // Quick differential keeps the ASan CI job honest about correctness,
+    // not just throughput.
     const std::vector<std::string> diff =
-        RunBackendDifferential(/*seed=*/0xd1ffu, 200);
+        RunDifferential(/*seed=*/0xd1ffu, 200);
     failures.insert(failures.end(), diff.begin(), diff.end());
   } else {
-    std::vector<std::size_t> sizes;
-    if (smoke) {
-      sizes = {1000};
-    } else {
-      sizes = {10'000, 100'000};
-      if (large) {
-        sizes.push_back(1'000'000);
-      }
-    }
+    const std::vector<std::size_t> sizes =
+        smoke ? std::vector<std::size_t>{1000}
+              : std::vector<std::size_t>{10'000, 100'000};
     const std::size_t stat_sample = smoke ? 256 : 2048;
     const int stat_rounds = smoke ? 4 : 8;
     const int readdir_calls = smoke ? 16 : 64;
@@ -816,88 +737,50 @@ int main(int argc, char** argv) {
 
     json::Array size_results;
     for (const std::size_t n : sizes) {
-      const BackendRun legacy =
-          MeasureBackend(false, n, stat_sample, stat_rounds, readdir_calls,
-                         count_calls);
-      const BackendRun ls = MeasureBackend(
-          true, n, stat_sample, stat_rounds, readdir_calls, count_calls);
-      if (!legacy.ok || !ls.ok) {
+      const Run run =
+          Measure(n, stat_sample, stat_rounds, readdir_calls, count_calls);
+      if (!run.ok) {
         return 1;
       }
-
-      OpResult create{.op = "create",
-                      .baseline_ops_s = legacy.create_ops_s,
-                      .fast_ops_s = ls.create_ops_s,
-                      .baseline_sim_s = legacy.create_sim_s,
-                      .fast_sim_s = ls.create_sim_s};
-      OpResult stat{.op = "stat",
-                    .baseline_ops_s = legacy.stat_ops_s,
-                    .fast_ops_s = ls.stat_ops_s,
-                    .baseline_sim_s = legacy.stat_sim_s,
-                    .fast_sim_s = ls.stat_sim_s};
-      OpResult readdir{.op = "readdir",
-                       .baseline_ops_s = legacy.readdir_ops_s,
-                       .fast_ops_s = ls.readdir_ops_s};
-      OpResult count{.op = "index_count",
-                     .baseline_ops_s = legacy.count_ops_s,
-                     .fast_ops_s = ls.count_ops_s};
+      CheckCreateSim(n, run.create_sim_s, &failures);
 
       json::Object row;
       row["entries"] = json::Value(static_cast<std::int64_t>(n));
       json::Array ops;
-      for (const OpResult& r : {create, stat, readdir, count}) {
-        ops.push_back(ToJson(r));
-      }
+      ops.push_back(OpRow("create", run.create_ops_s, run.create_sim_s));
+      ops.push_back(OpRow("stat", run.stat_ops_s, run.stat_sim_s));
+      ops.push_back(OpRow("readdir", run.readdir_ops_s, 0.0));
+      ops.push_back(OpRow("index_count", run.count_ops_s, 0.0));
       row["ops"] = json::Value(std::move(ops));
-      row["create_latency_legacy"] = ToJson(legacy.create_lat);
-      row["create_latency_ls"] = ToJson(ls.create_lat);
-      row["stat_latency_ls"] = ToJson(ls.stat_lat);
-      row["snapshot_build_entries_s_legacy"] =
-          json::Value(legacy.snapshot_entries_s);
-      row["snapshot_build_entries_s_ls"] =
-          json::Value(ls.snapshot_entries_s);
+      row["create_latency"] = ToJson(run.create_lat);
+      row["stat_latency"] = ToJson(run.stat_lat);
+      row["snapshot_build_entries_s"] = json::Value(run.snapshot_entries_s);
       json::Object cache;
-      cache["hits"] =
-          json::Value(static_cast<std::int64_t>(ls.cache.hits));
+      cache["hits"] = json::Value(static_cast<std::int64_t>(run.cache.hits));
       cache["misses"] =
-          json::Value(static_cast<std::int64_t>(ls.cache.misses));
+          json::Value(static_cast<std::int64_t>(run.cache.misses));
       cache["evictions"] =
-          json::Value(static_cast<std::int64_t>(ls.cache.evictions));
+          json::Value(static_cast<std::int64_t>(run.cache.evictions));
       row["cache"] = json::Value(std::move(cache));
       json::Object store;
       store["wal_batches"] = json::Value(
-          static_cast<std::int64_t>(ls.store.wal.batches_committed));
+          static_cast<std::int64_t>(run.store.wal.batches_committed));
       store["wal_records"] = json::Value(
-          static_cast<std::int64_t>(ls.store.wal.records_appended));
+          static_cast<std::int64_t>(run.store.wal.records_appended));
       store["segment_count"] =
-          json::Value(static_cast<std::int64_t>(ls.store.segment_count));
+          json::Value(static_cast<std::int64_t>(run.store.segment_count));
       store["memtable_flushes"] =
-          json::Value(static_cast<std::int64_t>(ls.store.memtable_flushes));
+          json::Value(static_cast<std::int64_t>(run.store.memtable_flushes));
       store["compactions"] =
-          json::Value(static_cast<std::int64_t>(ls.store.compactions));
-      row["ls_store"] = json::Value(std::move(store));
+          json::Value(static_cast<std::int64_t>(run.store.compactions));
+      row["store"] = json::Value(std::move(store));
       size_results.push_back(json::Value(std::move(row)));
-
-      // The tentpole gate, on the deterministic number: at 1M entries the
-      // group-committed create must beat the per-file backend by >= 5x in
-      // simulated time.
-      if (n >= 1'000'000 && ls.create_sim_s > 0 &&
-          legacy.create_sim_s / ls.create_sim_s < 5.0) {
-        failures.push_back(
-            "create sim-speedup below 5x at 1M: " +
-            std::to_string(legacy.create_sim_s / ls.create_sim_s));
-      }
     }
     doc["results"] = json::Value(std::move(size_results));
 
-    for (const bool ls : {false, true}) {
-      const std::vector<std::string> diff =
-          RunDifferential(/*seed=*/0x5eedu, smoke ? 200 : 600, ls);
-      failures.insert(failures.end(), diff.begin(), diff.end());
-    }
-    const std::vector<std::string> backend_diff =
-        RunBackendDifferential(/*seed=*/0xd1ffu, smoke ? 200 : 600);
-    failures.insert(failures.end(), backend_diff.begin(), backend_diff.end());
+    const std::vector<std::string> diff =
+        RunDifferential(/*seed=*/0x5eedu, smoke ? 200 : 600);
+    failures.insert(failures.end(), diff.begin(), diff.end());
   }
 
   for (const std::string& f : failures) {

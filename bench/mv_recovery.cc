@@ -108,15 +108,14 @@ int main() {
       "and metadata reads, as in the prototype");
 
   // Inline MV crash replay (DESIGN.md §5i): before any disc scan, a
-  // restarted controller first re-opens the log-structured store over the
+  // restarted controller first re-opens the namespace store over the
   // surviving SSD volume — segments in file-name order, then the WAL
   // tail. That replay is what makes MV loss *without* media loss cheap:
   // the half-hour disc scan above is only for the total-loss case.
   {
     disk::StorageDevice mv_dev(sim, "mv-ssd", 512 * kMiB, disk::SsdPerf());
     disk::Volume mv_vol(sim, &mv_dev, disk::MetadataVolumeParams());
-    MetadataVolume::Options options;
-    options.log_structured = true;
+    const MetadataVolume::Options options;
     auto mv = std::make_unique<MetadataVolume>(sim, &mv_vol, options);
     constexpr int kEntries = 100000;
     ROS_CHECK(sim.RunUntilComplete(PopulateMv(mv.get(), kEntries)).ok());

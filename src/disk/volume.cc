@@ -24,14 +24,6 @@ StatusOr<std::uint64_t> Volume::FileSize(const std::string& name) const {
   return meta->size;
 }
 
-StatusOr<Volume::FileStat> Volume::StatFile(const std::string& name) const {
-  const FileMeta* meta = FindMeta(name);
-  if (meta == nullptr) {
-    return NotFoundError("no file " + name);
-  }
-  return FileStat{meta->size, meta->write_gen};
-}
-
 std::vector<std::string> Volume::List(const std::string& prefix) const {
   std::vector<std::string> out;
   // The map is ordered, so every match sits in one contiguous run starting
@@ -165,11 +157,9 @@ sim::Task<Status> Volume::Create(std::string name) {
   if (!inserted) {
     co_return AlreadyExistsError("file exists: " + name);
   }
-  Touch(it->second);
   // Key the side-index on the map node's own string: both live and die
   // together, so the view can never dangle.
   by_name_.emplace(it->first, &it->second);
-  NotifyMutation(name, MutationKind::kCreated);
   co_return co_await WriteMetadata();
 }
 
@@ -214,8 +204,6 @@ sim::Task<Status> Volume::Write(std::string name, std::uint64_t offset,
     co_return NotFoundError("no file " + name);
   }
   FileMeta& meta = *found;
-  Touch(meta);
-  NotifyMutation(name, MutationKind::kModified);
   const std::uint64_t end = offset + data.size();
 
   // Grow allocation to cover the write.
@@ -270,9 +258,8 @@ sim::Task<Status> Volume::AppendBatch(
     co_return OkStatus();
   }
   // One concatenated write: the batch lands as a single mutation (one
-  // generation step, one metadata update) and maps to contiguous device
-  // requests, which is what makes coalescing N records cheaper than N
-  // appends.
+  // metadata update) and maps to contiguous device requests, which is what
+  // makes coalescing N records cheaper than N appends.
   std::vector<std::uint8_t> batch;
   batch.reserve(total);
   for (std::vector<std::uint8_t>& piece : pieces) {
@@ -294,8 +281,6 @@ sim::Task<Status> Volume::Truncate(std::string name, std::uint64_t new_size) {
   if (new_size == meta.size) {
     co_return OkStatus();
   }
-  Touch(meta);
-  NotifyMutation(name, MutationKind::kModified);
   const std::uint64_t keep_blocks =
       (new_size + params_.block_size - 1) / params_.block_size;
   std::vector<Extent> kept;
@@ -331,8 +316,6 @@ sim::Task<Status> Volume::AppendSparse(std::string name,
   FileMeta* found = FindMeta(name);
   ROS_CHECK(found != nullptr);
   FileMeta& meta = *found;
-  Touch(meta);
-  NotifyMutation(name, MutationKind::kModified);
   // Allocate the covering blocks so space accounting stays honest, then
   // charge the device for the zero tail without storing it.
   std::uint64_t have_blocks = 0;
@@ -398,35 +381,6 @@ sim::Task<Status> Volume::ReadDiscard(std::string name,
   co_return OkStatus();
 }
 
-StatusOr<Volume::ByteSegments> Volume::MapFileRange(
-    const std::string& name, std::uint64_t offset,
-    std::uint64_t length) const {
-  const FileMeta* meta = FindMeta(name);
-  if (meta == nullptr) {
-    return NotFoundError("no file " + name);
-  }
-  if (offset + length > meta->size) {
-    return OutOfRangeError("range beyond end of " + name);
-  }
-  ByteSegments segments;
-  ROS_RETURN_IF_ERROR(MapRange(*meta, offset, length, &segments));
-  return segments;
-}
-
-sim::Task<Status> Volume::ReadDiscardSegments(ByteSegments segments) const {
-  for (const auto& [dev_offset, n] : segments) {
-    ROS_CO_RETURN_IF_ERROR(co_await device_->ReadDiscard(dev_offset, n));
-  }
-  co_return OkStatus();
-}
-
-sim::Task<Status> Volume::ReadDiscardSegment(std::uint64_t dev_offset,
-                                             std::uint64_t length) const {
-  // Plain forward (not a coroutine): the device's task is the whole job,
-  // so the hot replay path pays no extra frame.
-  return device_->ReadDiscard(dev_offset, length);
-}
-
 sim::Task<StatusOr<std::vector<std::uint8_t>>> Volume::ReadAll(
     std::string name) const {
   auto size = FileSize(name);
@@ -457,7 +411,6 @@ sim::Task<Status> Volume::Delete(std::string name) {
   Free(it->second.extents);
   by_name_.erase(it->first);
   files_.erase(it);
-  NotifyMutation(name, MutationKind::kDeleted);
   co_return co_await WriteMetadata();
 }
 
@@ -467,7 +420,6 @@ void Volume::FormatQuick() {
   free_extents_.clear();
   free_extents_[1] = total_blocks_ - 1;
   used_blocks_ = 1;
-  NotifyMutation("", MutationKind::kFormatted);
 }
 
 }  // namespace ros::disk

@@ -13,7 +13,6 @@
 #define ROS_SRC_DISK_VOLUME_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -62,16 +61,6 @@ class Volume {
   }
   StatusOr<std::uint64_t> FileSize(const std::string& name) const;
 
-  // Size plus the file's write generation: a volume-wide monotonic counter
-  // stamped on every mutation. Generations are never reused (not even
-  // across Delete/Create or FormatQuick), so a caller that cached derived
-  // state for a file can use `write_gen` as a coherence token.
-  struct FileStat {
-    std::uint64_t size = 0;
-    std::uint64_t write_gen = 0;
-  };
-  StatusOr<FileStat> StatFile(const std::string& name) const;
-
   // Names with `prefix`, in lexicographic order. Range-bounded: seeks to
   // the first matching name and stops at the first non-match instead of
   // scanning the whole file table.
@@ -112,11 +101,10 @@ class Volume {
   sim::Task<Status> Append(std::string name,
                            std::vector<std::uint8_t> data);
 
-  // Appends every piece back-to-back as ONE file mutation: a single
-  // generation step, one metadata update, and contiguous device requests
-  // for the whole batch instead of per-piece inode churn. This is the
-  // group-commit primitive: N coalesced WAL records cost one append.
-  // An empty batch is a no-op.
+  // Appends every piece back-to-back as ONE file mutation: one metadata
+  // update and contiguous device requests for the whole batch instead of
+  // per-piece inode churn. This is the group-commit primitive: N coalesced
+  // WAL records cost one append. An empty batch is a no-op.
   sim::Task<Status> AppendBatch(std::string name,
                                 std::vector<std::vector<std::uint8_t>> pieces);
 
@@ -141,24 +129,6 @@ class Volume {
   sim::Task<Status> ReadDiscard(std::string name, std::uint64_t offset,
                                 std::uint64_t length) const;
 
-  // Device byte ranges (offset, length) backing [offset, offset+length) of
-  // the file. The mapping is stable exactly as long as the file's write
-  // generation is unchanged, so per-generation caches can keep it alongside
-  // their derived state and replay the device charge without another name
-  // lookup.
-  using ByteSegments = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
-  StatusOr<ByteSegments> MapFileRange(const std::string& name,
-                                      std::uint64_t offset,
-                                      std::uint64_t length) const;
-
-  // Charges the read time of previously mapped segments — byte-for-byte the
-  // same device requests ReadDiscard would issue for the range they came
-  // from. The single-segment overload covers the common case (small files
-  // map to one contiguous run) without a vector in flight.
-  sim::Task<Status> ReadDiscardSegments(ByteSegments segments) const;
-  sim::Task<Status> ReadDiscardSegment(std::uint64_t dev_offset,
-                                       std::uint64_t length) const;
-
   // Reads the whole file.
   sim::Task<StatusOr<std::vector<std::uint8_t>>> ReadAll(
       std::string name) const;
@@ -172,29 +142,6 @@ class Volume {
   // Drops every file (mkfs). Instant bookkeeping; devices keep stale bytes.
   void FormatQuick();
 
-  // What a mutation did to the named file. Lets observers maintain
-  // derived counters (e.g. the MV's O(1) index_count) without shadowing
-  // the volume's own existence bookkeeping.
-  enum class MutationKind {
-    kCreated,    // file came into existence (Create)
-    kModified,   // bytes/extents changed (Write, Append, Truncate, ...)
-    kDeleted,    // file removed (Delete)
-    kFormatted,  // whole volume wiped (FormatQuick); name is ""
-  };
-
-  // Invoked synchronously (never across a suspension) whenever a file's
-  // bytes, extents, or existence change — Create, Write, Append,
-  // AppendSparse, WriteAll, Delete — with the file's name and what
-  // happened to it; FormatQuick passes "" (everything changed). Caches
-  // layered above use this for push invalidation instead of polling
-  // StatFile on every read. One observer per volume; pass nullptr to
-  // unregister.
-  using MutationObserver =
-      std::function<void(const std::string& name, MutationKind kind)>;
-  void SetMutationObserver(MutationObserver observer) {
-    observer_ = std::move(observer);
-  }
-
  private:
   struct Extent {
     std::uint64_t start_block;
@@ -202,22 +149,12 @@ class Volume {
   };
   struct FileMeta {
     std::uint64_t size = 0;
-    std::uint64_t write_gen = 0;
     std::vector<Extent> extents;
   };
 
   static bool NameHasPrefix(const std::string& name,
                             const std::string& prefix) {
     return name.compare(0, prefix.size(), prefix) == 0;
-  }
-
-  // Stamps a fresh, never-reused generation on a mutated file.
-  void Touch(FileMeta& meta) { meta.write_gen = ++next_write_gen_; }
-
-  void NotifyMutation(const std::string& name, MutationKind kind) {
-    if (observer_) {
-      observer_(name, kind);
-    }
   }
 
   // O(1) point lookup via the hash side-index (the ordered map would pay an
@@ -251,7 +188,6 @@ class Volume {
   VolumeParams params_;
   std::uint64_t total_blocks_;
   std::uint64_t used_blocks_ = 0;
-  std::uint64_t next_write_gen_ = 0;
   // Ordered by name for the range-bounded scans; the side-index below maps
   // each node's key (a stable string_view into the map node) to its meta
   // for O(1) point lookups. Both are maintained on Create/Delete/Format.
@@ -260,7 +196,6 @@ class Volume {
   // enumeration always walks the ordered files_ map.
   std::unordered_map<std::string_view, FileMeta*> by_name_;
   std::map<std::uint64_t, std::uint64_t> free_extents_;  // start -> length
-  MutationObserver observer_;
 };
 
 }  // namespace ros::disk

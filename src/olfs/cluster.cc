@@ -27,7 +27,8 @@ Cluster::Cluster(sim::Simulator& sim, ClusterParams params)
                                         mv_ssds_[1].get()});
   mv_volume_ = std::make_unique<disk::Volume>(
       sim, mv_raid_.get(), disk::MetadataVolumeParams());
-  mv_ = std::make_unique<MetadataVolume>(mv_volume_.get());
+  mv_ = std::make_unique<MetadataVolume>(sim, mv_volume_.get(),
+                                         MetadataVolume::Options{});
 
   for (int i = 0; i < params_.racks; ++i) {
     auto node = std::make_unique<RackNode>();
@@ -109,12 +110,20 @@ sim::Task<StatusOr<BucketRoute>> Cluster::ResolveRoute(
 }
 
 sim::Task<Status> Cluster::ReloadRouting() {
+  // The restarted head re-opens its store from the mirrored SSDs (the
+  // first read replays the WAL) and rebuilds the table from it.
+  mv_.reset();
+  mv_ = std::make_unique<MetadataVolume>(sim_, mv_volume_.get(),
+                                         MetadataVolume::Options{});
   routes_.Clear();
   for (int shard = 0; shard < RoutingTable::kShards; ++shard) {
     auto doc = co_await mv_->GetState("cluster/routes/" +
                                       std::to_string(shard));
-    if (!doc.ok()) {
+    if (doc.status().code() == StatusCode::kNotFound) {
       continue;  // shard never persisted (empty table is legitimate)
+    }
+    if (!doc.ok()) {
+      co_return doc.status();  // a damaged store must not empty the table
     }
     ROS_CO_RETURN_IF_ERROR(routes_.LoadShard(shard, *doc));
   }

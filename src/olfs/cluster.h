@@ -154,8 +154,11 @@ class Cluster {
   // SyncRackState. The rack rejoins placement afterwards.
   sim::Task<StatusOr<RecoveryReport>> RecoverRack(int i);
 
-  // Drops the in-memory routing table and reloads it from the cluster
-  // MV (namespace-head restart). Counts recovered routes in stats().
+  // Namespace-head restart: drops the in-memory routing table and the
+  // head's store object, re-opens the store from its volume, and reloads
+  // the table from it. Requires a quiescent head (no cluster operation in
+  // flight). A shard that was never persisted is skipped; any other store
+  // error is returned. Counts recovered routes in stats().
   sim::Task<Status> ReloadRouting();
 
   // One rebalance pass (also what the background loop runs): migrate the

@@ -130,11 +130,9 @@ json::Value Maintenance::StatusReport() const {
       json::Value(static_cast<std::int64_t>(index_stats.evictions));
   report["caches"] = json::Value(std::move(cache));
 
-  // Namespace store internals (log-structured backend only; the block
-  // reports zeros under the legacy layout).
+  // Namespace store internals.
   const auto store = olfs_->mv().store_stats();
   json::Object mv_store;
-  mv_store["log_structured"] = json::Value(store.log_structured);
   mv_store["wal_records_appended"] =
       json::Value(static_cast<std::int64_t>(store.wal.records_appended));
   mv_store["wal_batches_committed"] =

@@ -30,33 +30,19 @@ Status AbortedErrorForReset() {
 
 MetadataVolume::MetadataVolume(sim::Simulator& sim, disk::Volume* volume,
                                Options options)
-    : volume_(volume), cache_capacity_(options.cache_capacity), sim_(&sim),
-      options_(options) {
-  legacy_index_count_ = volume_->CountPrefix("/idx/");
-  volume_->SetMutationObserver(
-      [this](const std::string& name, disk::Volume::MutationKind kind) {
-        OnVolumeMutation(name, kind);
-      });
-  if (options_.log_structured) {
-    log_ = std::make_unique<MvLog>(sim, volume,
-                                   MvLog::Options{options_.commit_window});
-    alive_ = std::make_shared<bool>(true);
-    open_done_ = std::make_unique<sim::Event>(sim);
-    pin_cv_ = std::make_unique<sim::ConditionVariable>(sim);
-    // A volume carrying a prior incarnation's log starts closed; the first
-    // operation (or an explicit Open) replays it.
-    opened_ = !volume_->AnyWithPrefix(std::string(MvLog::kFilePrefix)) &&
-              !volume_->AnyWithPrefix(std::string(mvseg::kFilePrefix));
-  }
+    : sim_(sim), volume_(volume), options_(options),
+      log_(sim, volume, MvLog::Options{options.commit_window}),
+      open_done_(sim), pin_cv_(sim) {
+  // A volume carrying a prior incarnation's log starts closed; the first
+  // operation (or an explicit Open) replays it.
+  opened_ = !volume_->AnyWithPrefix(std::string(MvLog::kFilePrefix)) &&
+            !volume_->AnyWithPrefix(std::string(mvseg::kFilePrefix));
 }
 
 MetadataVolume::~MetadataVolume() {
-  volume_->SetMutationObserver(nullptr);
-  if (alive_ != nullptr) {
-    // Detached flush/compaction frames that resume later see this and
-    // return without touching the dead store.
-    *alive_ = false;
-  }
+  // Detached flush/compaction frames that resume later see this and
+  // return without touching the dead store.
+  *alive_ = false;
 }
 
 // --- open / recovery ---------------------------------------------------
@@ -64,18 +50,18 @@ MetadataVolume::~MetadataVolume() {
 sim::Task<Status> MetadataVolume::Open() { co_return co_await EnsureOpen(); }
 
 sim::Task<Status> MetadataVolume::EnsureOpen() const {
-  if (!ls() || opened_) {
+  if (opened_) {
     co_return OkStatus();
   }
   while (!opened_) {
     if (opening_) {
-      co_await open_done_->Wait();
+      co_await open_done_.Wait();
       continue;  // re-check; retry recovery ourselves if it failed
     }
     opening_ = true;
-    Status status = co_await RecoverLs();
+    Status status = co_await Recover();
     opening_ = false;
-    open_done_->Pulse();
+    open_done_.Pulse();
     if (!status.ok()) {
       co_return status;
     }
@@ -83,10 +69,10 @@ sim::Task<Status> MetadataVolume::EnsureOpen() const {
   co_return OkStatus();
 }
 
-sim::Task<Status> MetadataVolume::RecoverLs() const {
+sim::Task<Status> MetadataVolume::Recover() const {
   // Restartable: a failed attempt leaves partial replay state behind, so
   // every attempt begins from scratch.
-  ResetLsState();
+  ResetState();
 
   // Segments first, in file-name order — "/mvseg.<rank>.<id>" sorts as
   // (rank, id), oldest data first, so newer records shadow older ones as
@@ -191,12 +177,12 @@ sim::Task<Status> MetadataVolume::RecoverLs() const {
   // New appends continue in the newest surviving file; min_seq reaches
   // back to the oldest so the next flush's DeleteBelow reclaims them all.
   const std::uint64_t seq = max_seq > 0 ? max_seq : 1;
-  log_->Reset(seq, min_live_seq > 0 ? min_live_seq : seq);
+  log_.Reset(seq, min_live_seq > 0 ? min_live_seq : seq);
   opened_ = true;
   co_return OkStatus();
 }
 
-void MetadataVolume::ResetLsState() const {
+void MetadataVolume::ResetState() const {
   for (std::size_t i = 0; i < kMemtableShards; ++i) {
     active_[i].clear();
     imm_[i].clear();
@@ -215,14 +201,12 @@ void MetadataVolume::ResetLsState() const {
 
 void MetadataVolume::WipeAll() {
   CacheClear();
-  if (ls()) {
-    ++epoch_;  // in-flight background work aborts at its next check
-    ResetLsState();
-    log_->Reset(1, 1);
-    opened_ = true;
-    opening_ = false;
-    open_done_->Pulse();
-  }
+  ++epoch_;  // in-flight background work aborts at its next check
+  ResetState();
+  log_.Reset(1, 1);
+  opened_ = true;
+  opening_ = false;
+  open_done_.Pulse();
   volume_->FormatQuick();
 }
 
@@ -264,6 +248,9 @@ void MetadataVolume::DecLiveRef(const KeyRef& ref) const {
 void MetadataVolume::MemtableApply(const std::string& key, std::string value,
                                    bool tombstone) const {
   ++store_gen_;
+  if (IsIndexKey(key)) {
+    CacheErase(std::string_view(key).substr(1));  // "i/a/b" caches as "/a/b"
+  }
   Shard& shard = active_[ShardOf(key)];
   auto [it, inserted] = shard.try_emplace(key);
   if (!inserted) {
@@ -295,12 +282,22 @@ void MetadataVolume::MemtableApply(const std::string& key, std::string value,
 
 // --- point reads -------------------------------------------------------
 
-sim::Task<StatusOr<std::string>> MetadataVolume::ReadValueLs(
-    std::string key) const {
+void MetadataVolume::Unpin(SegmentInfo& seg) const {
+  --seg.pins;
+  if (seg.pins == 0) {
+    pin_cv_.NotifyAll();
+  }
+}
+
+sim::Task<StatusOr<std::string>> MetadataVolume::ReadValue(
+    std::string key, KeyRef* ref_out) const {
   const MemEntry* mem = FindMem(key);
   if (mem != nullptr) {
     if (mem->tombstone) {
       co_return NotFoundError("mv: no entry " + key);
+    }
+    if (ref_out != nullptr) {
+      *ref_out = KeyRef{};
     }
     co_return mem->value;
   }
@@ -317,10 +314,7 @@ sim::Task<StatusOr<std::string>> MetadataVolume::ReadValueLs(
   // has it in flight.
   ++seg->pins;
   auto data = co_await volume_->Read(seg->file, ref.offset, ref.length);
-  --seg->pins;
-  if (seg->pins == 0 && pin_cv_ != nullptr) {
-    pin_cv_->NotifyAll();
-  }
+  Unpin(*seg);
   if (!data.ok()) {
     co_return data.status();
   }
@@ -330,97 +324,15 @@ sim::Task<StatusOr<std::string>> MetadataVolume::ReadValueLs(
   if (!record.ok()) {
     co_return record.status();  // bit rot: the record CRC caught it
   }
+  if (ref_out != nullptr) {
+    *ref_out = ref;
+  }
   co_return std::move(record->value);
-}
-
-sim::Task<StatusOr<MetadataVolume::IndexPtr>> MetadataVolume::GetRefLs(
-    std::string path) const {
-  ROS_CO_RETURN_IF_ERROR(co_await EnsureOpen());
-  if (cache_capacity_ != 0) {
-    auto it = cache_map_.find(std::string_view(path));
-    if (it != cache_map_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      ++cache_stats_.hits;
-      const CacheEntry& hit = lru_.front();
-      IndexPtr shared = hit.index;
-      // Memtable-resident entries charge nothing (the miss below would be
-      // a RAM lookup); segment-backed ones replay the record's device
-      // ranges — exactly what the miss would pay — so the cache never
-      // shifts simulated timing.
-      if (hit.segments.size() == 1) {
-        const auto [dev_offset, n] = hit.segments.front();
-        ROS_CO_RETURN_IF_ERROR(
-            co_await volume_->ReadDiscardSegment(dev_offset, n));
-      } else if (!hit.segments.empty()) {
-        disk::Volume::ByteSegments segments = hit.segments;
-        ROS_CO_RETURN_IF_ERROR(
-            co_await volume_->ReadDiscardSegments(std::move(segments)));
-      }
-      co_return std::move(shared);
-    }
-    ++cache_stats_.misses;
-  }
-  const std::string key = IndexKey(path);
-  const MemEntry* mem = FindMem(key);
-  if (mem != nullptr) {
-    if (mem->tombstone) {
-      co_return NotFoundError("no file " + IndexName(path));
-    }
-    auto decoded = IndexFile::FromJson(mem->value);
-    if (!decoded.ok()) {
-      co_return decoded.status();
-    }
-    auto shared = std::make_shared<const IndexFile>(std::move(*decoded));
-    CacheInsert(path, shared, 0, {}, 0);
-    co_return std::move(shared);
-  }
-  auto ref_it = keydir_.find(key);
-  if (ref_it == keydir_.end()) {
-    co_return NotFoundError("no file " + IndexName(path));
-  }
-  const KeyRef ref = ref_it->second;
-  auto sit = segs_by_id_.find(ref.seg_id);
-  ROS_CHECK(sit != segs_by_id_.end());
-  SegmentPtr seg = sit->second;
-  ++seg->pins;
-  auto data = co_await volume_->Read(seg->file, ref.offset, ref.length);
-  --seg->pins;
-  if (seg->pins == 0 && pin_cv_ != nullptr) {
-    pin_cv_->NotifyAll();
-  }
-  if (!data.ok()) {
-    co_return data.status();
-  }
-  std::size_t frame = 0;
-  auto record = mvlog::DecodeRecord(
-      std::span<const std::uint8_t>(data->data(), data->size()), &frame);
-  if (!record.ok()) {
-    co_return record.status();
-  }
-  auto decoded = IndexFile::FromJson(record->value);
-  if (!decoded.ok()) {
-    co_return decoded.status();
-  }
-  auto shared = std::make_shared<const IndexFile>(std::move(*decoded));
-  // Publish only if the key still resolves to exactly the bytes we read —
-  // no overwrite, flush, or compaction moved it during the device wait.
-  auto now_it = keydir_.find(key);
-  if (now_it != keydir_.end() && now_it->second.seg_id == ref.seg_id &&
-      now_it->second.offset == ref.offset && !seg->retired) {
-    auto segments = volume_->MapFileRange(seg->file, ref.offset, ref.length);
-    if (segments.ok()) {
-      CacheInsert(path, shared, 0, std::move(*segments), ref.seg_id);
-    }
-  }
-  co_return std::move(shared);
 }
 
 // --- public API --------------------------------------------------------
 
 bool MetadataVolume::Exists(const std::string& path) const {
-  if (!ls()) {
-    return volume_->Exists(IndexName(path));
-  }
   if (!opened_) {
     return false;  // dirty store reports empty until recovery runs
   }
@@ -428,108 +340,76 @@ bool MetadataVolume::Exists(const std::string& path) const {
 }
 
 sim::Task<Status> MetadataVolume::Put(IndexFile index) {
-  if (ls()) {
-    ROS_CO_RETURN_IF_ERROR(co_await EnsureOpen());
-    const std::string path = index.path();
-    std::string doc = index.ToJson();
-    const std::string key = IndexKey(path);
-    MemtableApply(key, doc, false);
-    const std::uint64_t gen = store_gen_;
-    mvlog::Record record{mvlog::RecordType::kPut, key, std::move(doc)};
-    ROS_CO_RETURN_IF_ERROR(co_await log_->Append(std::move(record)));
-    // Write-through publish, pinned to the store generation: any mutation
-    // during the barrier wait (even to another key) skips the insert and
-    // the next Get re-decodes.
-    if (store_gen_ == gen) {
-      CacheInsert(path, std::make_shared<const IndexFile>(std::move(index)),
-                  0, {}, 0);
-    }
-    MaybeScheduleFlush();
-    co_return OkStatus();
+  ROS_CO_RETURN_IF_ERROR(co_await EnsureOpen());
+  const std::string path = index.path();
+  std::string doc = index.ToJson();
+  const std::string key = IndexKey(path);
+  MemtableApply(key, doc, false);
+  const std::uint64_t gen = store_gen_;
+  mvlog::Record record{mvlog::RecordType::kPut, key, std::move(doc)};
+  ROS_CO_RETURN_IF_ERROR(co_await log_.Append(std::move(record)));
+  // Write-through publish, pinned to the store generation: any mutation
+  // during the barrier wait (even to another key) skips the insert and
+  // the next Get re-decodes.
+  if (store_gen_ == gen) {
+    CacheInsert(path, std::make_shared<const IndexFile>(std::move(index)),
+                KeyRef{});
   }
-  const std::string name = IndexName(index.path());
-  if (!volume_->Exists(name)) {
-    ROS_CO_RETURN_IF_ERROR(co_await volume_->Create(name));
-  }
-  const std::string doc = index.ToJson();
-  const auto before = volume_->StatFile(name);
-  ROS_CO_RETURN_IF_ERROR(co_await volume_->WriteAll(
-      name, std::vector<std::uint8_t>(doc.begin(), doc.end())));
-  // Write-through: publish the decoded object only when our write was the
-  // sole mutation in the window — one generation step on the file. Any
-  // interleaved writer (to this or another file) advances the volume-wide
-  // counter further and we simply skip the insert; the next Get re-decodes.
-  const auto after = volume_->StatFile(name);
-  if (before.ok() && after.ok() &&
-      after->write_gen == before->write_gen + 1) {
-    auto segments = volume_->MapFileRange(name, 0, after->size);
-    if (segments.ok()) {
-      const std::string path = index.path();
-      CacheInsert(path, std::make_shared<const IndexFile>(std::move(index)),
-                  after->write_gen, std::move(*segments));
-    }
-  }
+  MaybeScheduleFlush();
   co_return OkStatus();
 }
 
 sim::Task<StatusOr<MetadataVolume::IndexPtr>> MetadataVolume::GetRef(
     std::string path) const {
-  if (ls()) {
-    co_return co_await GetRefLs(std::move(path));
-  }
-  // A present entry is current by construction — every volume mutation
-  // (even ones that bypass this class) synchronously dropped what it
-  // touched — so a hit is one hash probe, no stat. With a non-zero
+  ROS_CO_RETURN_IF_ERROR(co_await EnsureOpen());
+  // A present entry is current by construction (every mutation dropped
+  // what it touched), so a hit is one hash probe. With a non-zero
   // capacity every GetRef lands in exactly one of hits/misses.
-  if (cache_capacity_ != 0) {
+  if (options_.cache_capacity != 0) {
     auto it = cache_map_.find(std::string_view(path));
     if (it != cache_map_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second);
       ++cache_stats_.hits;
-      // Share the decoded object (eviction during the device wait can't
-      // invalidate it); only the segment list must be copied onto the
-      // frame before suspending. Replaying the cached device mapping
-      // issues exactly the requests the uncached ReadAll below would, so
-      // cache state never shifts simulated timing — only host-side
-      // decode work.
       const CacheEntry& hit = lru_.front();
       IndexPtr shared = hit.index;
-      if (hit.segments.size() == 1) {
-        const auto [dev_offset, n] = hit.segments.front();
-        ROS_CO_RETURN_IF_ERROR(
-            co_await volume_->ReadDiscardSegment(dev_offset, n));
-      } else {
-        disk::Volume::ByteSegments segments = hit.segments;
-        ROS_CO_RETURN_IF_ERROR(
-            co_await volume_->ReadDiscardSegments(std::move(segments)));
+      // Memtable-resident entries charge nothing (the miss below would be
+      // a RAM lookup); segment-backed ones replay the record's read —
+      // exactly what the miss would pay — so the cache never shifts
+      // simulated timing.
+      if (hit.ref.seg_id != 0) {
+        const KeyRef ref = hit.ref;
+        auto sit = segs_by_id_.find(ref.seg_id);
+        ROS_CHECK(sit != segs_by_id_.end());  // retiring drops its entries
+        SegmentPtr seg = sit->second;
+        ++seg->pins;
+        Status charged =
+            co_await volume_->ReadDiscard(seg->file, ref.offset, ref.length);
+        Unpin(*seg);
+        ROS_CO_RETURN_IF_ERROR(charged);
       }
       co_return std::move(shared);
     }
     ++cache_stats_.misses;
   }
-  const std::string name = IndexName(path);
-  const auto stat = volume_->StatFile(name);
-  if (!stat.ok()) {
-    co_return stat.status();
+  const std::string key = IndexKey(path);
+  KeyRef ref;
+  auto value = co_await ReadValue(key, &ref);
+  if (!value.ok()) {
+    co_return value.status();
   }
-  auto data = co_await volume_->ReadAll(name);
-  if (!data.ok()) {
-    co_return data.status();
-  }
-  auto decoded = IndexFile::FromJson(std::string_view(
-      reinterpret_cast<const char*>(data->data()), data->size()));
+  auto decoded = IndexFile::FromJson(*value);
   if (!decoded.ok()) {
     co_return decoded.status();
   }
   auto shared = std::make_shared<const IndexFile>(std::move(*decoded));
-  // Cache only if the file kept its generation across the read, which pins
-  // the decoded object (and its device mapping) to exactly the bytes read.
-  const auto stat_after = volume_->StatFile(name);
-  if (stat_after.ok() && stat_after->write_gen == stat->write_gen) {
-    auto segments = volume_->MapFileRange(name, 0, stat->size);
-    if (segments.ok()) {
-      CacheInsert(path, shared, stat->write_gen, std::move(*segments));
-    }
+  // Publish only if the key still resolves to exactly the bytes we read —
+  // no overwrite, flush, or compaction moved it during the device wait.
+  // (A memtable read never suspended, so it is current.)
+  auto now_it = keydir_.find(key);
+  if (ref.seg_id == 0 ||
+      (now_it != keydir_.end() && now_it->second.seg_id == ref.seg_id &&
+       now_it->second.offset == ref.offset)) {
+    CacheInsert(path, shared, ref);
   }
   co_return std::move(shared);
 }
@@ -544,40 +424,29 @@ sim::Task<StatusOr<IndexFile>> MetadataVolume::Get(
 }
 
 sim::Task<Status> MetadataVolume::Remove(std::string path) {
-  if (ls()) {
-    ROS_CO_RETURN_IF_ERROR(co_await EnsureOpen());
-    const std::string key = IndexKey(path);
-    if (keydir_.find(key) == keydir_.end()) {
-      co_return NotFoundError("no file " + IndexName(path));
-    }
-    CacheErase(path);
-    MemtableApply(key, "", true);
-    mvlog::Record record{mvlog::RecordType::kRemove, key, ""};
-    Status status = co_await log_->Append(std::move(record));
-    MaybeScheduleFlush();
-    co_return status;
+  ROS_CO_RETURN_IF_ERROR(co_await EnsureOpen());
+  const std::string key = IndexKey(path);
+  if (keydir_.find(key) == keydir_.end()) {
+    co_return NotFoundError("mv: no entry " + path);
   }
-  CacheErase(path);
-  co_return co_await volume_->Delete(IndexName(path));
+  MemtableApply(key, "", true);
+  mvlog::Record record{mvlog::RecordType::kRemove, key, ""};
+  Status status = co_await log_.Append(std::move(record));
+  MaybeScheduleFlush();
+  co_return status;
 }
 
 std::vector<std::string> MetadataVolume::ListChildren(
     const std::string& path) const {
-  if (!ls()) {
-    const std::string prefix =
-        path == "/" ? IndexName("/") : IndexName(path) + "/";
-    // Direct children only; whole grandchild subtrees are skipped with one
-    // seek each instead of being filtered entry by entry. Map order is
-    // lexicographic, so the result needs no sort.
-    return volume_->ListChildren(prefix);
-  }
   std::vector<std::string> children;
   if (!opened_) {
     return children;
   }
   const std::string prefix =
       path == "/" ? IndexKey("/") : IndexKey(path) + "/";
-  // Same delimiter walk as disk::Volume::ListChildren, over the keydir.
+  // Direct children only; whole grandchild subtrees are skipped with one
+  // seek each instead of being filtered entry by entry. Keydir order is
+  // lexicographic, so the result needs no sort.
   auto it = keydir_.lower_bound(prefix);
   while (it != keydir_.end() &&
          it->first.compare(0, prefix.size(), prefix) == 0) {
@@ -598,16 +467,6 @@ std::vector<std::string> MetadataVolume::ListChildren(
 }
 
 bool MetadataVolume::HasChildren(const std::string& path) const {
-  if (!ls()) {
-    const std::string prefix =
-        path == "/" ? IndexName("/") : IndexName(path) + "/";
-    if (!volume_->Exists(prefix)) {
-      return volume_->AnyWithPrefix(prefix);
-    }
-    // `prefix` itself is an index file (the root's own, "/idx/"): a child
-    // must extend it.
-    return volume_->CountPrefix(prefix) > 1;
-  }
   if (!opened_) {
     return false;
   }
@@ -623,14 +482,6 @@ bool MetadataVolume::HasChildren(const std::string& path) const {
 
 std::vector<std::string> MetadataVolume::AllPaths() const {
   std::vector<std::string> paths;
-  if (!ls()) {
-    paths.reserve(volume_->CountPrefix("/idx/"));
-    volume_->ForEachPrefix(
-        "/idx/", [&paths](const std::string& name, std::uint64_t) {
-          paths.push_back(name.substr(4));  // strip "/idx"
-        });
-    return paths;  // map order is lexicographic; already sorted
-  }
   if (!opened_) {
     return paths;
   }
@@ -642,53 +493,31 @@ std::vector<std::string> MetadataVolume::AllPaths() const {
 }
 
 std::uint64_t MetadataVolume::index_count() const {
-  if (!ls()) {
-    // O(1): seeded once at construction, maintained by the mutation
-    // observer on every create/delete/format (vs. the old O(n) walk).
-    return legacy_index_count_;
-  }
   // O(1): the keydir maintains the live count through every put, remove,
-  // replay, and compaction (vs. the legacy O(n) prefix walk).
+  // replay, and compaction.
   return opened_ ? live_index_count_ : 0;
 }
 
 sim::Task<Status> MetadataVolume::PutState(std::string key,
                                            json::Value v) {
-  if (ls()) {
-    ROS_CO_RETURN_IF_ERROR(co_await EnsureOpen());
-    const std::string skey = StateKey(key);
-    std::string doc = v.Dump();
-    MemtableApply(skey, doc, false);
-    mvlog::Record record{mvlog::RecordType::kPutState, skey, std::move(doc)};
-    Status status = co_await log_->Append(std::move(record));
-    MaybeScheduleFlush();
-    co_return status;
-  }
-  const std::string name = "/state/" + key;
-  if (!volume_->Exists(name)) {
-    ROS_CO_RETURN_IF_ERROR(co_await volume_->Create(name));
-  }
-  const std::string doc = v.Dump();
-  co_return co_await volume_->WriteAll(
-      name, std::vector<std::uint8_t>(doc.begin(), doc.end()));
+  ROS_CO_RETURN_IF_ERROR(co_await EnsureOpen());
+  const std::string skey = StateKey(key);
+  std::string doc = v.Dump();
+  MemtableApply(skey, doc, false);
+  mvlog::Record record{mvlog::RecordType::kPutState, skey, std::move(doc)};
+  Status status = co_await log_.Append(std::move(record));
+  MaybeScheduleFlush();
+  co_return status;
 }
 
 sim::Task<StatusOr<json::Value>> MetadataVolume::GetState(
     std::string key) const {
-  if (ls()) {
-    ROS_CO_RETURN_IF_ERROR(co_await EnsureOpen());
-    auto value = co_await ReadValueLs(StateKey(key));
-    if (!value.ok()) {
-      co_return value.status();
-    }
-    co_return json::Parse(*value);
+  ROS_CO_RETURN_IF_ERROR(co_await EnsureOpen());
+  auto value = co_await ReadValue(StateKey(key), nullptr);
+  if (!value.ok()) {
+    co_return value.status();
   }
-  auto data = co_await volume_->ReadAll("/state/" + key);
-  if (!data.ok()) {
-    co_return data.status();
-  }
-  co_return json::Parse(std::string_view(
-      reinterpret_cast<const char*>(data->data()), data->size()));
+  co_return json::Parse(*value);
 }
 
 // --- snapshots ---------------------------------------------------------
@@ -696,54 +525,35 @@ sim::Task<StatusOr<json::Value>> MetadataVolume::GetState(
 sim::Task<StatusOr<udf::Image>> MetadataVolume::BuildSnapshotImage(
     std::string image_id, std::uint64_t capacity) const {
   udf::Image image(image_id, capacity);
-  if (ls()) {
-    ROS_CO_RETURN_IF_ERROR(co_await EnsureOpen());
-    // Streaming: one key and one value in flight at a time. The keydir
-    // iterator cannot live across the value read's suspension, so each
-    // step re-seeks by the previous key.
-    std::string cursor;
-    while (true) {
-      std::string key;
-      {
-        auto it = cursor.empty() ? keydir_.lower_bound("i/")
-                                 : keydir_.upper_bound(cursor);
-        if (it == keydir_.end() || it->first.compare(0, 2, "i/") != 0) {
-          break;
-        }
-        key = it->first;
+  ROS_CO_RETURN_IF_ERROR(co_await EnsureOpen());
+  // Streaming: one key and one value in flight at a time. The keydir
+  // iterator cannot live across the value read's suspension, so each step
+  // re-seeks by the previous key.
+  std::string cursor;
+  while (true) {
+    std::string key;
+    {
+      auto it = cursor.empty() ? keydir_.lower_bound("i/")
+                               : keydir_.upper_bound(cursor);
+      if (it == keydir_.end() || it->first.compare(0, 2, "i/") != 0) {
+        break;
       }
-      cursor = key;
-      auto value = co_await ReadValueLs(key);
-      if (!value.ok()) {
-        if (value.status().code() == StatusCode::kNotFound) {
-          continue;  // removed while we streamed past it
-        }
-        co_return value.status();
-      }
-      // "i/a/b" -> "/.mv/a/b#idx", the same image layout the legacy
-      // backend writes, so snapshots restore across backends.
-      const std::string snap_path =
-          std::string(kSnapshotDir) + key.substr(1) + "#idx";
-      Status status = image.AddFile(
-          snap_path, std::vector<std::uint8_t>(value->begin(), value->end()));
-      if (!status.ok()) {
-        co_return status;
-      }
+      key = it->first;
     }
-    co_return image;
-  }
-  // Materialized List on purpose: the loop suspends on every ReadAll, and
-  // map iterators must not be held across a co_await.
-  for (const std::string& name : volume_->List("/idx/")) {
-    auto data = co_await volume_->ReadAll(name);
-    if (!data.ok()) {
-      co_return data.status();
+    cursor = key;
+    auto value = co_await ReadValue(key, nullptr);
+    if (!value.ok()) {
+      if (value.status().code() == StatusCode::kNotFound) {
+        continue;  // removed while we streamed past it
+      }
+      co_return value.status();
     }
-    // "/idx/a/b" -> "/.mv/a/b#idx" (the suffix keeps directory index
-    // files from colliding with their children's paths).
-    const std::string path =
-        std::string(kSnapshotDir) + name.substr(4) + "#idx";
-    Status status = image.AddFile(path, std::move(*data));
+    // "i/a/b" -> "/.mv/a/b#idx" (the suffix keeps directory index files
+    // from colliding with their children's paths).
+    const std::string snap_path =
+        std::string(kSnapshotDir) + key.substr(1) + "#idx";
+    Status status = image.AddFile(
+        snap_path, std::vector<std::uint8_t>(value->begin(), value->end()));
     if (!status.ok()) {
       co_return status;
     }
@@ -755,7 +565,6 @@ sim::Task<StatusOr<udf::Image>> MetadataVolume::BuildSnapshotImage(
 // keep the snapshot alive for the duration of the restore.
 sim::Task<Status> MetadataVolume::RestoreFromSnapshot(
     const udf::Image& snapshot) {
-  CacheClear();
   std::vector<std::pair<std::string, const udf::Node*>> files;
   snapshot.Walk([&](const std::string& path, const udf::Node& node) {
     if (node.type == udf::NodeType::kFile &&
@@ -763,74 +572,38 @@ sim::Task<Status> MetadataVolume::RestoreFromSnapshot(
       files.emplace_back(path, &node);
     }
   });
-  if (ls()) {
-    ROS_CO_RETURN_IF_ERROR(co_await EnsureOpen());
-    Status first_error = OkStatus();
-    std::uint64_t failed = 0;
-    // Windowed WAL barriers: every append in a window joins one group
-    // commit, so the restore pays one batched volume write per window
-    // instead of a durability barrier per entry.
-    std::vector<sim::Task<Status>> window;
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      std::string global_path = files[i].first.substr(kSnapshotDir.size());
-      constexpr std::string_view kSuffix = "#idx";
-      if (global_path.size() > kSuffix.size() &&
-          global_path.ends_with(kSuffix)) {
-        global_path.resize(global_path.size() - kSuffix.size());
-      }
-      const udf::Node* node = files[i].second;
-      // Raw bytes, no validation — same contract as the legacy restore: a
-      // corrupt snapshot entry restores fine and fails at first decode.
-      std::string content(node->data.begin(), node->data.end());
-      const std::string key = IndexKey(global_path);
-      MemtableApply(key, content, false);
-      window.push_back(log_->Append(
-          mvlog::Record{mvlog::RecordType::kPut, key, std::move(content)}));
-      if (window.size() >= 128 || i + 1 == files.size()) {
-        Status status = co_await sim::AllOk(*sim_, std::move(window));
-        window.clear();
-        if (!status.ok()) {
-          ++failed;
-          if (first_error.ok()) {
-            first_error = status;
-          }
-        }
-        MaybeScheduleFlush();
-      }
-    }
-    if (failed > 1) {
-      co_return Status(first_error.code(),
-                       std::string(first_error.message()) + " (and " +
-                           std::to_string(failed - 1) +
-                           " more restore failures)");
-    }
-    co_return first_error;
-  }
-  // Restore every file we can; a single bad entry (or a transient volume
-  // error) should not abandon the rest of the namespace.
+  ROS_CO_RETURN_IF_ERROR(co_await EnsureOpen());
   Status first_error = OkStatus();
   std::uint64_t failed = 0;
-  for (const auto& [path, node] : files) {
-    std::string global_path = path.substr(kSnapshotDir.size());
+  // Windowed WAL barriers: every append in a window joins one group
+  // commit, so the restore pays one batched volume write per window
+  // instead of a durability barrier per entry.
+  std::vector<sim::Task<Status>> window;
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    std::string global_path = files[i].first.substr(kSnapshotDir.size());
     constexpr std::string_view kSuffix = "#idx";
     if (global_path.size() > kSuffix.size() &&
         global_path.ends_with(kSuffix)) {
       global_path.resize(global_path.size() - kSuffix.size());
     }
-    const std::string name = IndexName(global_path);
-    Status status = OkStatus();
-    if (!volume_->Exists(name)) {
-      status = co_await volume_->Create(name);
-    }
-    if (status.ok()) {
-      std::vector<std::uint8_t> content(node->data);
-      status = co_await volume_->WriteAll(name, std::move(content));
-    }
-    if (!status.ok()) {
-      ++failed;
-      if (first_error.ok()) {
-        first_error = status;
+    const udf::Node* node = files[i].second;
+    // Raw bytes, no validation: a corrupt snapshot entry restores fine and
+    // fails at first decode.
+    std::string content(node->data.begin(), node->data.end());
+    const std::string key = IndexKey(global_path);
+    MemtableApply(key, content, false);
+    window.push_back(log_.Append(
+        mvlog::Record{mvlog::RecordType::kPut, key, std::move(content)}));
+    if (window.size() >= 128 || i + 1 == files.size()) {
+      Status status = co_await sim::AllOk(sim_, std::move(window));
+      window.clear();
+      if (!status.ok()) {
+        ++failed;
+        if (first_error.ok()) {
+          first_error = status;
+        }
       }
+      MaybeScheduleFlush();
     }
   }
   if (failed > 1) {
@@ -845,19 +618,19 @@ sim::Task<Status> MetadataVolume::RestoreFromSnapshot(
 // --- background flush --------------------------------------------------
 
 void MetadataVolume::MaybeScheduleFlush() const {
-  if (!ls() || flush_running_ || !opened_) {
+  if (flush_running_ || !opened_) {
     return;
   }
   if (memtable_bytes_ < options_.memtable_flush_bytes && !imm_valid_) {
     return;
   }
   flush_running_ = true;
-  sim_->Spawn(FlushTaskLs(alive_));
+  sim_.Spawn(FlushTask(alive_));
 }
 
-sim::Task<void> MetadataVolume::FlushTaskLs(
+sim::Task<void> MetadataVolume::FlushTask(
     std::shared_ptr<const bool> alive) const {
-  Status status = co_await FlushOnceLs(alive);
+  Status status = co_await FlushOnce(alive);
   if (!*alive) {
     co_return;
   }
@@ -872,7 +645,7 @@ sim::Task<void> MetadataVolume::FlushTaskLs(
   MaybeScheduleCompaction();
 }
 
-sim::Task<Status> MetadataVolume::FlushOnceLs(
+sim::Task<Status> MetadataVolume::FlushOnce(
     std::shared_ptr<const bool> alive) const {
   const std::uint64_t epoch = epoch_;
   if (!imm_valid_) {
@@ -890,12 +663,12 @@ sim::Task<Status> MetadataVolume::FlushOnceLs(
     imm_valid_ = true;
     imm_bytes_ = memtable_bytes_;
     memtable_bytes_ = 0;
-    log_->AdvanceSeq();
+    log_.AdvanceSeq();
   }
   // Everything in the frozen generation must be durable in the WAL before
   // the segment claims it; this also keeps a straggling group commit from
   // resurrecting a WAL file that DeleteBelow just reclaimed.
-Status synced = co_await log_->Sync();
+  Status synced = co_await log_.Sync();
   if (!*alive || epoch_ != epoch) {
     co_return AbortedErrorForReset();
   }
@@ -990,7 +763,7 @@ Status synced = co_await log_->Sync();
   ++counters_.memtable_flushes;
 
   // The frozen generation's WAL files are covered by the segment now.
-  Status trimmed = co_await log_->DeleteBelow(log_->current_seq());
+  Status trimmed = co_await log_.DeleteBelow(log_.current_seq());
   if (!*alive || epoch_ != epoch) {
     co_return AbortedErrorForReset();
   }
@@ -1034,16 +807,16 @@ bool MetadataVolume::CompactionNeeded() const {
 }
 
 void MetadataVolume::MaybeScheduleCompaction() const {
-  if (!ls() || compact_running_ || !opened_ || !CompactionNeeded()) {
+  if (compact_running_ || !opened_ || !CompactionNeeded()) {
     return;
   }
   compact_running_ = true;
-  sim_->Spawn(CompactTaskLs(alive_));
+  sim_.Spawn(CompactTask(alive_));
 }
 
-sim::Task<void> MetadataVolume::CompactTaskLs(
+sim::Task<void> MetadataVolume::CompactTask(
     std::shared_ptr<const bool> alive) const {
-  Status status = co_await CompactOnceLs(alive);
+  Status status = co_await CompactOnce(alive);
   if (!*alive) {
     co_return;
   }
@@ -1057,7 +830,7 @@ sim::Task<void> MetadataVolume::CompactTaskLs(
   MaybeScheduleCompaction();  // keep folding until the trigger clears
 }
 
-sim::Task<Status> MetadataVolume::CompactOnceLs(
+sim::Task<Status> MetadataVolume::CompactOnce(
     std::shared_ptr<const bool> alive) const {
   const std::uint64_t epoch = epoch_;
   // Inputs are a CONTIGUOUS run in (rank, id) order, starting at the first
@@ -1283,7 +1056,7 @@ sim::Task<Status> MetadataVolume::CompactOnceLs(
   // Retire input files once in-flight point reads drain.
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     while (inputs[i]->pins > 0) {
-      co_await pin_cv_->Wait();
+      co_await pin_cv_.Wait();
       if (!*alive || epoch_ != epoch) {
         co_return AbortedErrorForReset();
       }
@@ -1305,11 +1078,7 @@ sim::Task<Status> MetadataVolume::CompactOnceLs(
 
 MetadataVolume::StoreStats MetadataVolume::store_stats() const {
   StoreStats stats;
-  stats.log_structured = ls();
-  if (!ls()) {
-    return stats;
-  }
-  stats.wal = log_->stats();
+  stats.wal = log_.stats();
   for (std::size_t i = 0; i < kMemtableShards; ++i) {
     stats.memtable_entries += active_[i].size();
     if (imm_valid_) {
@@ -1335,84 +1104,21 @@ MetadataVolume::StoreStats MetadataVolume::store_stats() const {
 
 // --- decoded-index cache -----------------------------------------------
 
-void MetadataVolume::OnVolumeMutation(const std::string& name,
-                                      disk::Volume::MutationKind kind) const {
-  // Counter maintenance first: it must see every existence change, even
-  // when the decode cache is empty and the invalidation work below is
-  // skipped. Only the legacy backend stores "/idx/..." files directly;
-  // the LS store keeps its own live_index_count_ in the keydir paths.
-  if (!ls()) {
-    using Kind = disk::Volume::MutationKind;
-    switch (kind) {
-      case Kind::kFormatted:
-        legacy_index_count_ = 0;
-        break;
-      case Kind::kCreated:
-        if (name.compare(0, 5, "/idx/") == 0) {
-          ++legacy_index_count_;
-        }
-        break;
-      case Kind::kDeleted:
-        if (name.compare(0, 5, "/idx/") == 0) {
-          --legacy_index_count_;
-        }
-        break;
-      case Kind::kModified:
-        break;  // bytes changed, existence didn't
-    }
-  }
-  if (cache_map_.empty()) {
-    return;
-  }
-  if (name.empty()) {  // FormatQuick: everything changed
-    CacheClear();
-    return;
-  }
-  if (ls()) {
-    // The store's own WAL/segment writes can't stale a cached decode (the
-    // flush/compaction paths invalidate by segment id themselves), but an
-    // external poke at a segment file — corruption tests writing through
-    // volume() — must drop every decode backed by it.
-    if (name.compare(0, mvseg::kFilePrefix.size(), mvseg::kFilePrefix) ==
-        0) {
-      for (const SegmentPtr& seg : segments_) {
-        if (seg->file == name) {
-          CacheEraseBySegment(seg->id);
-          break;
-        }
-      }
-    }
-    return;
-  }
-  // Only "/idx..." files back cached entries; the map is keyed by path,
-  // which is the name minus that prefix (a view — no allocation here, and
-  // this runs on every volume write).
-  std::string_view view(name);
-  if (view.substr(0, 4) == "/idx") {
-    CacheErase(view.substr(4));
-  }
-}
-
 void MetadataVolume::CacheInsert(const std::string& path, IndexPtr index,
-                                 std::uint64_t write_gen,
-                                 disk::Volume::ByteSegments segments,
-                                 std::uint64_t source_seg) const {
-  if (cache_capacity_ == 0) {
+                                 KeyRef ref) const {
+  if (options_.cache_capacity == 0) {
     return;
   }
   auto it = cache_map_.find(std::string_view(path));
   if (it != cache_map_.end()) {
     it->second->index = std::move(index);
-    it->second->write_gen = write_gen;
-    it->second->segments = std::move(segments);
-    it->second->source_seg = source_seg;
+    it->second->ref = ref;
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.push_front(CacheEntry{path, std::move(index), write_gen,
-                             std::move(segments), source_seg});
+  lru_.push_front(CacheEntry{path, std::move(index), ref});
   cache_map_.emplace(lru_.front().path, lru_.begin());
-  if (cache_map_.size() > cache_capacity_) {
+  if (cache_map_.size() > options_.cache_capacity) {
     cache_map_.erase(std::string_view(lru_.back().path));
     lru_.pop_back();
     ++cache_stats_.evictions;
@@ -1435,7 +1141,7 @@ void MetadataVolume::CacheClear() const {
 
 void MetadataVolume::CacheEraseBySegment(std::uint64_t seg_id) const {
   for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->source_seg == seg_id) {
+    if (it->ref.seg_id == seg_id) {
       cache_map_.erase(std::string_view(it->path));
       it = lru_.erase(it);
     } else {

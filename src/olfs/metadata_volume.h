@@ -7,40 +7,31 @@
 // data storage are physically decoupled: nothing here holds file payloads
 // (except the optional forepart).
 //
-// Two interchangeable backends live behind this one API:
-//
-//  * Legacy (the original design): one JSON file per namespace entry
-//    ("/idx" + path) plus "/state/" files. Simple, but every Put pays
-//    per-file inode churn and a whole-file rewrite.
-//
-//  * Log-structured (DESIGN.md §5i, `Options::log_structured`): mutations
-//    append framed records to a WAL with group commit — concurrent
-//    writers coalesce into one batched volume append per flush window,
-//    each caller awaiting the batch's durability barrier. Reads come from
-//    a sharded in-memory memtable over immutable sorted segment files; a
-//    background compactor (simulated time, fully deterministic) merges
-//    segments and drops dead records. Crash recovery replays segments in
-//    file-name order and then the WAL tail; per-record CRCs detect a torn
-//    tail, which is truncated away — acked mutations always survive,
-//    unacked ones vanish cleanly.
+// The store is log-structured (DESIGN.md §5i): mutations append framed
+// records — each index record holds the paper's IndexFile JSON — to a WAL
+// with group commit: concurrent writers coalesce into one batched volume
+// append per flush window, each caller awaiting the batch's durability
+// barrier. Reads come from a sharded in-memory memtable over immutable
+// sorted segment files; a background compactor (simulated time, fully
+// deterministic) merges segments and drops dead records. Crash recovery
+// replays segments in file-name order and then the WAL tail; per-record
+// CRCs detect a torn tail, which is truncated away — acked mutations
+// always survive, unacked ones vanish cleanly.
 //
 // Hot reads are served from a bounded write-through LRU cache of *decoded*
-// IndexFile objects shared as immutable `IndexPtr`s (DESIGN.md §5d). A
-// cache hit still charges the same simulated SSD read as the uncached
-// path (the bytes still come off the MV pair; what the cache removes is
-// host-side JSON decode work), so simulated timings are identical with
-// the cache on or off. In the log-structured backend memtable-resident
-// entries charge nothing either way (they are RAM on both paths), and
-// segment-backed entries replay the exact device ranges of the record.
+// IndexFile objects shared as immutable `IndexPtr`s (DESIGN.md §5d). The
+// cache removes host-side JSON decode work only: memtable-resident entries
+// charge nothing either way (they are RAM on both paths), and a hit on a
+// segment-backed entry replays the record's segment read, so simulated
+// timings are identical with the cache on or off.
 //
-// Coherence is push-based: the MV registers disk::Volume's mutation
-// observer, and every volume-level write — including ones that bypass
-// this class, e.g. recovery tools or corruption tests poking volume()
-// directly — synchronously drops the touched entry, so a hit needs no
-// stat and can never serve masked bytes. Inserts are additionally pinned
-// to disk::Volume's never-reused per-file write generations (legacy) or
-// to the store's own mutation generation (log-structured), which keeps
-// concurrent writers from publishing stale decodes across a suspension.
+// Coherence is owned by the store: every mutation (Put, Remove, restore,
+// WAL replay) passes through the memtable and drops the key's cached
+// decode there; flush and compaction drop the decodes whose read charge
+// they move; and write-through inserts are pinned to the store's mutation
+// generation, so a writer never publishes a decode that another mutation
+// overtook during its commit wait. Writes that bypass the store (raw
+// volume pokes) are not tracked.
 #ifndef ROS_SRC_OLFS_METADATA_VOLUME_H_
 #define ROS_SRC_OLFS_METADATA_VOLUME_H_
 
@@ -77,7 +68,6 @@ class MetadataVolume {
   static constexpr std::size_t kDefaultCacheCapacity = 64 * 1024;
 
   struct Options {
-    bool log_structured = false;
     std::size_t cache_capacity = kDefaultCacheCapacity;
     // Group-commit window handed to MvLog.
     sim::Duration commit_window = sim::Micros(100);
@@ -95,36 +85,20 @@ class MetadataVolume {
     double compact_garbage_ratio = 0.5;
   };
 
-  // Legacy one-file-per-entry backend. No simulator needed: it runs no
-  // background work of its own.
-  explicit MetadataVolume(disk::Volume* volume,
-                          std::size_t cache_capacity = kDefaultCacheCapacity)
-      : volume_(volume), cache_capacity_(cache_capacity) {
-    legacy_index_count_ = volume_->CountPrefix("/idx/");
-    volume_->SetMutationObserver(
-        [this](const std::string& name, disk::Volume::MutationKind kind) {
-          OnVolumeMutation(name, kind);
-        });
-  }
-
-  // Options-selected backend. The simulator powers the WAL flusher and the
-  // compactor when `options.log_structured` is set.
+  // The simulator powers the WAL flusher and the compactor.
   MetadataVolume(sim::Simulator& sim, disk::Volume* volume, Options options);
 
   ~MetadataVolume();
 
-  // The registered observer captures `this`.
+  // Background tasks hold `this` until the alive flag drops.
   MetadataVolume(const MetadataVolume&) = delete;
   MetadataVolume& operator=(const MetadataVolume&) = delete;
 
-  bool log_structured() const { return log_ != nullptr; }
-
-  // Log-structured recovery entry point: replays segments + WAL from the
-  // volume. Implicit on the first async operation against a dirty volume;
-  // callers that want recovery timing (or its error) call it directly.
-  // Synchronous accessors (Exists, index_count, ListChildren, ...) on a
-  // not-yet-opened store report an empty namespace. No-op when already
-  // open, and always a no-op for the legacy backend.
+  // Recovery entry point: replays segments + WAL from the volume. Implicit
+  // on the first async operation against a dirty volume; callers that want
+  // recovery timing (or its error) call it directly. Synchronous accessors
+  // (Exists, index_count, ListChildren, ...) on a not-yet-opened store
+  // report an empty namespace. No-op when already open.
   sim::Task<Status> Open();
 
   // --- index files ---
@@ -167,15 +141,13 @@ class MetadataVolume {
 
   // Packs every index file into a self-describing UDF image (under
   // /.mv/...) that the burn pipeline writes to discs like any other image.
-  // The image layout is backend-independent, so a snapshot taken by one
-  // backend restores into the other byte-for-byte.
   sim::Task<StatusOr<udf::Image>> BuildSnapshotImage(
       std::string image_id, std::uint64_t capacity) const;
 
   // Restores the namespace from a snapshot image (inverse of the above).
-  // Existing index files are replaced. Keeps going past per-file failures
-  // and reports the first error (annotated with how many more failed)
-  // rather than aborting the whole restore.
+  // Existing index files are replaced. Entries commit in windows of one
+  // group commit each; a failed window does not abort the restore, which
+  // reports the first error (annotated with how many more windows failed).
   sim::Task<Status> RestoreFromSnapshot(const udf::Image& snapshot);
 
   // Wipes the namespace (simulating MV loss before a recovery). Requires
@@ -194,12 +166,11 @@ class MetadataVolume {
   };
   const CacheStats& cache_stats() const { return cache_stats_; }
   std::size_t cache_size() const { return cache_map_.size(); }
-  std::size_t cache_capacity() const { return cache_capacity_; }
+  std::size_t cache_capacity() const { return options_.cache_capacity; }
 
-  // --- log-structured store introspection ---
+  // --- store introspection ---
 
   struct StoreStats {
-    bool log_structured = false;
     MvLog::Stats wal;
     std::uint64_t memtable_entries = 0;
     std::uint64_t memtable_bytes = 0;  // serialized size, active + immutable
@@ -218,35 +189,33 @@ class MetadataVolume {
   };
   StoreStats store_stats() const;
 
-  // MV file-name mapping (exposed for tests).
-  static std::string IndexName(const std::string& path) {
-    return "/idx" + path;
-  }
   static constexpr std::string_view kSnapshotDir = "/.mv";
 
-  // Log-structured key-space mapping (exposed for tests). Namespace paths
-  // all start with '/', so index keys share the "i/" prefix and state keys
-  // the disjoint "s/" prefix, keeping both in one ordered keydir.
+  // Key-space mapping (exposed for tests). Namespace paths all start with
+  // '/', so index keys share the "i/" prefix and state keys the disjoint
+  // "s/" prefix, keeping both in one ordered keydir.
   static std::string IndexKey(const std::string& path) { return "i" + path; }
   static std::string StateKey(const std::string& key) { return "s/" + key; }
 
  private:
+  // Where the newest version of a live key lives.
+  struct KeyRef {
+    std::uint64_t seg_id = 0;  // 0 = memtable tier
+    std::uint64_t offset = 0;  // record frame within the segment file
+    std::uint32_t length = 0;
+  };
+
   struct CacheEntry {
     std::string path;
     IndexPtr index;  // immutable; hits share it, eviction can't invalidate
-    std::uint64_t write_gen = 0;  // generation this decode corresponds to
-    // Device ranges backing the entry, valid for exactly this generation
-    // (push invalidation drops the entry on any mutation): hits replay the
-    // read charge from here instead of paying a second file-table lookup.
-    // Empty for memtable-resident entries (a miss would charge nothing).
-    disk::Volume::ByteSegments segments;
-    // Log-structured: segment the ranges live in (0 = memtable). Dropped
-    // wholesale when that segment is flushed over or compacted away.
-    std::uint64_t source_seg = 0;
+    // The record the decode came from: hits on a segment-backed entry
+    // replay its read charge. Entries of a segment are dropped wholesale
+    // when that segment is flushed over (seg_id 0) or compacted away.
+    KeyRef ref;
   };
   using LruList = std::list<CacheEntry>;
 
-  // --- log-structured backend state (DESIGN.md §5i) ---
+  // --- store state (DESIGN.md §5i) ---
 
   struct MemEntry {
     std::string value;
@@ -267,13 +236,6 @@ class MetadataVolume {
   };
   using SegmentPtr = std::shared_ptr<SegmentInfo>;
 
-  // Where the newest version of a live key lives.
-  struct KeyRef {
-    std::uint64_t seg_id = 0;  // 0 = memtable tier
-    std::uint64_t offset = 0;  // record frame within the segment file
-    std::uint32_t length = 0;
-  };
-
   // Counters behind store_stats() (the live gauges are derived on demand).
   struct StoreCounters {
     std::uint64_t memtable_flushes = 0;
@@ -285,33 +247,23 @@ class MetadataVolume {
     std::uint64_t torn_tail_bytes = 0;
   };
 
-  // The volume's mutation observer: drops whatever the write touched
-  // from the decode cache, and keeps the legacy backend's index counter
-  // current (existence changes only — kCreated/kDeleted/kFormatted).
-  void OnVolumeMutation(const std::string& name,
-                        disk::Volume::MutationKind kind) const;
-
-  // Decodes nothing itself: callers hand over the decoded index plus the
-  // generation and the file's device mapping for that generation.
-  void CacheInsert(const std::string& path, IndexPtr index,
-                   std::uint64_t write_gen,
-                   disk::Volume::ByteSegments segments,
-                   std::uint64_t source_seg = 0) const;
+  // Decodes nothing itself: callers hand over the decoded index and the
+  // record it was decoded from.
+  void CacheInsert(const std::string& path, IndexPtr index, KeyRef ref) const;
   void CacheErase(std::string_view path) const;
   void CacheClear() const;
-  // Drops every entry whose device ranges live in `seg_id` (their replay
-  // charge is about to stop matching a fresh miss).
+  // Drops every entry whose record lives in `seg_id` (their replay charge
+  // is about to stop matching a fresh miss).
   void CacheEraseBySegment(std::uint64_t seg_id) const;
-
-  bool ls() const { return log_ != nullptr; }
 
   std::size_t ShardOf(std::string_view key) const;
   // Memtable lookup, newest tier first: active shard, then immutable.
   const MemEntry* FindMem(const std::string& key) const;
 
   // Applies one mutation to memtable + keydir + live counters, bumping the
-  // store generation. Host-atomic (no suspension). Does NOT touch the WAL:
-  // callers append (or are replaying what was already appended).
+  // store generation and dropping the key's cached decode. Host-atomic (no
+  // suspension). Does NOT touch the WAL: callers append (or are replaying
+  // what was already appended).
   void MemtableApply(const std::string& key, std::string value,
                      bool tombstone) const;
   // Detaches a key's previous location (segment live-count bookkeeping).
@@ -325,34 +277,33 @@ class MetadataVolume {
 
   // Recovery: single-flight replay of segments + WAL into a clean store.
   sim::Task<Status> EnsureOpen() const;
-  sim::Task<Status> RecoverLs() const;
-  void ResetLsState() const;
+  sim::Task<Status> Recover() const;
+  void ResetState() const;
 
   // Full point read of a key's raw value bytes (memtable, then segment).
-  // Does not consult or fill the decoded-index cache.
-  sim::Task<StatusOr<std::string>> ReadValueLs(std::string key) const;
-
-  sim::Task<StatusOr<IndexPtr>> GetRefLs(std::string path) const;
+  // Does not consult or fill the decoded-index cache. `ref_out`, when
+  // set, receives the record the value was read from.
+  sim::Task<StatusOr<std::string>> ReadValue(std::string key,
+                                             KeyRef* ref_out) const;
+  // A point read in flight keeps the compactor from deleting the file.
+  void Unpin(SegmentInfo& seg) const;
 
   // Background memtable flush + segment compaction. Detached coroutines:
   // they re-check `alive` after every suspension (the MV can be destroyed
   // under them on re-attach) and `epoch_` (WipeAll invalidates the world).
   void MaybeScheduleFlush() const;
-  sim::Task<void> FlushTaskLs(std::shared_ptr<const bool> alive) const;
-  sim::Task<Status> FlushOnceLs(std::shared_ptr<const bool> alive) const;
+  sim::Task<void> FlushTask(std::shared_ptr<const bool> alive) const;
+  sim::Task<Status> FlushOnce(std::shared_ptr<const bool> alive) const;
   void MaybeScheduleCompaction() const;
-  sim::Task<void> CompactTaskLs(std::shared_ptr<const bool> alive) const;
-  sim::Task<Status> CompactOnceLs(std::shared_ptr<const bool> alive) const;
+  sim::Task<void> CompactTask(std::shared_ptr<const bool> alive) const;
+  sim::Task<Status> CompactOnce(std::shared_ptr<const bool> alive) const;
   bool CompactionNeeded() const;
   // Full-size and fully live: re-merging it cannot shrink anything.
   bool SealedSegment(const SegmentInfo& seg) const;
 
+  sim::Simulator& sim_;
   disk::Volume* volume_;
-  std::size_t cache_capacity_;
-  // Legacy backend's O(1) index_count: seeded from one CountPrefix walk
-  // at construction, then maintained by the mutation observer (mutable:
-  // the observer fires from logically-const cache maintenance paths).
-  mutable std::uint64_t legacy_index_count_ = 0;
+  Options options_;
   // The cache is a performance detail of logically-const Gets. The map is
   // keyed on each entry's own path string (list nodes are stable), so
   // lookups and invalidations never build a key.
@@ -362,15 +313,12 @@ class MetadataVolume {
   mutable std::unordered_map<std::string_view, LruList::iterator> cache_map_;
   mutable CacheStats cache_stats_;
 
-  // --- log-structured members (all null/empty for the legacy backend).
   // Mutable: logically-const reads pin segments, open the store, and
   // publish cache state; the public API's constness is the contract.
-  sim::Simulator* sim_ = nullptr;
-  Options options_;
-  std::unique_ptr<MvLog> log_;  // non-null iff log-structured
+  mutable MvLog log_;
   // Set false in the destructor; detached background tasks that wake later
   // see it and return without touching the dead store.
-  std::shared_ptr<bool> alive_;
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   mutable std::array<Shard, kMemtableShards> active_;
   mutable std::array<Shard, kMemtableShards> imm_;
   mutable bool imm_valid_ = false;
@@ -389,8 +337,8 @@ class MetadataVolume {
   mutable std::uint64_t epoch_ = 0;      // bumps on WipeAll
   mutable bool opened_ = true;   // false: dirty volume awaiting recovery
   mutable bool opening_ = false;
-  std::unique_ptr<sim::Event> open_done_;        // pulsed after each attempt
-  std::unique_ptr<sim::ConditionVariable> pin_cv_;  // pin released
+  mutable sim::Event open_done_;             // pulsed after each attempt
+  mutable sim::ConditionVariable pin_cv_;    // pin released
   mutable bool flush_running_ = false;
   mutable bool compact_running_ = false;
   mutable StoreCounters counters_;

@@ -40,7 +40,6 @@ Olfs::Olfs(sim::Simulator& sim, RosSystem* system, OlfsParams params)
     : sim_(sim), system_(system), params_(params) {
   ROS_CHECK(system != nullptr);
   MetadataVolume::Options mv_options;
-  mv_options.log_structured = params_.log_structured_mv_enabled;
   mv_options.commit_window = params_.mv_commit_window;
   mv_ = std::make_unique<MetadataVolume>(sim_, system->mv_volume(),
                                          mv_options);

@@ -54,12 +54,8 @@ struct OlfsParams {
   // Disabled, the fetch path degenerates to the first-come-first-served
   // bay scramble, kept as the bench/fetch_sched baseline.
   bool fetch_scheduler_enabled = true;
-  // Namespace store backend (DESIGN.md §5i): on, mutations group-commit
-  // into a WAL over memtable + sorted segments; off, the legacy
-  // one-JSON-file-per-entry layout (kept in-binary as the baseline and
-  // fallback).
-  bool log_structured_mv_enabled = true;
-  // Group-commit flush window for the log-structured backend's WAL.
+  // Group-commit flush window for the namespace store's WAL (DESIGN.md
+  // §5i).
   sim::Duration mv_commit_window = sim::Micros(100);
   // A queued fetch older than this is dispatched strict-FIFO regardless of
   // positioning cost, so tail latency under hostile locality is bounded by

@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/olfs/metadata_volume.h"
+#include "src/olfs/mv_log.h"
 #include "src/olfs/placement.h"
 #include "src/sim/event_hasher.h"
 #include "src/sim/simulator.h"
@@ -162,6 +164,40 @@ TEST(Cluster, RoutingSurvivesNamespaceHeadRestart) {
   auto data = sim.RunUntilComplete(cluster.Get("persist", "k"));
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(*data, Payload(8 * kKiB, 1));
+  sim.Shutdown();
+}
+
+TEST(Cluster, ReloadRoutingFailsOnDamagedHeadStore) {
+  sim::Simulator sim;
+  Cluster cluster(sim, SmallCluster(2));
+  ASSERT_TRUE(sim.RunUntilComplete(cluster.CreateBucket("persist")).ok());
+  ASSERT_TRUE(sim.RunUntilComplete(
+                      cluster.Put("persist", "k", Payload(8 * kKiB, 1)))
+                  .ok());
+
+  // The newest logged version of the bucket's routing shard rotted before
+  // it reached the SSDs: a well-framed WAL record whose payload is not
+  // JSON. The restarted head must report it, not drop the shard's routes
+  // as if it had never been persisted.
+  disk::Volume* volume = cluster.cluster_mv().volume();
+  const std::vector<std::string> wal =
+      volume->List(std::string(MvLog::kFilePrefix));
+  ASSERT_FALSE(wal.empty());
+  std::vector<std::uint8_t> frame;
+  mvlog::AppendRecord(
+      mvlog::Record{mvlog::RecordType::kPutState,
+                    MetadataVolume::StateKey(
+                        "cluster/routes/" +
+                        std::to_string(RoutingTable::ShardOf("persist"))),
+                    "{\"routes\":"},
+      &frame);
+  ASSERT_TRUE(
+      sim.RunUntilComplete(volume->Append(wal.back(), std::move(frame)))
+          .ok());
+
+  Status reloaded = sim.RunUntilComplete(cluster.ReloadRouting());
+  EXPECT_EQ(reloaded.code(), StatusCode::kInvalidArgument)
+      << reloaded.ToString();
   sim.Shutdown();
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -13,6 +14,7 @@
 #include "src/disk/block_device.h"
 #include "src/olfs/index_file.h"
 #include "src/olfs/metadata_volume.h"
+#include "src/olfs/mv_log.h"
 #include "src/sim/simulator.h"
 #include "src/udf/serializer.h"
 
@@ -213,30 +215,52 @@ class MvCorruptionTest : public ::testing::Test {
  protected:
   MvCorruptionTest()
       : device_(sim_, "ssd", 64 * kMiB, disk::SsdPerf()),
-        volume_(sim_, &device_, disk::MetadataVolumeParams()),
-        mv_(&volume_) {}
+        volume_(sim_, &device_, disk::MetadataVolumeParams()) {
+    Attach();
+  }
 
-  void WriteRaw(const std::string& path, const std::string& content) {
-    const std::string name = MetadataVolume::IndexName(path);
-    if (!volume_.Exists(name)) {
+  void Attach() {
+    mv_.reset();
+    mv_ = std::make_unique<MetadataVolume>(sim_, &volume_,
+                                           MetadataVolume::Options{});
+  }
+
+  // Lands a well-framed WAL record carrying `value` as is — content that
+  // rotted before it was written (the record CRC covers the bad bytes) —
+  // and re-opens the store, which replays it.
+  void WriteRawRecord(mvlog::RecordType type, const std::string& key,
+                      const std::string& value) {
+    mv_.reset();  // crash
+    const std::vector<std::string> wal =
+        volume_.List(std::string(MvLog::kFilePrefix));
+    const std::string name = wal.empty() ? MvLog::FileName(1) : wal.back();
+    if (wal.empty()) {
       ASSERT_TRUE(sim_.RunUntilComplete(volume_.Create(name)).ok());
     }
-    ASSERT_TRUE(sim_.RunUntilComplete(
-                    volume_.WriteAll(name, {content.begin(), content.end()}))
-                    .ok());
+    std::vector<std::uint8_t> frame;
+    mvlog::AppendRecord(mvlog::Record{type, key, value}, &frame);
+    ASSERT_TRUE(
+        sim_.RunUntilComplete(volume_.Append(name, std::move(frame))).ok());
+    Attach();
+    ASSERT_TRUE(sim_.RunUntilComplete(mv_->Open()).ok());
+  }
+
+  void WriteRawIndex(const std::string& path, const std::string& content) {
+    WriteRawRecord(mvlog::RecordType::kPut, MetadataVolume::IndexKey(path),
+                   content);
   }
 
   sim::Simulator sim_;
   disk::StorageDevice device_;
   disk::Volume volume_;
-  MetadataVolume mv_;
+  std::unique_ptr<MetadataVolume> mv_;
 };
 
 TEST_F(MvCorruptionTest, GetOnRottedIndexFailsCleanly) {
   const std::string good = ValidIndexJson();
-  // Torn write: only the first half of the index file made it to the SSD.
-  WriteRaw("/torn", good.substr(0, good.size() / 2));
-  auto torn = sim_.RunUntilComplete(mv_.Get("/torn"));
+  // Torn write: only the first half of the index document was logged.
+  WriteRawIndex("/torn", good.substr(0, good.size() / 2));
+  auto torn = sim_.RunUntilComplete(mv_->Get("/torn"));
   ASSERT_FALSE(torn.ok());
   EXPECT_EQ(torn.status().code(), StatusCode::kInvalidArgument);
 
@@ -244,8 +268,8 @@ TEST_F(MvCorruptionTest, GetOnRottedIndexFailsCleanly) {
   std::string rotted = good;
   rotted[rotted.size() / 2] =
       static_cast<char>(rotted[rotted.size() / 2] ^ 0x08);
-  WriteRaw("/rotted", rotted);
-  auto result = sim_.RunUntilComplete(mv_.Get("/rotted"));
+  WriteRawIndex("/rotted", rotted);
+  auto result = sim_.RunUntilComplete(mv_->Get("/rotted"));
   if (!result.ok()) {
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   }
@@ -267,26 +291,25 @@ TEST_F(MvCorruptionTest, RestoreFromSnapshotWithCorruptPayloads) {
                   .ok());
   snapshot.Close();
 
-  ASSERT_TRUE(sim_.RunUntilComplete(mv_.RestoreFromSnapshot(snapshot)).ok());
-  auto good_index = sim_.RunUntilComplete(mv_.Get("/docs/good"));
+  ASSERT_TRUE(sim_.RunUntilComplete(mv_->RestoreFromSnapshot(snapshot)).ok());
+  auto good_index = sim_.RunUntilComplete(mv_->Get("/docs/good"));
   ASSERT_TRUE(good_index.ok()) << good_index.status().ToString();
   EXPECT_EQ(good_index->path(), "/docs/report.pdf");
 
-  auto bad_index = sim_.RunUntilComplete(mv_.Get("/docs/bad"));
+  auto bad_index = sim_.RunUntilComplete(mv_->Get("/docs/bad"));
   ASSERT_FALSE(bad_index.ok());
   EXPECT_EQ(bad_index.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(MvCorruptionTest, StateBlobCorruptionFailsCleanly) {
   ASSERT_TRUE(sim_.RunUntilComplete(
-                  mv_.PutState("checkpoint", json::Value(json::Object{})))
+                  mv_->PutState("checkpoint", json::Value(json::Object{})))
                   .ok());
-  // Overwrite the state blob with garbage.
-  ASSERT_TRUE(sim_.RunUntilComplete(
-                  volume_.WriteAll("/state/checkpoint",
-                                   {0xFF, 0x00, 0x7B, 0x22}))
-                  .ok());
-  auto state = sim_.RunUntilComplete(mv_.GetState("checkpoint"));
+  // A newer version of the state blob is garbage.
+  WriteRawRecord(mvlog::RecordType::kPutState,
+                 MetadataVolume::StateKey("checkpoint"),
+                 std::string("\xFF\x00\x7B\x22", 4));
+  auto state = sim_.RunUntilComplete(mv_->GetState("checkpoint"));
   ASSERT_FALSE(state.ok());
   EXPECT_EQ(state.status().code(), StatusCode::kInvalidArgument);
 }
@@ -312,7 +335,6 @@ TEST(MvSegmentCorruption, BitFlipSweepNeverPoisonsRecovery) {
   disk::StorageDevice device(sim, "ssd", 64 * kMiB, disk::SsdPerf());
   disk::Volume volume(sim, &device, disk::MetadataVolumeParams());
   MetadataVolume::Options options;
-  options.log_structured = true;
   options.cache_capacity = 8;
   options.memtable_flush_bytes = 1 * kKiB;
   auto mv = std::make_unique<MetadataVolume>(sim, &volume, options);

@@ -169,11 +169,11 @@ std::vector<std::uint8_t> DeterministicBytes(std::size_t n,
 
 // One seeded mixed workload: writes under a fault storm, a burn drain,
 // read-back, scrub. Returns the total simulated time as a cheap secondary
-// fingerprint; the hasher carries the real one. With the log-structured
-// MV on by default, every create/remove here also runs the WAL group
-// commit and any background memtable flushes, so their device I/O is part
-// of the hashed event stream (compaction-vs-foreground determinism at
-// store granularity is pinned separately by mv_store_test).
+// fingerprint; the hasher carries the real one. Every create/remove here
+// also runs the MV's WAL group commit and any background memtable
+// flushes, so their device I/O is part of the hashed event stream
+// (compaction-vs-foreground determinism at store granularity is pinned
+// separately by mv_store_test).
 TimePoint RunMixedWorkload(EventHasher* hasher) {
   Simulator sim;
   sim.set_event_hasher(hasher);

@@ -16,7 +16,7 @@ class MetadataVolumeTest : public ::testing::Test {
   MetadataVolumeTest()
       : device_(sim_, "ssd", 64 * kMiB, disk::SsdPerf()),
         volume_(sim_, &device_, disk::MetadataVolumeParams()),
-        mv_(&volume_) {}
+        mv_(sim_, &volume_, MetadataVolume::Options{}) {}
 
   IndexFile FileIndex(const std::string& path, std::uint64_t size) {
     IndexFile index(path, EntryType::kFile);
@@ -180,26 +180,6 @@ TEST_F(MetadataVolumeTest, GetAndGetRefAgree) {
             StatusCode::kNotFound);
 }
 
-TEST_F(MetadataVolumeTest, DirectVolumeWriteInvalidatesCachedEntry) {
-  ASSERT_TRUE(sim_.RunUntilComplete(mv_.Put(FileIndex("/inv", 1))).ok());
-  auto warm = sim_.RunUntilComplete(mv_.Get("/inv"));
-  ASSERT_TRUE(warm.ok());
-
-  // Bypass the MV entirely — recovery tools and corruption tests write the
-  // volume directly. The mutation observer must drop the cached decode.
-  const std::string doc = FileIndex("/inv", 42).ToJson();
-  ASSERT_TRUE(sim_.RunUntilComplete(
-                  mv_.volume()->WriteAll(
-                      MetadataVolume::IndexName("/inv"),
-                      std::vector<std::uint8_t>(doc.begin(), doc.end())))
-                  .ok());
-  const auto misses_before = mv_.cache_stats().misses;
-  auto fresh = sim_.RunUntilComplete(mv_.Get("/inv"));
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ((*fresh->Latest())->total_size, 42u);
-  EXPECT_EQ(mv_.cache_stats().misses, misses_before + 1);
-}
-
 TEST_F(MetadataVolumeTest, RemoveAndWipeDropCachedEntries) {
   ASSERT_TRUE(sim_.RunUntilComplete(mv_.Put(FileIndex("/r1", 1))).ok());
   ASSERT_TRUE(sim_.RunUntilComplete(mv_.Put(FileIndex("/r2", 2))).ok());
@@ -214,18 +194,21 @@ TEST_F(MetadataVolumeTest, RemoveAndWipeDropCachedEntries) {
             StatusCode::kNotFound);
 }
 
-TEST_F(MetadataVolumeTest, RestorePastPerFileFailuresReportsCount) {
-  for (const char* path : {"/p/a", "/p/b", "/p/c"}) {
-    ASSERT_TRUE(sim_.RunUntilComplete(mv_.Put(FileIndex(path, 7))).ok());
+TEST_F(MetadataVolumeTest, RestorePastWindowFailuresReportsCount) {
+  // Three commit windows' worth of entries (a window holds 128).
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(sim_.RunUntilComplete(
+                    mv_.Put(FileIndex("/p/f" + std::to_string(i), 7)))
+                    .ok());
   }
   auto snapshot = sim_.RunUntilComplete(
       mv_.BuildSnapshotImage("mv-snap-err", 64 * kMiB));
   ASSERT_TRUE(snapshot.ok());
 
   mv_.WipeAll();
-  // Leave the volume with no free space: every restored WriteAll must
+  // Leave the volume with no free space: every window's WAL append must
   // fail, and the restore should keep going and report all of it rather
-  // than abort on the first entry.
+  // than abort on the first window.
   disk::Volume* volume = mv_.volume();
   ASSERT_TRUE(sim_.RunUntilComplete(volume->Create("/fill")).ok());
   ASSERT_TRUE(sim_.RunUntilComplete(

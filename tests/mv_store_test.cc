@@ -1,10 +1,12 @@
-// Store-level tests for the log-structured MetadataVolume backend
-// (DESIGN.md §5i): backend parity, memtable flush + compaction, crash
+// Store-level tests for the log-structured MetadataVolume (DESIGN.md §5i):
+// observers against a reference model, memtable flush + compaction, crash
 // recovery (incl. mid-group-commit device loss and torn WAL tails),
-// cross-backend snapshots, and double-run determinism.
+// store-to-store snapshots, cache coherence under group commit, and
+// double-run determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -78,7 +80,6 @@ class MvStoreTest : public ::testing::Test {
 
   static MetadataVolume::Options LsOptions() {
     MetadataVolume::Options options;
-    options.log_structured = true;
     options.cache_capacity = 16;
     return options;
   }
@@ -93,8 +94,8 @@ class MvStoreTest : public ::testing::Test {
   }
 
   void Attach(MetadataVolume::Options options) {
-    // Destroy first so the old store's volume observer unregisters — this
-    // is the crash model: the process dies, a new one opens the volume.
+    // Destroy first — this is the crash model: the process dies, a new one
+    // opens the volume.
     mv_.reset();
     mv_ = std::make_unique<MetadataVolume>(sim_, &volume_, std::move(options));
   }
@@ -121,37 +122,94 @@ class MvStoreTest : public ::testing::Test {
   std::unique_ptr<MetadataVolume> mv_;
 };
 
-TEST_F(MvStoreTest, BackendsAgreeOnEveryObserver) {
-  // Same op sequence against legacy and log-structured stores (each on its
-  // own volume); every read-side observer must agree.
-  disk::StorageDevice device2(sim_, "ssd2", 256 * kMiB, disk::SsdPerf());
-  disk::Volume volume2(sim_, &device2, disk::MetadataVolumeParams());
-  MetadataVolume legacy(&volume2, /*cache_capacity=*/16);
-  Attach(LsOptions());
+// Reference listing of `dir` over the live paths: the leaf names of its
+// direct child entries (what ListChildren returns), and whether any entry
+// at all lies below it (what HasChildren answers).
+std::pair<std::vector<std::string>, bool> ModelListing(
+    const std::map<std::string, int>& live, const std::string& dir) {
+  const std::string prefix = dir == "/" ? "/" : dir + "/";
+  std::vector<std::string> children;
+  bool any = false;
+  for (const auto& [path, size] : live) {
+    if (path.size() <= prefix.size() ||
+        path.compare(0, prefix.size(), prefix) != 0) {
+      continue;
+    }
+    any = true;
+    const std::string rest = path.substr(prefix.size());
+    if (rest.find('/') == std::string::npos) {
+      children.push_back(rest);
+    }
+  }
+  return {children, any};
+}
 
+TEST_F(MvStoreTest, ObserversMatchReferenceModel) {
+  // Puts, overwrites and removals against the store and a plain map of
+  // live paths; every read-side observer must agree with the map, while
+  // entries sit in the memtable and again once flushed into segments.
+  Attach(TinyFlushOptions());
+  std::map<std::string, int> live;  // path -> size of its latest Put
   ASSERT_TRUE(sim_.RunUntilComplete(PutRange(mv_.get(), 0, 40, 100)).ok());
-  ASSERT_TRUE(sim_.RunUntilComplete(PutRange(&legacy, 0, 40, 100)).ok());
-  // Overwrites and removals.
+  for (int i = 0; i < 40; ++i) {
+    live[PathOf(i)] = 100;
+  }
   ASSERT_TRUE(sim_.RunUntilComplete(PutRange(mv_.get(), 8, 4, 999)).ok());
-  ASSERT_TRUE(sim_.RunUntilComplete(PutRange(&legacy, 8, 4, 999)).ok());
+  for (int i = 8; i < 12; ++i) {
+    live[PathOf(i)] = 999;
+  }
   for (int i = 20; i < 26; ++i) {
     ASSERT_TRUE(sim_.RunUntilComplete(mv_->Remove(PathOf(i))).ok());
-    ASSERT_TRUE(sim_.RunUntilComplete(legacy.Remove(PathOf(i))).ok());
+    live.erase(PathOf(i));
   }
 
-  EXPECT_EQ(mv_->index_count(), legacy.index_count());
-  EXPECT_EQ(mv_->AllPaths(), legacy.AllPaths());
-  for (const char* dir : {"/", "/d0", "/d1", "/d2", "/d3", "/nope"}) {
-    EXPECT_EQ(mv_->ListChildren(dir), legacy.ListChildren(dir)) << dir;
-    EXPECT_EQ(mv_->HasChildren(dir), legacy.HasChildren(dir)) << dir;
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass == 0 ? "fresh" : "after flush");
+    std::vector<std::string> paths;
+    for (const auto& [path, size] : live) {
+      paths.push_back(path);
+    }
+    EXPECT_EQ(mv_->index_count(), live.size());
+    EXPECT_EQ(mv_->AllPaths(), paths);
+    for (const char* dir : {"/", "/d0", "/d1", "/d2", "/d3", "/nope"}) {
+      const auto [children, any] = ModelListing(live, dir);
+      EXPECT_EQ(mv_->ListChildren(dir), children) << dir;
+      EXPECT_EQ(mv_->HasChildren(dir), any) << dir;
+    }
+    for (const auto& [path, size] : live) {
+      EXPECT_TRUE(mv_->Exists(path)) << path;
+      EXPECT_EQ(GetJson(mv_.get(), path),
+                FileIndex(path, static_cast<std::uint64_t>(size)).ToJson())
+          << path;
+    }
+    EXPECT_FALSE(mv_->Exists(PathOf(20)));
+    EXPECT_EQ(sim_.RunUntilComplete(mv_->Get(PathOf(20))).status().code(),
+              StatusCode::kNotFound);
+    DrainBackground();
   }
-  for (const std::string& path : legacy.AllPaths()) {
-    EXPECT_TRUE(mv_->Exists(path)) << path;
-    EXPECT_EQ(GetJson(mv_.get(), path), GetJson(&legacy, path)) << path;
-  }
-  EXPECT_FALSE(mv_->Exists(PathOf(20)));
-  EXPECT_FALSE(
-      sim_.RunUntilComplete(mv_->Get(PathOf(20))).status().ok());
+  EXPECT_GT(mv_->store_stats().memtable_flushes, 0u);
+}
+
+TEST_F(MvStoreTest, ConcurrentPutNeverLeavesAStaleDecode) {
+  // Regression: a Put that shares its commit window with another key's Put
+  // skips its write-through insert; the value it replaced must not stay
+  // cached behind it.
+  Attach(LsOptions());
+  ASSERT_TRUE(sim_.RunUntilComplete(PutOne(mv_.get(), 0, 1)).ok());
+  auto warm = sim_.RunUntilComplete(mv_->Get(PathOf(0)));
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+
+  std::vector<sim::Task<Status>> burst;
+  burst.push_back(PutOne(mv_.get(), 0, 2));
+  burst.push_back(PutOne(mv_.get(), 1, 1));
+  ASSERT_TRUE(
+      sim_.RunUntilComplete(sim::AllOk(sim_, std::move(burst))).ok());
+
+  auto index = sim_.RunUntilComplete(mv_->Get(PathOf(0)));
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  auto latest = index->Latest();
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+  EXPECT_EQ((*latest)->total_size, 2u) << "served the overwritten decode";
 }
 
 TEST_F(MvStoreTest, MemtableFlushPublishesSegments) {
@@ -330,39 +388,42 @@ TEST_F(MvStoreTest, CorruptSegmentIsSkippedNotFatal) {
   EXPECT_TRUE(mv_->Exists(PathOf(200)));
 }
 
-TEST_F(MvStoreTest, SnapshotsRestoreAcrossBackends) {
-  // Legacy writes the snapshot, the log-structured store restores it —
-  // and the other way around. The image layout is backend-independent.
+TEST_F(MvStoreTest, SnapshotsRoundTripBetweenStores) {
+  // One store writes the snapshot, a second store on its own volume
+  // restores it — and the other way around, into a wiped first store.
   disk::StorageDevice device2(sim_, "ssd2", 256 * kMiB, disk::SsdPerf());
   disk::Volume volume2(sim_, &device2, disk::MetadataVolumeParams());
-  MetadataVolume legacy(&volume2, /*cache_capacity=*/16);
+  MetadataVolume other(sim_, &volume2, TinyFlushOptions());
   Attach(LsOptions());
 
-  ASSERT_TRUE(sim_.RunUntilComplete(PutRange(&legacy, 0, 25, 100)).ok());
+  ASSERT_TRUE(sim_.RunUntilComplete(PutRange(&other, 0, 25, 100)).ok());
+  DrainBackground();  // part of the source is segment-backed
   auto image = sim_.RunUntilComplete(
-      legacy.BuildSnapshotImage("img-mv-1", 64 * kMiB));
+      other.BuildSnapshotImage("img-mv-1", 64 * kMiB));
   ASSERT_TRUE(image.ok()) << image.status().ToString();
   ASSERT_TRUE(sim_.RunUntilComplete(mv_->RestoreFromSnapshot(*image)).ok());
-  EXPECT_EQ(mv_->AllPaths(), legacy.AllPaths());
-  for (const std::string& path : legacy.AllPaths()) {
-    EXPECT_EQ(GetJson(mv_.get(), path), GetJson(&legacy, path)) << path;
+  EXPECT_EQ(mv_->AllPaths(), other.AllPaths());
+  EXPECT_EQ(mv_->index_count(), 25u);
+  for (const std::string& path : other.AllPaths()) {
+    EXPECT_EQ(GetJson(mv_.get(), path), GetJson(&other, path)) << path;
   }
 
-  // Reverse: mutate the LS store, snapshot it, restore into a wiped
-  // legacy store (restore replaces matching entries but never deletes —
+  // Reverse: mutate the restored store, snapshot it, restore into the
+  // wiped source (restore replaces matching entries but never deletes —
   // MV-loss recovery starts from a clean volume).
   ASSERT_TRUE(sim_.RunUntilComplete(PutRange(mv_.get(), 25, 10, 7)).ok());
   ASSERT_TRUE(sim_.RunUntilComplete(mv_->Remove(PathOf(0))).ok());
   auto image2 = sim_.RunUntilComplete(
       mv_->BuildSnapshotImage("img-mv-2", 64 * kMiB));
   ASSERT_TRUE(image2.ok()) << image2.status().ToString();
-  legacy.WipeAll();
+  other.WipeAll();
   ASSERT_TRUE(
-      sim_.RunUntilComplete(legacy.RestoreFromSnapshot(*image2)).ok());
-  EXPECT_EQ(legacy.AllPaths(), mv_->AllPaths());
+      sim_.RunUntilComplete(other.RestoreFromSnapshot(*image2)).ok());
+  EXPECT_EQ(other.AllPaths(), mv_->AllPaths());
   for (const std::string& path : mv_->AllPaths()) {
-    EXPECT_EQ(GetJson(&legacy, path), GetJson(mv_.get(), path)) << path;
+    EXPECT_EQ(GetJson(&other, path), GetJson(mv_.get(), path)) << path;
   }
+  DrainBackground();  // `other`'s flushes finish before its volume goes
 }
 
 TEST_F(MvStoreTest, StateKeysSurviveRecovery) {
@@ -454,7 +515,6 @@ WorldResult RunSeededWorld() {
   disk::StorageDevice device(sim, "ssd", 256 * kMiB, disk::SsdPerf());
   disk::Volume volume(sim, &device, disk::MetadataVolumeParams());
   MetadataVolume::Options options;
-  options.log_structured = true;
   options.cache_capacity = 16;
   options.memtable_flush_bytes = 2 * kKiB;
   options.compact_min_segments = 2;
@@ -475,7 +535,7 @@ WorldResult RunSeededWorld() {
 }
 
 TEST(MvStoreDeterminism, DoubleRunConverges) {
-  // The whole backend — group commit, background flush, compaction — must
+  // The whole store — group commit, background flush, compaction — must
   // be a pure function of the (simulated) schedule: two runs of the same
   // workload end at the same simulated instant with identical state and
   // identical background activity.

@@ -205,125 +205,6 @@ TEST_F(VolumeTest, ListChildrenSkipsSubtrees) {
   EXPECT_TRUE(volume_.ListChildren("/nope/").empty());
 }
 
-TEST_F(VolumeTest, WriteGenerationsMonotonicAndNeverReused) {
-  ASSERT_TRUE(sim_.RunUntilComplete(volume_.Create("g")).ok());
-  const auto created = volume_.StatFile("g");
-  ASSERT_TRUE(created.ok());
-  ASSERT_TRUE(sim_.RunUntilComplete(volume_.Write("g", 0, Bytes("a"))).ok());
-  const auto written = volume_.StatFile("g");
-  ASSERT_TRUE(written.ok());
-  EXPECT_GT(written->write_gen, created->write_gen);
-  EXPECT_EQ(written->size, 1u);
-
-  // Even a Delete/Create cycle of the same name must advance, so stale
-  // cached state can never alias a recreated file.
-  ASSERT_TRUE(sim_.RunUntilComplete(volume_.Delete("g")).ok());
-  ASSERT_TRUE(sim_.RunUntilComplete(volume_.Create("g")).ok());
-  const auto recreated = volume_.StatFile("g");
-  ASSERT_TRUE(recreated.ok());
-  EXPECT_GT(recreated->write_gen, written->write_gen);
-
-  // FormatQuick keeps the counter too.
-  volume_.FormatQuick();
-  ASSERT_TRUE(sim_.RunUntilComplete(volume_.Create("g")).ok());
-  const auto after_format = volume_.StatFile("g");
-  ASSERT_TRUE(after_format.ok());
-  EXPECT_GT(after_format->write_gen, recreated->write_gen);
-
-  EXPECT_EQ(volume_.StatFile("missing").status().code(),
-            StatusCode::kNotFound);
-}
-
-TEST_F(VolumeTest, MapFileRangeReplaysSameCharges) {
-  ASSERT_TRUE(sim_.RunUntilComplete(volume_.Create("m")).ok());
-  std::vector<std::uint8_t> data(3 * volume_.block_size() + 17, 7);
-  ASSERT_TRUE(sim_.RunUntilComplete(volume_.Write("m", 0, data)).ok());
-
-  auto segments = volume_.MapFileRange("m", 0, data.size());
-  ASSERT_TRUE(segments.ok());
-  std::uint64_t mapped = 0;
-  for (const auto& [dev_offset, length] : *segments) {
-    mapped += length;
-  }
-  EXPECT_EQ(mapped, data.size());
-
-  // Replaying the mapping must cost exactly what ReadDiscard costs.
-  const sim::TimePoint t0 = sim_.now();
-  ASSERT_TRUE(sim_.RunUntilComplete(
-                  volume_.ReadDiscard("m", 0, data.size())).ok());
-  const sim::TimePoint direct = sim_.now() - t0;
-  const sim::TimePoint t1 = sim_.now();
-  ASSERT_TRUE(sim_.RunUntilComplete(
-                  volume_.ReadDiscardSegments(*segments)).ok());
-  const sim::TimePoint replay = sim_.now() - t1;
-  EXPECT_EQ(direct, replay);
-
-  // Single-segment overload agrees with the vector form.
-  if (segments->size() == 1) {
-    const auto [dev_offset, length] = segments->front();
-    const sim::TimePoint t2 = sim_.now();
-    ASSERT_TRUE(sim_.RunUntilComplete(
-                    volume_.ReadDiscardSegment(dev_offset, length)).ok());
-    EXPECT_EQ(sim_.now() - t2, replay);
-  }
-
-  EXPECT_EQ(volume_.MapFileRange("m", data.size(), 1).status().code(),
-            StatusCode::kOutOfRange);
-  EXPECT_EQ(volume_.MapFileRange("nope", 0, 1).status().code(),
-            StatusCode::kNotFound);
-}
-
-TEST_F(VolumeTest, MutationObserverSeesEveryMutation) {
-  using MutationKind = disk::Volume::MutationKind;
-  std::vector<std::pair<std::string, MutationKind>> events;
-  volume_.SetMutationObserver(
-      [&events](const std::string& name, MutationKind kind) {
-        events.emplace_back(name, kind);
-      });
-
-  ASSERT_TRUE(sim_.RunUntilComplete(volume_.Create("/f")).ok());
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events.front().second, MutationKind::kCreated);
-  ASSERT_TRUE(sim_.RunUntilComplete(volume_.Write("/f", 0, Bytes("a"))).ok());
-  ASSERT_TRUE(sim_.RunUntilComplete(volume_.Append("/f", Bytes("b"))).ok());
-  ASSERT_TRUE(sim_.RunUntilComplete(volume_.WriteAll("/f", Bytes("c"))).ok());
-  ASSERT_TRUE(sim_.RunUntilComplete(
-                  volume_.AppendSparse("/f", Bytes("d"), 8)).ok());
-  ASSERT_TRUE(sim_.RunUntilComplete(volume_.Delete("/f")).ok());
-  // Every mutation named the file it touched, at least once each.
-  EXPECT_GE(events.size(), 6u);
-  for (const auto& [name, kind] : events) {
-    EXPECT_EQ(name, "/f");
-  }
-  // Existence transitions are kind-tagged; everything between the Create
-  // and the Delete only changed bytes.
-  EXPECT_EQ(events.back().second, MutationKind::kDeleted);
-  for (std::size_t i = 1; i + 1 < events.size(); ++i) {
-    EXPECT_EQ(events[i].second, MutationKind::kModified);
-  }
-
-  // FormatQuick notifies with the empty name ("everything changed").
-  events.clear();
-  volume_.FormatQuick();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events.front().first, "");
-  EXPECT_EQ(events.front().second, MutationKind::kFormatted);
-
-  // Reads never notify.
-  ASSERT_TRUE(sim_.RunUntilComplete(volume_.Create("/r")).ok());
-  ASSERT_TRUE(sim_.RunUntilComplete(volume_.Write("/r", 0, Bytes("x"))).ok());
-  events.clear();
-  ASSERT_TRUE(sim_.RunUntilComplete(volume_.ReadAll("/r")).ok());
-  ASSERT_TRUE(sim_.RunUntilComplete(volume_.ReadDiscard("/r", 0, 1)).ok());
-  (void)volume_.StatFile("/r");
-  (void)volume_.List("/");
-  EXPECT_TRUE(events.empty());
-
-  volume_.SetMutationObserver(nullptr);  // unregister must be safe
-  ASSERT_TRUE(sim_.RunUntilComplete(volume_.Create("/s")).ok());
-  EXPECT_TRUE(events.empty());
-}
-
 TEST_F(VolumeTest, MetadataVolumeUses1KBlocks) {
   EXPECT_EQ(volume_.block_size(), 1 * kKiB);
 }
@@ -336,29 +217,47 @@ TEST_F(VolumeTest, FormatQuickResets) {
 }
 
 TEST_F(VolumeTest, AppendBatchLandsAsOneMutation) {
-  ASSERT_TRUE(sim_.RunUntilComplete(volume_.Create("/wal")).ok());
-  ASSERT_TRUE(
-      sim_.RunUntilComplete(volume_.Append("/wal", Bytes("head-"))).ok());
-  const std::uint64_t gen_before = volume_.StatFile("/wal")->write_gen;
+  // A twin volume takes the same bytes as one plain Append: the batch must
+  // cost exactly that — one metadata update and one contiguous device
+  // request run — not one per piece.
+  StorageDevice twin_device(sim_, "ssd-twin", 64 * kMiB, SsdPerf());
+  Volume twin(sim_, &twin_device, MetadataVolumeParams());
+  for (Volume* volume : {&volume_, &twin}) {
+    ASSERT_TRUE(sim_.RunUntilComplete(volume->Create("/wal")).ok());
+    ASSERT_TRUE(
+        sim_.RunUntilComplete(volume->Append("/wal", Bytes("head-"))).ok());
+  }
 
   // N pieces, one concatenated write: this is the group-commit primitive
-  // (DESIGN.md §5i) — the batch must cost one generation step, not N.
+  // (DESIGN.md §5i).
+  const std::uint64_t written_before = device_.bytes_written();
+  sim::TimePoint t0 = sim_.now();
   ASSERT_TRUE(sim_.RunUntilComplete(
                   volume_.AppendBatch(
                       "/wal", {Bytes("one-"), Bytes("two-"), Bytes("three")}))
                   .ok());
+  const sim::Duration batch_time = sim_.now() - t0;
+  t0 = sim_.now();
+  ASSERT_TRUE(sim_.RunUntilComplete(
+                  twin.Append("/wal", Bytes("one-two-three")))
+                  .ok());
+  EXPECT_EQ(batch_time, sim_.now() - t0);
+  EXPECT_EQ(device_.bytes_written() - written_before,
+            Bytes("one-two-three").size());
   auto data = sim_.RunUntilComplete(volume_.ReadAll("/wal"));
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(*data, Bytes("head-one-two-three"));
-  EXPECT_EQ(volume_.StatFile("/wal")->write_gen, gen_before + 1);
 
   // Degenerate batches: empty piece list is a free no-op, and a batch
   // against a missing file is NotFound before any bytes move.
+  t0 = sim_.now();
   ASSERT_TRUE(sim_.RunUntilComplete(volume_.AppendBatch("/wal", {})).ok());
-  EXPECT_EQ(volume_.StatFile("/wal")->write_gen, gen_before + 1);
+  EXPECT_EQ(sim_.now(), t0);
   auto missing =
       sim_.RunUntilComplete(volume_.AppendBatch("/nope", {Bytes("x")}));
   EXPECT_EQ(missing.code(), StatusCode::kNotFound);
+  EXPECT_EQ(device_.bytes_written() - written_before,
+            Bytes("one-two-three").size());
 }
 
 TEST_F(VolumeTest, TruncateShrinksAndFreesBlocks) {
