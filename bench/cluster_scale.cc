@@ -4,8 +4,9 @@
 // matter how many arrive. This bench measures what the Cluster layer buys:
 // the identical aggregate workload (fixed client count, fixed bytes) runs
 // against 1, 2, 4 and 8 racks, and reports aggregate read throughput and
-// per-read latency percentiles per rack count, next to a FIFO single-rack
-// baseline (fetch scheduler off — the pre-PR-6 dispatch) for context.
+// per-read latency percentiles per rack count. (BENCH_CLUSTER.json also
+// keeps a historical FIFO single-rack row from the retired first-come-
+// first-served fetch path; this bench no longer produces it.)
 //
 // Clients write into per-client buckets (stream-tagged, so placement sees
 // affinity), the burn pipeline drains, caches are dropped, and then every
@@ -74,12 +75,11 @@ std::vector<std::uint8_t> PayloadFor(int client, int file) {
   return out;
 }
 
-olfs::ClusterParams MakeParams(int racks, bool fifo) {
+olfs::ClusterParams MakeParams(int racks) {
   olfs::ClusterParams params;
   params.racks = racks;
   params.rack_params.disc_capacity_override = kDiscCapacity;
   params.rack_params.read_cache_bytes = 0;  // reads exercise the fetch path
-  params.rack_params.fetch_scheduler_enabled = !fifo;
   return params;
 }
 
@@ -125,11 +125,11 @@ struct CellResult {
   std::vector<std::uint64_t> hashes;
 };
 
-bool RunCell(int racks, bool fifo, const Load& load, CellResult* out,
+bool RunCell(int racks, const Load& load, CellResult* out,
              sim::EventHasher* hasher = nullptr) {
   sim::Simulator sim;
   sim.set_event_hasher(hasher);
-  olfs::Cluster cluster(sim, MakeParams(racks, fifo));
+  olfs::Cluster cluster(sim, MakeParams(racks));
   const sim::TimePoint w0 = sim.now();
 
   // Sequential priming: each client's first object creates its bucket,
@@ -210,10 +210,9 @@ bool RunCell(int racks, bool fifo, const Load& load, CellResult* out,
   return true;
 }
 
-json::Value CellJson(int racks, bool fifo, const CellResult& r) {
+json::Value CellJson(int racks, const CellResult& r) {
   json::Object o;
   o["racks"] = json::Value(racks);
-  o["dispatch"] = json::Value(fifo ? "fifo" : "scheduler");
   o["write_flush_s"] = json::Value(r.write_flush_s);
   o["read_makespan_s"] = json::Value(r.read_makespan_s);
   o["read_throughput_MBps"] = json::Value(r.throughput_mbps);
@@ -233,7 +232,7 @@ json::Value CellJson(int racks, bool fifo, const CellResult& r) {
 
 json::Value RackKillChaos(bool* pass) {
   sim::Simulator sim;
-  olfs::Cluster cluster(sim, MakeParams(/*racks=*/2, /*fifo=*/false));
+  olfs::Cluster cluster(sim, MakeParams(/*racks=*/2));
   json::Object o;
   *pass = false;
 
@@ -290,12 +289,12 @@ int ReplayCheck() {
   const Load load{/*clients=*/4, /*files_per_client=*/3};
   sim::EventHasher record;
   CellResult first;
-  if (!RunCell(/*racks=*/2, /*fifo=*/false, load, &first, &record)) {
+  if (!RunCell(/*racks=*/2, load, &first, &record)) {
     return 1;
   }
   sim::EventHasher check(record.trail());
   CellResult second;
-  if (!RunCell(/*racks=*/2, /*fifo=*/false, load, &second, &check)) {
+  if (!RunCell(/*racks=*/2, load, &second, &check)) {
     return 1;
   }
   check.Finish();
@@ -342,26 +341,16 @@ int main(int argc, char** argv) {
   std::map<int, CellResult> by_racks;
   for (int racks : rack_counts) {
     CellResult cell;
-    if (!RunCell(racks, /*fifo=*/false, load, &cell)) {
+    if (!RunCell(racks, load, &cell)) {
       return 1;
     }
-    rows.push_back(CellJson(racks, /*fifo=*/false, cell));
+    rows.push_back(CellJson(racks, cell));
     by_racks[racks] = cell;
     std::printf("racks=%d  throughput %8.2f MB/s  p99 %7.3f s  "
                 "makespan %8.2f s\n",
                 racks, cell.throughput_mbps, cell.p99_s,
                 cell.read_makespan_s);
   }
-
-  // FIFO single-rack baseline: the pre-scheduler dispatch under the same
-  // aggregate load, for context (not gated).
-  CellResult fifo;
-  if (!RunCell(/*racks=*/1, /*fifo=*/true, load, &fifo)) {
-    return 1;
-  }
-  std::printf("racks=1 (FIFO baseline)  throughput %8.2f MB/s  "
-              "p99 %7.3f s\n",
-              fifo.throughput_mbps, fifo.p99_s);
 
   json::Object gates;
   const CellResult& one = by_racks.at(1);
@@ -395,8 +384,6 @@ int main(int argc, char** argv) {
   doc["files_per_client"] = json::Value(load.files_per_client);
   doc["file_bytes"] = json::Value(static_cast<std::int64_t>(kFileSize));
   doc["rows"] = json::Value(std::move(rows));
-  doc["fifo_single_rack_baseline"] =
-      CellJson(1, /*fifo=*/true, fifo);
   doc["rack_kill_chaos"] = std::move(chaos);
   doc["gates"] = json::Value(std::move(gates));
   doc["pass"] = json::Value(all_pass);

@@ -31,11 +31,6 @@ sim::Task<StatusOr<FetchLease>> FetchManager::FetchDisc(
 
 sim::Task<StatusOr<FetchLease>> FetchManager::FetchDiscBackground(
     std::string image_id) {
-  if (scheduler_ == nullptr) {
-    // No background class without the scheduler; the legacy FIFO path is
-    // the best a sweep can do.
-    co_return co_await FetchDisc(image_id);
-  }
   sim::Retrier retrier(
       sim_, params_.mech_retry,
       Fnv1a64({reinterpret_cast<const std::uint8_t*>(image_id.data()),
@@ -67,9 +62,8 @@ sim::Task<StatusOr<FetchLease>> FetchManager::FetchBackgroundOnce(
   const mech::DiscAddress address = *record->disc;
   ROS_CO_ASSIGN_OR_RETURN(
       int bay, co_await scheduler_->AcquireForBackground(address));
-  co_return FetchLease(mech_, bay,
-                       &mech_->drive_set(bay).drive(address.index),
-                       scheduler_);
+  co_return FetchLease(scheduler_, bay,
+                       &mech_->drive_set(bay).drive(address.index));
 }
 
 sim::Task<StatusOr<FetchLease>> FetchManager::FetchDiscOnce(
@@ -82,88 +76,25 @@ sim::Task<StatusOr<FetchLease>> FetchManager::FetchDiscOnce(
   }
   const mech::DiscAddress address = *record->disc;
 
-  // Under the interrupt-and-swap policy, give burning bays a nudge before
-  // queueing: the interrupted burn unloads at the next chunk boundary and
-  // our AcquireBay wakes up first in FIFO order.
+  // Under the interrupt-and-swap policy, nudge a burn before queueing when
+  // every bay is busy: the burn in bay 0 is interrupted, unloads at its
+  // next chunk boundary, and the scheduler dispatches into the freed bay.
   if (params_.busy_drive_policy == BusyDrivePolicy::kInterruptAndSwap) {
-    bool any_idle = false;
+    bool all_busy = true;
     for (int bay = 0; bay < mech_->num_bays(); ++bay) {
       if (mech_->bay_state(bay) != BayState::kBusy) {
-        any_idle = true;
+        all_busy = false;
         break;
       }
     }
-    if (!any_idle) {
-      for (int bay = 0; bay < mech_->num_bays(); ++bay) {
-        (void)burns_->InterruptBay(bay);
-        break;  // interrupting one bay is enough
-      }
+    if (all_busy) {
+      (void)burns_->InterruptBay(0);
     }
   }
 
-  if (scheduler_ != nullptr) {
-    ROS_CO_ASSIGN_OR_RETURN(int bay,
-                            co_await scheduler_->AcquireForRead(address));
-    co_return FetchLease(mech_, bay,
-                         &mech_->drive_set(bay).drive(address.index),
-                         scheduler_);
-  }
-
-  // Legacy FIFO shape (scheduler disabled): share an in-flight load of the
-  // same tray instead of double-loading (the second LoadArray would find
-  // the tray empty).
-  const int tray_index = address.tray.ToIndex();
-  int bay = -1;
-  while (true) {
-    auto inflight = inflight_.find(tray_index);
-    if (inflight != inflight_.end()) {
-      std::shared_ptr<sim::Event> done = inflight->second;
-      co_await done->Wait();
-      continue;  // loader finished; re-evaluate
-    }
-    // ros-lint: allow(acquire-bay): legacy FIFO path, kept as the bench
-    // baseline and for fetch_scheduler_enabled=false deployments.
-    ROS_CO_ASSIGN_OR_RETURN(
-        bay, co_await mech_->AcquireBay(address.tray, /*wait=*/true));
-
-    // Already loaded with the right array?
-    if (mech_->bay_tray(bay).has_value() &&
-        *mech_->bay_tray(bay) == address.tray) {
-      co_return FetchLease(mech_, bay,
-                           &mech_->drive_set(bay).drive(address.index));
-    }
-    // Another reader may have become the loader while our acquisition was
-    // pending; hand the bay back and wait for them instead.
-    if (inflight_.count(tray_index) > 0) {
-      mech_->ReleaseBay(bay);
-      continue;
-    }
-    break;  // we are the loader, holding `bay`
-  }
-
-  // Publish the in-flight marker so concurrent readers of this tray wait
-  // for us rather than racing (no suspension since the check above).
-  auto done = std::make_shared<sim::Event>(sim_);
-  inflight_.emplace(tray_index, done);
-
-  // Evict whatever idle array occupies the bay (the 155 s case).
-  Status status = OkStatus();
-  if (mech_->bay_tray(bay).has_value()) {
-    status = co_await mech_->UnloadArray(bay);
-  }
-  if (status.ok()) {
-    status = co_await mech_->LoadArray(address.tray, bay);
-  }
-  inflight_.erase(tray_index);
-  done->Set();
-  if (!status.ok()) {
-    mech_->ReleaseBay(bay);
-    co_return status;
-  }
-  ++fetches_;
-  ROS_LOG(kDebug) << "fetched disc array " << address.tray.ToString()
-                  << " for image " << image_id;
-  co_return FetchLease(mech_, bay,
+  ROS_CO_ASSIGN_OR_RETURN(int bay,
+                          co_await scheduler_->AcquireForRead(address));
+  co_return FetchLease(scheduler_, bay,
                        &mech_->drive_set(bay).drive(address.index));
 }
 

@@ -12,8 +12,7 @@
 #ifndef ROS_SRC_OLFS_FETCH_MANAGER_H_
 #define ROS_SRC_OLFS_FETCH_MANAGER_H_
 
-#include <map>
-#include <memory>
+#include <cstdint>
 #include <string>
 
 #include "src/common/status.h"
@@ -28,33 +27,28 @@
 namespace ros::olfs {
 
 // Exclusive use of a drive (and its bay) for the duration of a read.
-// Release() parks the array; it is idempotent, and the destructor releases
-// any still-held bay, so an error return mid-read can never leak a bay.
-// A bay claimed through the FetchScheduler is returned through it, so the
-// scheduler can hand it straight to the next same-tray waiter.
+// Release() returns the bay through the FetchScheduler, which hands it
+// straight to the next same-tray waiter or parks the array. It is
+// idempotent, and the destructor releases any still-held bay, so an error
+// return mid-read can never leak a bay.
 class FetchLease {
  public:
   FetchLease() = default;
-  FetchLease(MechController* mech, int bay, drive::OpticalDrive* drive,
-             FetchScheduler* scheduler = nullptr)
-      : mech_(mech), scheduler_(scheduler), bay_(bay), drive_(drive) {}
+  FetchLease(FetchScheduler* scheduler, int bay, drive::OpticalDrive* drive)
+      : scheduler_(scheduler), bay_(bay), drive_(drive) {}
   ~FetchLease() { Release(); }
 
   FetchLease(FetchLease&& other) noexcept
-      : mech_(other.mech_), scheduler_(other.scheduler_), bay_(other.bay_),
-        drive_(other.drive_) {
-    other.mech_ = nullptr;
+      : scheduler_(other.scheduler_), bay_(other.bay_), drive_(other.drive_) {
     other.scheduler_ = nullptr;
     other.drive_ = nullptr;
   }
   FetchLease& operator=(FetchLease&& other) noexcept {
     if (this != &other) {
       Release();
-      mech_ = other.mech_;
       scheduler_ = other.scheduler_;
       bay_ = other.bay_;
       drive_ = other.drive_;
-      other.mech_ = nullptr;
       other.scheduler_ = nullptr;
       other.drive_ = nullptr;
     }
@@ -68,63 +62,50 @@ class FetchLease {
   bool valid() const { return drive_ != nullptr; }
 
   void Release() {
-    if (mech_ != nullptr) {
-      if (scheduler_ != nullptr) {
-        scheduler_->ReleaseBay(bay_);
-      } else {
-        mech_->ReleaseBay(bay_);
-      }
-      mech_ = nullptr;
+    if (scheduler_ != nullptr) {
+      scheduler_->ReleaseBay(bay_);
       scheduler_ = nullptr;
       drive_ = nullptr;
     }
   }
 
  private:
-  MechController* mech_ = nullptr;
   FetchScheduler* scheduler_ = nullptr;
   int bay_ = -1;
   drive::OpticalDrive* drive_ = nullptr;
 };
 
+// Every bay claim on behalf of a read goes through the FetchScheduler,
+// which batches concurrent readers of one tray onto a single mechanical
+// fetch (the MC "optimizes the usage of mechanical resources", §4.1).
 class FetchManager {
  public:
   FetchManager(sim::Simulator& sim, const OlfsParams& params,
                DiscImageStore* images, MechController* mech,
-               BurnManager* burns, FetchScheduler* scheduler = nullptr)
+               BurnManager* burns, FetchScheduler* scheduler)
       : sim_(sim), params_(params), images_(images), mech_(mech),
         burns_(burns), scheduler_(scheduler) {}
 
-  // In-flight load deduplication: concurrent readers of discs in the same
-  // tray share one mechanical fetch (the MC "optimizes the usage of
-  // mechanical resources", §4.1). With a FetchScheduler attached the whole
-  // queue is batched and reordered there; without one the legacy FIFO
-  // shape below applies (kept as the bench/fetch_sched baseline).
-
   // Ensures the disc holding `image_id` sits in a drive; returns the lease.
   // Transient mechanical faults (kUnavailable) are retried under
-  // params.mech_retry; each retry re-enters the scheduler queue (or re-runs
-  // bay selection), so a bay whose mechanics misbehaved naturally falls
-  // back to another bay.
+  // params.mech_retry; each retry re-enters the scheduler queue, so a bay
+  // whose mechanics misbehaved naturally falls back to another bay.
   sim::Task<StatusOr<FetchLease>> FetchDisc(std::string image_id);
 
   // Background-class fetch for scrub / audit sweeps (DESIGN.md §5j): the
   // bay claim goes through FetchScheduler::AcquireForBackground, which
   // parks while foreground demand is queued or loading, so sweeps never
-  // starve readers. Degenerates to FetchDisc when the scheduler is off.
+  // starve readers.
   sim::Task<StatusOr<FetchLease>> FetchDiscBackground(std::string image_id);
 
   // Mechanical load cycles performed on behalf of reads.
-  std::uint64_t fetches() const {
-    return scheduler_ != nullptr ? scheduler_->stats().loads : fetches_;
-  }
+  std::uint64_t fetches() const { return scheduler_->stats().loads; }
   std::uint64_t retries() const { return retries_; }
-  FetchScheduler* scheduler() { return scheduler_; }
 
  private:
   // One fetch attempt, no retry.
   sim::Task<StatusOr<FetchLease>> FetchDiscOnce(std::string image_id);
-  // One background-class attempt, no retry (scheduler path only).
+  // One background-class attempt, no retry.
   sim::Task<StatusOr<FetchLease>> FetchBackgroundOnce(std::string image_id);
 
   sim::Simulator& sim_;
@@ -133,9 +114,6 @@ class FetchManager {
   MechController* mech_;
   BurnManager* burns_;
   FetchScheduler* scheduler_;
-  // Legacy path: tray index -> completion event of the in-flight load.
-  std::map<int, std::shared_ptr<sim::Event>> inflight_;
-  std::uint64_t fetches_ = 0;
   std::uint64_t retries_ = 0;
 };
 

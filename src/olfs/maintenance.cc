@@ -43,60 +43,56 @@ json::Value Maintenance::StatusReport() const {
 
   // Fetch scheduler observability: queue shape, batching effectiveness,
   // and the mechanical work the batching avoided.
-  if (FetchScheduler* scheduler = olfs_->fetch_scheduler()) {
-    const FetchSchedulerStats& stats = scheduler->stats();
-    json::Object sched;
-    sched["queue_depth"] = json::Value(scheduler->queue_depth());
-    sched["max_queue_depth"] =
-        json::Value(static_cast<std::int64_t>(stats.max_queue_depth));
-    sched["requests"] = json::Value(static_cast<std::int64_t>(stats.requests));
-    sched["loads"] = json::Value(static_cast<std::int64_t>(stats.loads));
-    sched["unloads"] = json::Value(static_cast<std::int64_t>(stats.unloads));
-    sched["parked_hits"] =
-        json::Value(static_cast<std::int64_t>(stats.parked_hits));
-    sched["handoffs"] =
-        json::Value(static_cast<std::int64_t>(stats.handoffs));
-    sched["loads_avoided"] =
-        json::Value(static_cast<std::int64_t>(stats.loads_avoided()));
-    sched["aged_dispatches"] =
-        json::Value(static_cast<std::int64_t>(stats.aged_dispatches));
-    sched["failed_batches"] =
-        json::Value(static_cast<std::int64_t>(stats.failed_batches));
-    sched["max_batch"] =
-        json::Value(static_cast<std::int64_t>(stats.max_batch));
-    sched["mean_queue_delay_s"] =
-        json::Value(sim::ToSeconds(stats.mean_queue_delay()));
-    sched["max_queue_delay_s"] =
-        json::Value(sim::ToSeconds(stats.max_queue_delay));
-    sched["est_positioning_s"] =
-        json::Value(sim::ToSeconds(stats.est_positioning));
-    // Background (speculative) prefetch class: queued, dispatched, and how
-    // predictions paid off. speculative_demand_evictions is a runtime
-    // self-check and must stay 0.
-    sched["speculative_enqueued"] =
-        json::Value(static_cast<std::int64_t>(stats.speculative_enqueued));
-    sched["speculative_loads"] =
-        json::Value(static_cast<std::int64_t>(stats.speculative_loads));
-    sched["speculative_canceled"] =
-        json::Value(static_cast<std::int64_t>(stats.speculative_canceled));
-    sched["speculative_useful"] =
-        json::Value(static_cast<std::int64_t>(stats.speculative_useful));
-    sched["speculative_wasted"] =
-        json::Value(static_cast<std::int64_t>(stats.speculative_wasted));
-    sched["speculative_demand_evictions"] = json::Value(
-        static_cast<std::int64_t>(stats.speculative_demand_evictions));
-    json::Array hist;
-    for (int i = 0; i < FetchSchedulerStats::kDelayBuckets; ++i) {
-      json::Object bucket;
-      bucket["upper_s"] =
-          json::Value(FetchSchedulerStats::kDelayBucketUpperS[i]);
-      bucket["count"] =
-          json::Value(static_cast<std::int64_t>(stats.delay_hist[i]));
-      hist.push_back(json::Value(std::move(bucket)));
-    }
-    sched["queue_delay_histogram"] = json::Value(std::move(hist));
-    report["fetch_scheduler"] = json::Value(std::move(sched));
+  const FetchScheduler& scheduler = *olfs_->fetch_scheduler();
+  const FetchSchedulerStats& stats = scheduler.stats();
+  json::Object sched;
+  sched["queue_depth"] = json::Value(scheduler.queue_depth());
+  sched["max_queue_depth"] =
+      json::Value(static_cast<std::int64_t>(stats.max_queue_depth));
+  sched["requests"] = json::Value(static_cast<std::int64_t>(stats.requests));
+  sched["loads"] = json::Value(static_cast<std::int64_t>(stats.loads));
+  sched["unloads"] = json::Value(static_cast<std::int64_t>(stats.unloads));
+  sched["parked_hits"] =
+      json::Value(static_cast<std::int64_t>(stats.parked_hits));
+  sched["handoffs"] = json::Value(static_cast<std::int64_t>(stats.handoffs));
+  sched["loads_avoided"] =
+      json::Value(static_cast<std::int64_t>(stats.loads_avoided()));
+  sched["aged_dispatches"] =
+      json::Value(static_cast<std::int64_t>(stats.aged_dispatches));
+  sched["failed_batches"] =
+      json::Value(static_cast<std::int64_t>(stats.failed_batches));
+  sched["max_batch"] = json::Value(static_cast<std::int64_t>(stats.max_batch));
+  sched["mean_queue_delay_s"] =
+      json::Value(sim::ToSeconds(stats.mean_queue_delay()));
+  sched["max_queue_delay_s"] =
+      json::Value(sim::ToSeconds(stats.max_queue_delay));
+  sched["est_positioning_s"] =
+      json::Value(sim::ToSeconds(stats.est_positioning));
+  // Background (speculative) prefetch class: queued, dispatched, and how
+  // predictions paid off. speculative_demand_evictions is a runtime
+  // self-check and must stay 0.
+  sched["speculative_enqueued"] =
+      json::Value(static_cast<std::int64_t>(stats.speculative_enqueued));
+  sched["speculative_loads"] =
+      json::Value(static_cast<std::int64_t>(stats.speculative_loads));
+  sched["speculative_canceled"] =
+      json::Value(static_cast<std::int64_t>(stats.speculative_canceled));
+  sched["speculative_useful"] =
+      json::Value(static_cast<std::int64_t>(stats.speculative_useful));
+  sched["speculative_wasted"] =
+      json::Value(static_cast<std::int64_t>(stats.speculative_wasted));
+  sched["speculative_demand_evictions"] = json::Value(
+      static_cast<std::int64_t>(stats.speculative_demand_evictions));
+  json::Array hist;
+  for (int i = 0; i < FetchSchedulerStats::kDelayBuckets; ++i) {
+    json::Object bucket;
+    bucket["upper_s"] = json::Value(FetchSchedulerStats::kDelayBucketUpperS[i]);
+    bucket["count"] =
+        json::Value(static_cast<std::int64_t>(stats.delay_hist[i]));
+    hist.push_back(json::Value(std::move(bucket)));
   }
+  sched["queue_delay_histogram"] = json::Value(std::move(hist));
+  report["fetch_scheduler"] = json::Value(std::move(sched));
 
   json::Object cache;
   cache["image_cache_bytes"] =

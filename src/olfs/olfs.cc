@@ -52,22 +52,18 @@ Olfs::Olfs(sim::Simulator& sim, RosSystem* system, OlfsParams params)
   buckets_->set_affinity_tracker(affinity_.get());
   parity_ = std::make_unique<ParityBuilder>(sim_, params_, images_.get());
   da_ = std::make_unique<DaIndex>(system->config().rollers);
-  cache_ = std::make_unique<ReadCache>(params_.read_cache_bytes,
-                                       params_.read_cache_protected_fraction);
+  cache_ = std::make_unique<ReadCache>(params_.read_cache_bytes);
   file_cache_ = std::make_unique<FileCache>(params_.file_cache_bytes);
   mech_ = std::make_unique<MechController>(sim_, system->library(),
                                            system->drive_sets(),
                                            &system->discs(), params_);
-  if (params_.fetch_scheduler_enabled) {
-    scheduler_ =
-        std::make_unique<FetchScheduler>(sim_, params_, mech_.get());
-    // Burns and recovery scans pick unload victims through AcquireBay;
-    // the oracle keeps them away from arrays that readers are queued for.
-    mech_->SetDemandOracle([scheduler = scheduler_.get()](
-                               mech::TrayAddress tray) {
-      return scheduler->HasDemand(tray);
-    });
-  }
+  scheduler_ = std::make_unique<FetchScheduler>(sim_, params_, mech_.get());
+  // Burns and recovery scans pick unload victims through AcquireBay; the
+  // oracle keeps them away from arrays that readers are queued for.
+  mech_->SetDemandOracle(
+      [scheduler = scheduler_.get()](mech::TrayAddress tray) {
+        return scheduler->HasDemand(tray);
+      });
   burns_ = std::make_unique<BurnManager>(sim_, params_, buckets_.get(),
                                          images_.get(), parity_.get(),
                                          mech_.get(), da_.get(), cache_.get(),
@@ -513,8 +509,8 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReadPart(
       if (hint.stream != 0 && record->disc.has_value()) {
         const int tray = record->disc->tray.ToIndex();
         const int predicted = predictor_->Observe(hint.stream, tray);
-        if (scheduler_ != nullptr && params_.tray_prefetch_enabled &&
-            predicted >= 0 && predicted != tray) {
+        if (params_.tray_prefetch_enabled && predicted >= 0 &&
+            predicted != tray) {
           scheduler_->EnqueueSpeculative(mech::TrayAddress::FromIndex(predicted));
         }
       }
@@ -627,14 +623,12 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReadFromDiscLeader(
   // image metadata once per mount.
   Status mounted = co_await drive->MountVfs();
   if (!mounted.ok()) {
-    lease.Release();
     co_return mounted;
   }
   auto cached = disc_mounts_.find(image_id);
   if (cached == disc_mounts_.end()) {
     auto session = drive->disc()->FindSession(image_id);
     if (!session.ok()) {
-      lease.Release();
       co_return session.status();
     }
     // The physical read of the whole serialized stream validates media
@@ -642,12 +636,10 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReadFromDiscLeader(
     auto stream = drive->disc()->ReadSession(image_id, 0,
                                              (*session)->data.size());
     if (!stream.ok()) {
-      lease.Release();
       co_return stream.status();
     }
     auto image = udf::Serializer::Parse(*stream);
     if (!image.ok()) {
-      lease.Release();
       co_return image.status();
     }
     cached = disc_mounts_
@@ -667,14 +659,11 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReadFromDiscLeader(
     if (n > 0) {
       auto timed = co_await drive->Read(image_id, 0, n);
       if (!timed.ok()) {
-        lease.Release();
         co_return timed.status();
       }
     }
   }
-  auto data = parsed->ReadFile(internal_path, offset, length);
-  lease.Release();
-  co_return data;
+  co_return parsed->ReadFile(internal_path, offset, length);
 }
 
 sim::Task<void> Olfs::PrefetchTask(std::string image_id,
@@ -687,7 +676,6 @@ sim::Task<void> Olfs::PrefetchTask(std::string image_id,
   Status mounted = co_await drive->MountVfs();
   auto view = disc_mounts_.find(image_id);
   if (!mounted.ok() || view == disc_mounts_.end()) {
-    lease->Release();
     co_return;
   }
   std::shared_ptr<udf::Image> image = view->second;
@@ -742,7 +730,6 @@ sim::Task<void> Olfs::PrefetchTask(std::string image_id,
       file_cache_->Put(key, std::move(*content));
     }
   }
-  lease->Release();
 }
 
 sim::Task<void> Olfs::TrayReadaheadTask(std::string image_id,
@@ -859,35 +846,29 @@ sim::Task<StatusOr<std::shared_ptr<udf::Image>>> Olfs::ReadSiblingStream(
   drive::OpticalDrive* drive = lease.drive();
   Status mounted = co_await drive->MountVfs();
   if (!mounted.ok()) {
-    lease.Release();
     co_return mounted;
   }
   auto session = drive->disc()->FindSession(image_id);
   if (!session.ok()) {
-    lease.Release();
     co_return session.status();
   }
   auto stream = drive->disc()->ReadSession(image_id, 0,
                                            (*session)->data.size());
   if (!stream.ok()) {
-    lease.Release();
     co_return stream.status();
   }
   auto image = udf::Serializer::Parse(*stream);
   if (!image.ok()) {
-    lease.Release();
     co_return image.status();
   }
   // Charge the full-stream optical transfer.
   auto timed = co_await drive->Read(
       image_id, 0, std::max<std::uint64_t>(1, (*session)->data.size()));
   if (!timed.ok()) {
-    lease.Release();
     co_return timed.status();
   }
   auto view = std::make_shared<udf::Image>(std::move(*image));
   disc_mounts_.emplace(image_id, view);
-  lease.Release();
   co_return view;
 }
 
@@ -1147,7 +1128,6 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReconstructFromParity(
     drive::Disc* member_disc = lease.drive()->disc();
     auto session = member_disc->FindSession(member);
     if (!session.ok()) {
-      lease.Release();
       if (is_p || is_q) {
         continue;
       }
@@ -1161,7 +1141,6 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReconstructFromParity(
     StatusOr<std::vector<std::uint8_t>> stream =
         timed.ok() ? member_disc->ReadSession(member, 0, stream_bytes)
                    : std::move(timed);
-    lease.Release();
     if (!stream.ok()) {
       if (stream.status().code() != StatusCode::kDataLoss) {
         co_return stream.status();  // mech trouble, not media rot
@@ -1270,8 +1249,7 @@ sim::Task<void> Olfs::Quiesce() {
   // never resume, so they are safe to leave suspended; the chaos
   // controller-replacement path relies on the same property.)
   while (bg_passes_ > 0 || detached_tasks_ > 0 ||
-         burns_->active_burns() > 0 ||
-         (scheduler_ != nullptr && !scheduler_->Idle())) {
+         burns_->active_burns() > 0 || !scheduler_->Idle()) {
     co_await sim_.Delay(sim::Millis(100));
   }
 }

@@ -218,7 +218,6 @@ class Olfs {
   BucketManager& buckets() { return *buckets_; }
   BurnManager& burns() { return *burns_; }
   FetchManager& fetches() { return *fetcher_; }
-  // Null when params.fetch_scheduler_enabled is false (legacy FIFO path).
   FetchScheduler* fetch_scheduler() { return scheduler_.get(); }
   ReadCache& cache() { return *cache_; }
   FileCache& file_cache() { return *file_cache_; }

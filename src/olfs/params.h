@@ -39,28 +39,21 @@ struct OlfsParams {
   bool forepart_enabled = false;
   std::uint64_t forepart_bytes = 256 * kKiB;
 
-  // Read cache (§4.1): disc-image-granular LRU capacity on the disk buffer.
+  // Read cache (§4.1): disc-image-granular segmented-LRU capacity on the
+  // disk buffer.
   std::uint64_t read_cache_bytes = 50 * kTB;
-  // Protected-segment share of the read cache's segmented LRU. Entries are
-  // admitted probationary and promoted on re-reference, so one cold
-  // sequential sweep cannot evict the hot working set. A value <= 0 falls
-  // back to a plain LRU (the pre-scheduler shape, kept for benches).
-  double read_cache_protected_fraction = 0.8;
 
-  // Mechanically-aware fetch scheduling (§4.1: the MC "optimizes the usage
-  // of mechanical resources"). When enabled, queued fetches are grouped by
-  // tray (one load/unload cycle drains every waiter of that tray) and
-  // dispatched in the order that minimizes roller rotation + arm travel.
-  // Disabled, the fetch path degenerates to the first-come-first-served
-  // bay scramble, kept as the bench/fetch_sched baseline.
-  bool fetch_scheduler_enabled = true;
   // Group-commit flush window for the namespace store's WAL (DESIGN.md
   // §5i).
   sim::Duration mv_commit_window = sim::Micros(100);
-  // A queued fetch older than this is dispatched strict-FIFO regardless of
-  // positioning cost, so tail latency under hostile locality is bounded by
-  // (aging bound + one unload/load cycle). Negative disables aging; zero
-  // makes every queued request immediately aged, i.e. strict FIFO.
+  // Fetch scheduling (§4.1: the MC "optimizes the usage of mechanical
+  // resources"): queued fetches are grouped by tray (one load/unload cycle
+  // drains every waiter of that tray) and dispatched in the order that
+  // minimizes roller rotation + arm travel. A queued fetch older than this
+  // aging bound is dispatched strict-FIFO regardless of positioning cost,
+  // so tail latency under hostile locality is bounded by (aging bound +
+  // one unload/load cycle). Negative disables aging; zero makes every
+  // queued request immediately aged, i.e. strict FIFO.
   sim::Duration fetch_aging_bound = sim::Seconds(300);
 
   // Cross-layer hints (ROADMAP item 4). All three optimizations key off

@@ -50,9 +50,8 @@ bool ReadCache::Touch(const std::string& image_id) {
     return false;
   }
   ++hits_;
-  if (plain_lru_ || it->second->segment == Segment::kProtected) {
-    EntryList& list = plain_lru_ ? probationary_ : protected_;
-    list.splice(list.begin(), list, it->second);
+  if (it->second->segment == Segment::kProtected) {
+    protected_.splice(protected_.begin(), protected_, it->second);
     return true;
   }
   // Probationary re-reference: promote to the protected segment's MRU end.
@@ -107,9 +106,6 @@ void ReadCache::EnforceProtectedCapacity() {
 }
 
 void ReadCache::GhostRemember(const std::string& image_id) {
-  if (plain_lru_) {
-    return;
-  }
   auto it = ghost_index_.find(image_id);
   if (it != ghost_index_.end()) {
     ghost_.erase(it->second);

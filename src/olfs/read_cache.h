@@ -29,19 +29,13 @@ namespace ros::olfs {
 
 class ReadCache {
  public:
-  // `protected_fraction` of the capacity is reserved for the protected
-  // segment; <= 0 degenerates to a plain LRU with no ghost list (the
-  // pre-SLRU shape, kept as the bench baseline).
-  explicit ReadCache(std::uint64_t capacity_bytes,
-                     double protected_fraction = 0.8)
+  // Share of the capacity reserved for the protected segment.
+  static constexpr double kProtectedFraction = 0.8;
+
+  explicit ReadCache(std::uint64_t capacity_bytes)
       : capacity_(capacity_bytes),
-        protected_capacity_(
-            protected_fraction <= 0
-                ? 0
-                : static_cast<std::uint64_t>(
-                      static_cast<double>(capacity_bytes) *
-                      (protected_fraction < 1.0 ? protected_fraction : 1.0))),
-        plain_lru_(protected_fraction <= 0) {}
+        protected_capacity_(static_cast<std::uint64_t>(
+            static_cast<double>(capacity_bytes) * kProtectedFraction)) {}
 
   // Records a (cached, burned) image as most recently used. New entries
   // enter the probationary segment unless the ghost list remembers the id,
@@ -104,7 +98,6 @@ class ReadCache {
 
   std::uint64_t capacity_;
   std::uint64_t protected_capacity_;
-  bool plain_lru_;
   std::uint64_t used_ = 0;
   std::uint64_t protected_used_ = 0;
   EntryList probationary_;  // front = most recent

@@ -19,13 +19,11 @@ sim::Task<StatusOr<std::uint64_t>> ScrubManager::ScrubOneImage(
       co_await olfs_->fetches().FetchDiscBackground(image_id));
   Status mounted = co_await lease.drive()->MountVfs();
   if (!mounted.ok()) {
-    lease.Release();
     co_return mounted;
   }
   drive::Disc* disc = lease.drive()->disc();
   auto session = disc->FindSession(image_id);
   if (!session.ok()) {
-    lease.Release();
     co_return session.status();
   }
   const std::uint64_t stream_bytes = (*session)->data.size();
@@ -36,7 +34,6 @@ sim::Task<StatusOr<std::uint64_t>> ScrubManager::ScrubOneImage(
   StatusOr<std::vector<std::uint8_t>> stream =
       timed.ok() ? disc->ReadSession(image_id, 0, stream_bytes)
                  : std::move(timed);
-  lease.Release();
   if (!stream.ok()) {
     co_return stream.status();
   }
@@ -238,7 +235,6 @@ sim::Task<StatusOr<AuditReport>> ScrubManager::RunAudit(
       }
       Status mounted = co_await lease->drive()->MountVfs();
       if (!mounted.ok()) {
-        lease->Release();
         continue;
       }
       drive::Disc* disc = lease->drive()->disc();
@@ -275,7 +271,6 @@ sim::Task<StatusOr<AuditReport>> ScrubManager::RunAudit(
           ++member_bad;  // silent corruption: hash chain breaks
         }
       }
-      lease->Release();
       if (member_bad > 0) {
         audit_mismatches_ += member_bad;
         report.mismatches += member_bad;

@@ -10,6 +10,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -17,6 +18,7 @@
 #include "src/olfs/maintenance.h"
 #include "src/olfs/olfs.h"
 #include "src/sim/fault.h"
+#include "src/sim/join.h"
 #include "src/sim/time.h"
 
 namespace ros::olfs {
@@ -368,10 +370,23 @@ TEST_F(ChaosTest, FetchLeaseReleasesBayOnDropAndOnError) {
     ASSERT_TRUE(lease.ok()) << lease.status().ToString();
     bay = lease->bay();
     EXPECT_EQ(olfs_->mech().bay_state(bay), BayState::kBusy);
+  }
+  EXPECT_EQ(olfs_->mech().bay_state(bay), BayState::kParked);
+
+  // Release() is idempotent, and the destructor of a released lease does
+  // not release again.
+  {
+    auto lease =
+        sim_->RunUntilComplete(olfs_->fetches().FetchDisc(image_id));
+    ASSERT_TRUE(lease.ok()) << lease.status().ToString();
+    EXPECT_EQ(lease->bay(), bay);  // parked hit on the same bay
     lease->Release();
-    lease->Release();  // idempotent
+    EXPECT_FALSE(lease->valid());
+    EXPECT_EQ(olfs_->mech().bay_state(bay), BayState::kParked);
+    lease->Release();
     EXPECT_EQ(olfs_->mech().bay_state(bay), BayState::kParked);
   }
+  EXPECT_EQ(olfs_->mech().bay_state(bay), BayState::kParked);
   // Park the array back on its tray so later fetches must reload it.
   {
     auto again =
@@ -394,6 +409,53 @@ TEST_F(ChaosTest, FetchLeaseReleasesBayOnDropAndOnError) {
   // With the mechanics healthy again the same bay serves the read.
   faults.SetRate(FaultKind::kMechFault, 0.0);
   ExpectReadsBack("/chaos/lease.bin", payload);
+}
+
+// A read that fails while it holds its lease returns early; the lease
+// destructor is then the only release. It must hand the bay to the next
+// queued reader of the same tray, and the failed read is still served
+// degraded from parity.
+TEST_F(ChaosTest, FailedReadDropsLeaseToQueuedSameTrayReader) {
+  // With 1 MiB discs a 1.5 MiB file splits over two images on two discs
+  // of one array (one tray); the offsets below fall one in each image.
+  OlfsParams params = ChaosParams();
+  params.disc_capacity_override = 1 * kMiB;
+  Reset(params);
+  auto payload = RandomBytes(1536 * kKiB, 31);
+  ASSERT_TRUE(Create("/chaos/tray.bin", payload).ok());
+  ASSERT_TRUE(sim_->RunUntilComplete(olfs_->FlushAndDrain()).ok());
+
+  sim::FaultInjector& faults = InstallInjector(/*seed=*/7);
+  faults.FailNth(FaultKind::kLatentSectorError, /*site=*/"", /*nth=*/1);
+
+  // Both readers queue for the same tray; whichever claims the bay first
+  // hits the sector error while the other waits behind it.
+  const std::uint64_t offsets[] = {64 * kKiB, 1400 * kKiB};
+  std::vector<sim::Task<Status>> reads;
+  for (std::uint64_t offset : offsets) {
+    reads.push_back([](Olfs* olfs, const std::vector<std::uint8_t>* expect,
+                       std::uint64_t off) -> sim::Task<Status> {
+      auto data = co_await olfs->Read("/chaos/tray.bin", off, 48 * kKiB);
+      if (!data.ok()) {
+        co_return data.status();
+      }
+      const std::vector<std::uint8_t> want(
+          expect->begin() + static_cast<std::ptrdiff_t>(off),
+          expect->begin() + static_cast<std::ptrdiff_t>(off + 48 * kKiB));
+      co_return *data == want ? OkStatus()
+                              : DataLossError("content mismatch");
+    }(olfs_.get(), &payload, offset));
+  }
+  Status status = sim_->RunUntilComplete(sim::AllOk(*sim_, std::move(reads)));
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(faults.injected(FaultKind::kLatentSectorError), 1u);
+  EXPECT_EQ(olfs_->degraded_reads(), 1u);
+  EXPECT_GE(olfs_->fetch_scheduler()->stats().handoffs, 1u);
+
+  ASSERT_TRUE(sim_->RunUntilComplete(olfs_->FlushAndDrain()).ok());
+  for (int b = 0; b < olfs_->mech().num_bays(); ++b) {
+    EXPECT_NE(olfs_->mech().bay_state(b), BayState::kBusy) << "bay " << b;
+  }
 }
 
 // The headline invariant: under a seeded mix of at least three fault

@@ -328,8 +328,8 @@ struct WorkloadResult {
 };
 
 // Fixed mixed workload (three arrays, six interleaved readers), used by
-// the determinism and scheduler-on/off differential tests below.
-WorkloadResult RunMixedWorkload(bool scheduler_enabled) {
+// the determinism test below.
+WorkloadResult RunMixedWorkload() {
   sim::Simulator sim;
   SystemConfig config = TestSystemConfig();
   config.drive_sets = 2;
@@ -337,7 +337,6 @@ WorkloadResult RunMixedWorkload(bool scheduler_enabled) {
   OlfsParams params;
   params.disc_capacity_override = 16 * kMiB;
   params.read_cache_bytes = 0;
-  params.fetch_scheduler_enabled = scheduler_enabled;
   Olfs olfs(sim, &system, params);
   olfs.burns().burn_start_interval = Seconds(1);
 
@@ -366,32 +365,23 @@ WorkloadResult RunMixedWorkload(bool scheduler_enabled) {
   }
   ROS_CHECK(
       sim.RunUntilComplete(sim::AllOk(sim, std::move(reads))).ok());
-  if (olfs.fetch_scheduler() != nullptr) {
-    result.dispatch_log = olfs.fetch_scheduler()->dispatch_log();
-  }
+  result.dispatch_log = olfs.fetch_scheduler()->dispatch_log();
   sim.Shutdown();
   return result;
 }
 
-// Same workload, same seed -> bit-identical dispatch order.
+// Same workload, same seed -> bit-identical dispatch order. The scheduler
+// changes WHEN fetches happen, never WHAT a read returns: every reader
+// sees the originally written bytes.
 TEST(FetchSchedulerDeterminismTest, SameWorkloadSameDispatchOrder) {
-  WorkloadResult first = RunMixedWorkload(/*scheduler_enabled=*/true);
-  WorkloadResult second = RunMixedWorkload(/*scheduler_enabled=*/true);
+  WorkloadResult first = RunMixedWorkload();
+  WorkloadResult second = RunMixedWorkload();
   ASSERT_FALSE(first.dispatch_log.empty());
   EXPECT_EQ(first.dispatch_log, second.dispatch_log);
   EXPECT_EQ(first.bytes, second.bytes);
-}
-
-// Differential: the scheduler changes WHEN fetches happen, never WHAT a
-// read returns — every reader sees bytes identical to the legacy FIFO
-// path, and both match the originally written data.
-TEST(FetchSchedulerDeterminismTest, SchedulerOnOffReadsAreByteIdentical) {
-  WorkloadResult with = RunMixedWorkload(/*scheduler_enabled=*/true);
-  WorkloadResult without = RunMixedWorkload(/*scheduler_enabled=*/false);
-  ASSERT_EQ(with.bytes.size(), without.bytes.size());
-  EXPECT_EQ(with.bytes, without.bytes);
+  ASSERT_EQ(first.bytes.size(), 6u);
   for (int r = 0; r < 6; ++r) {
-    EXPECT_EQ(with.bytes[static_cast<std::size_t>(r)],
+    EXPECT_EQ(first.bytes[static_cast<std::size_t>(r)],
               RandomBytes(8 * kKiB, static_cast<std::uint64_t>(40 + r % 3)))
         << "reader " << r;
   }

@@ -186,18 +186,5 @@ TEST(ReadCache, ProtectedOverflowDemotesToProbationary) {
   EXPECT_EQ(victims[0], "a");
 }
 
-// protected_fraction <= 0 degenerates to the plain LRU shape: no
-// promotion, no ghost list (the pre-SLRU baseline used by benches).
-TEST(ReadCache, PlainLruModeHasNoSegmentsOrGhost) {
-  ReadCache cache(1000, /*protected_fraction=*/0.0);
-  cache.Admit("a", 400);
-  cache.Touch("a");
-  EXPECT_FALSE(cache.InProtected("a"));
-  cache.Remove("a");
-  cache.Admit("a", 400);
-  EXPECT_EQ(cache.ghost_hits(), 0u);
-  EXPECT_FALSE(cache.InProtected("a"));
-}
-
 }  // namespace
 }  // namespace ros::olfs
