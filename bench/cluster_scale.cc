@@ -40,6 +40,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/hash.h"
 #include "src/common/json.h"
 #include "src/common/rng.h"
@@ -387,6 +388,7 @@ int main(int argc, char** argv) {
   doc["rack_kill_chaos"] = std::move(chaos);
   doc["gates"] = json::Value(std::move(gates));
   doc["pass"] = json::Value(all_pass);
+  bench::AddHostFigures(&doc);
   std::printf("%s\n", json::Value(std::move(doc)).DumpPretty().c_str());
   return all_pass ? 0 : 1;
 }

@@ -55,6 +55,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/hash.h"
 #include "src/common/json.h"
 #include "src/common/rng.h"
@@ -708,6 +709,7 @@ int main(int argc, char** argv) {
     doc["scan_resistance"] = std::move(scan);
   }
   doc["pass"] = json::Value(all_pass);
+  bench::AddHostFigures(&doc);
   std::printf("%s\n", json::Value(std::move(doc)).DumpPretty().c_str());
   return all_pass ? 0 : 1;
 }

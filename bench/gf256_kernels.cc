@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/gf256.h"
 #include "src/common/json.h"
 #include "src/common/rng.h"
@@ -173,6 +174,7 @@ int main() {
     kernels.push_back(ToJson(r));
   }
   doc["kernels"] = std::move(kernels);
+  bench::AddHostFigures(&doc);
   std::printf("%s\n", json::Value(doc).DumpPretty().c_str());
   return 0;
 }

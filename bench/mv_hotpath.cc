@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/json.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -787,6 +788,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "mv_hotpath failure: %s\n", f.c_str());
   }
   doc["differential_identical"] = json::Value(failures.empty());
+  bench::AddHostFigures(&doc);
   std::printf("%s\n", json::Value(std::move(doc)).DumpPretty().c_str());
   return failures.empty() ? 0 : 1;
 }

@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/json.h"
 #include "src/common/rng.h"
 #include "src/common/units.h"
@@ -425,6 +426,7 @@ int Main(int argc, char** argv) {
   doc["pass"] = json::Value(pass);
   doc["gates"] = json::Value(std::move(gates));
   doc["rows"] = json::Value(std::move(rows));
+  bench::AddHostFigures(&doc);
   std::printf("%s\n", json::Value(std::move(doc)).DumpPretty().c_str());
   return pass ? 0 : 1;
 }

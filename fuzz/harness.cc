@@ -84,18 +84,58 @@ void FuzzUdfImage(const std::uint8_t* data, std::size_t size) {
             "Serializer::Parse failed with a non-parse status");
     return;
   }
-  // Probe the read paths a disc scan uses.
+  // Probe the read paths a disc scan uses: a whole-file read is the stored
+  // payload followed by the sparse tail's zeros. The read stops a little
+  // past the stored bytes so a hostile logical size cannot exhaust memory.
+  // The same walk rebuilds the tree through the public API.
+  constexpr std::uint64_t kTailProbe = 64 * 1024;
+  udf::Image rebuilt(parsed->id(), parsed->capacity());
   std::uint64_t walked = 0;
   parsed->Walk([&](const std::string& path, const udf::Node& node) {
     ++walked;
-    if (node.type == udf::NodeType::kFile) {
-      (void)parsed->ReadFile(path, 0, node.data.size());
+    switch (node.type) {
+      case udf::NodeType::kFile: {
+        const std::span<const std::uint8_t> stored = parsed->FileBytes(node);
+        Require(stored.size() <= node.logical_size,
+                "stored payload exceeds logical size");
+        StatusOr<std::vector<std::uint8_t>> read = parsed->ReadFile(
+            path, 0,
+            std::min<std::uint64_t>(node.logical_size,
+                                    stored.size() + kTailProbe));
+        Require(read.ok(), "ReadFile of a parsed file failed");
+        Require(std::equal(stored.begin(), stored.end(), read->begin()),
+                "ReadFile prefix differs from FileBytes");
+        Require(std::all_of(read->begin() + static_cast<std::ptrdiff_t>(
+                                                stored.size()),
+                            read->end(), [](std::uint8_t b) { return b == 0; }),
+                "sparse tail does not read as zeros");
+        Require(rebuilt
+                    .AddFile(path,
+                             std::vector<std::uint8_t>(stored.begin(),
+                                                       stored.end()),
+                             node.logical_size)
+                    .ok(),
+                "parsed file does not rebuild");
+        break;
+      }
+      case udf::NodeType::kLink:
+        Require(rebuilt.AddLink(path, node.link_target_image).ok(),
+                "parsed link does not rebuild");
+        break;
+      case udf::NodeType::kDirectory:
+        Require(rebuilt.MakeDirs(path).ok(), "parsed directory does not rebuild");
+        break;
     }
   });
   Require(walked >= parsed->file_count(), "Walk lost file nodes");
 
-  // Round trip: Serialize(Parse(x)) is a fixed point of Parse∘Serialize.
+  // Parse keeps the input's bytes as the stream only when they are the
+  // canonical encoding of the tree it read.
   const std::vector<std::uint8_t> ser1 = udf::Serializer::Serialize(*parsed);
+  Require(udf::Serializer::Serialize(rebuilt) == ser1,
+          "parsed image stream is not the canonical encoding of its tree");
+
+  // Round trip: Serialize(Parse(x)) is a fixed point of Parse∘Serialize.
   StatusOr<udf::Image> reparsed = udf::Serializer::Parse(ser1);
   Require(reparsed.ok(), "re-serialized image does not parse");
   Require(udf::Serializer::Serialize(*reparsed) == ser1,

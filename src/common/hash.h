@@ -10,27 +10,55 @@
 namespace ros {
 
 namespace internal {
-constexpr std::array<std::uint32_t, 256> MakeCrc32Table() {
-  std::array<std::uint32_t, 256> table{};
+// Slice-by-8 tables: kCrc32Tables[0] is the classic bytewise table, and
+// kCrc32Tables[k][i] is the CRC register after byte i is followed by k
+// zero bytes, so eight table lookups fold eight input bytes at once.
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+  }
+  return t;
 }
-inline constexpr std::array<std::uint32_t, 256> kCrc32Table = MakeCrc32Table();
+inline constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
+
+// Little-endian 32-bit load from any alignment (compilers emit one mov).
+inline std::uint32_t LoadLe32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
 }  // namespace internal
 
 // Standard CRC-32 (IEEE 802.3). Suitable for detecting media bit-rot in the
-// simulated disc scrubber; not a cryptographic hash.
+// simulated disc scrubber; not a cryptographic hash. `seed` chains calls:
+// Crc32(b, Crc32(a)) == Crc32(a followed by b).
 inline std::uint32_t Crc32(std::span<const std::uint8_t> data,
                            std::uint32_t seed = 0) {
+  const auto& t = internal::kCrc32Tables;
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::uint8_t byte : data) {
-    c = internal::kCrc32Table[(c ^ byte) & 0xFF] ^ (c >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ internal::LoadLe32(p);
+    const std::uint32_t hi = internal::LoadLe32(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {  // tail: fewer than eight bytes
+    c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

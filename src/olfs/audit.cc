@@ -6,7 +6,6 @@
 #include "src/common/hash.h"
 #include "src/common/json.h"
 #include "src/common/logging.h"
-#include "src/udf/serializer.h"
 
 namespace ros::olfs {
 namespace {
@@ -285,16 +284,16 @@ sim::Task<Status> AuditRegistry::OnArrayBurned(
     ROS_CO_ASSIGN_OR_RETURN(const ImageRecord* record, images_->Lookup(id));
     // Recover the exact burned stream from controller memory — the same
     // bytes BurnOneDisc just wrote to the media.
-    std::vector<std::uint8_t> stream;
+    std::span<const std::uint8_t> stream;
     if (record->parity) {
       ROS_CO_ASSIGN_OR_RETURN(const ParityImage* parity, parity_->Get(id));
       stream = parity->bytes;
     } else {
-      if (record->image == nullptr) {
+      if (record->image == nullptr || !record->image->closed()) {
         co_return FailedPreconditionError(
-            "image " + id + " already evicted; cannot hash for audit");
+            "image " + id + " evicted or still open; cannot hash for audit");
       }
-      stream = udf::Serializer::Serialize(*record->image);
+      stream = *record->image->stream();
     }
     AuditMember member;
     member.image_id = id;

@@ -6,7 +6,6 @@
 #include "src/olfs/audit.h"
 #include "src/sim/join.h"
 #include "src/sim/retry.h"
-#include "src/udf/serializer.h"
 
 namespace ros::olfs {
 
@@ -282,8 +281,8 @@ sim::Task<Status> BurnManager::BurnOneDisc(BurnJob& job, int bay,
       payload = (*parity)->bytes;
     }
   } else {
-    ROS_CHECK(record->image != nullptr);
-    payload = udf::Serializer::Serialize(*record->image);
+    ROS_CHECK(record->image != nullptr && record->image->closed());
+    payload = *record->image->stream();
   }
   logical = std::max<std::uint64_t>(logical, payload.size());
   if (resuming && already_burned >= logical) {

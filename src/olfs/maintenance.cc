@@ -278,7 +278,8 @@ sim::Task<Status> Maintenance::Checkpoint() {
 
     // Persist the serialized structure of every image whose bytes live
     // only in controller memory + buffer (open buckets included: the
-    // checkpoint closes over their current content).
+    // checkpoint closes over their current content). Serialize copies a
+    // closed image's stream as built; only open buckets are encoded here.
     if (record->image != nullptr && !record->parity) {
       disk::Volume* volume = olfs_->buckets().volume(record->volume_index);
       const std::string name = CheckpointFileName(record->id);
@@ -339,7 +340,7 @@ sim::Task<Status> Maintenance::RestoreFromCheckpoint() {
       const std::string name = CheckpointFileName(record.id);
       auto bytes = co_await volume->ReadAll(name);
       if (bytes.ok()) {
-        auto image = udf::Serializer::Parse(*bytes);
+        auto image = udf::Serializer::Parse(std::move(*bytes));
         if (image.ok()) {
           record.image =
               std::make_shared<udf::Image>(std::move(*image));

@@ -589,7 +589,8 @@ sim::Task<Status> MetadataVolume::RestoreFromSnapshot(
     const udf::Node* node = files[i].second;
     // Raw bytes, no validation: a corrupt snapshot entry restores fine and
     // fails at first decode.
-    std::string content(node->data.begin(), node->data.end());
+    const std::span<const std::uint8_t> raw = snapshot.FileBytes(*node);
+    std::string content(raw.begin(), raw.end());
     const std::string key = IndexKey(global_path);
     MemtableApply(key, content, false);
     window.push_back(log_.Append(

@@ -638,7 +638,7 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReadFromDiscLeader(
     if (!stream.ok()) {
       co_return stream.status();
     }
-    auto image = udf::Serializer::Parse(*stream);
+    auto image = udf::Serializer::Parse(std::move(*stream));
     if (!image.ok()) {
       co_return image.status();
     }
@@ -857,7 +857,7 @@ sim::Task<StatusOr<std::shared_ptr<udf::Image>>> Olfs::ReadSiblingStream(
   if (!stream.ok()) {
     co_return stream.status();
   }
-  auto image = udf::Serializer::Parse(*stream);
+  auto image = udf::Serializer::Parse(std::move(*stream));
   if (!image.ok()) {
     co_return image.status();
   }
@@ -1066,7 +1066,7 @@ sim::Task<Status> Olfs::RefreshImage(std::string image_id) {
                               co_await ReconstructFromParity(image_id));
       ++reconstructions_;
     }
-    auto parsed = udf::Serializer::Parse(stream);
+    auto parsed = udf::Serializer::Parse(std::move(stream));
     if (!parsed.ok()) {
       co_return DataLossError("refresh read of " + image_id +
                               " failed CRC");

@@ -4,7 +4,6 @@
 
 #include "src/common/gf256.h"
 #include "src/olfs/bucket_manager.h"
-#include "src/udf/serializer.h"
 
 namespace ros::olfs {
 
@@ -15,8 +14,10 @@ sim::Task<StatusOr<std::vector<ParityImage>>> ParityBuilder::Build(
     co_return InvalidArgumentError("no data images");
   }
 
-  // Serialize each member and charge the buffer read of its stripes.
-  std::vector<std::vector<std::uint8_t>> streams;
+  // Take each member's closed stream and charge the buffer read of its
+  // stripes. The shared pointers keep the streams alive across the reads
+  // even if a member is dropped from the buffer meanwhile.
+  std::vector<std::shared_ptr<const std::vector<std::uint8_t>>> streams;
   std::vector<std::uint64_t> logical_sizes;
   streams.reserve(data_ids.size());
   std::uint64_t max_logical = 0;
@@ -26,6 +27,9 @@ sim::Task<StatusOr<std::vector<ParityImage>>> ParityBuilder::Build(
     if (record->image == nullptr) {
       co_return FailedPreconditionError("image " + id + " not buffered");
     }
+    if (!record->image->closed()) {
+      co_return FailedPreconditionError("image " + id + " still open");
+    }
     disk::Volume* volume = data_volumes.at(
         static_cast<std::size_t>(record->volume_index));
     auto size = volume->FileSize(record->volume_file);
@@ -33,10 +37,10 @@ sim::Task<StatusOr<std::vector<ParityImage>>> ParityBuilder::Build(
       ROS_CO_RETURN_IF_ERROR(
           co_await volume->ReadDiscard(record->volume_file, 0, *size));
     }
-    streams.push_back(udf::Serializer::Serialize(*record->image));
+    streams.push_back(record->image->stream());
     logical_sizes.push_back(record->image->used_bytes());
     max_logical = std::max(max_logical, logical_sizes.back());
-    max_stream = std::max(max_stream, streams.back().size());
+    max_stream = std::max(max_stream, streams.back()->size());
   }
 
   // Compute all parity images in ONE sweep over the member streams: the
@@ -53,12 +57,12 @@ sim::Task<StatusOr<std::vector<ParityImage>>> ParityBuilder::Build(
   last_build_stream_passes_ = 0;
   if (num_parities >= 2) {
     for (std::size_t k = streams.size(); k-- > 0;) {
-      gf256::PQAcc(payloads[0], payloads[1], streams[k]);
+      gf256::PQAcc(payloads[0], payloads[1], *streams[k]);
       ++last_build_stream_passes_;
     }
   } else {
-    for (const std::vector<std::uint8_t>& stream : streams) {
-      gf256::XorAcc(payloads[0], stream);
+    for (const auto& stream : streams) {
+      gf256::XorAcc(payloads[0], *stream);
       ++last_build_stream_passes_;
     }
   }
@@ -136,8 +140,10 @@ StatusOr<std::vector<std::uint8_t>> ParityBuilder::Recover(
     }
     gf256::XorAcc(out, member_streams[k]);
   }
-  // Trim zero padding down to the serialized anchor; the UDF parser
-  // validates the CRC, so callers parse the full buffer safely.
+  // `out` keeps the parity's length: a member shorter than the longest one
+  // comes back with zero padding after its anchor. Serializer::Parse
+  // stops at the anchor (CRC-checked) and ignores the padding, so callers
+  // parse the full buffer safely.
   return out;
 }
 

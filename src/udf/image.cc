@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "src/udf/serializer.h"
+
 namespace ros::udf {
 
 StatusOr<std::vector<std::string>> SplitPath(std::string_view path) {
@@ -90,12 +92,43 @@ StatusOr<std::pair<Node*, std::string>> Image::WalkToParent(
   return std::pair<Node*, std::string>{node, parts.back()};
 }
 
+void Image::Close() {
+  if (stream_ != nullptr) {
+    return;
+  }
+  std::vector<std::uint64_t> offsets;
+  auto stream = std::make_shared<const std::vector<std::uint8_t>>(
+      Serializer::Encode(*this, &offsets));
+  std::size_t next = 0;
+  auto move_payload = [&](Node& node) {
+    if (node.type == NodeType::kFile) {
+      node.payload_offset = offsets[next++];
+      node.payload_size = node.data.size();
+      std::vector<std::uint8_t>().swap(node.data);
+    }
+  };
+  PreOrder(root_, move_payload);
+  stream_ = std::move(stream);
+}
+
+std::span<const std::uint8_t> Image::FileBytes(const Node& node) const {
+  if (stream_ == nullptr) {
+    return node.data;
+  }
+  return std::span<const std::uint8_t>(*stream_).subspan(node.payload_offset,
+                                                         node.payload_size);
+}
+
 Status Image::MakeDirs(std::string_view path) {
-  if (closed_) {
+  return InsertDirs(path).status();
+}
+
+StatusOr<Node*> Image::InsertDirs(std::string_view path) {
+  if (closed()) {
     return FailedPreconditionError("image is closed");
   }
   if (path == "/") {
-    return OkStatus();
+    return &root_;
   }
   ROS_ASSIGN_OR_RETURN(std::vector<std::string> parts, SplitPath(path));
   Node* node = &root_;
@@ -115,12 +148,18 @@ Status Image::MakeDirs(std::string_view path) {
     }
     node = it->second.get();
   }
-  return OkStatus();
+  return node;
 }
 
 Status Image::AddFile(std::string_view path, std::vector<std::uint8_t> data,
                       std::uint64_t logical_size) {
-  if (closed_) {
+  return InsertFile(path, std::move(data), logical_size).status();
+}
+
+StatusOr<Node*> Image::InsertFile(std::string_view path,
+                                  std::vector<std::uint8_t> data,
+                                  std::uint64_t logical_size) {
+  if (closed()) {
     return FailedPreconditionError("image " + image_id_ + " is closed");
   }
   if (logical_size > kMaxFileSize) {
@@ -144,12 +183,16 @@ Status Image::AddFile(std::string_view path, std::vector<std::uint8_t> data,
   node->data = std::move(data);
   used_bytes_ += kEntryOverhead + BlocksFor(logical_size) * kBlockSize;
   ++file_count_;
-  parent->children.emplace(leaf, std::move(node));
-  return OkStatus();
+  return parent->children.emplace(leaf, std::move(node)).first->second.get();
 }
 
 Status Image::AddLink(std::string_view path, std::string target_image) {
-  if (closed_) {
+  return InsertLink(path, std::move(target_image)).status();
+}
+
+StatusOr<Node*> Image::InsertLink(std::string_view path,
+                                  std::string target_image) {
+  if (closed()) {
     return FailedPreconditionError("image is closed");
   }
   if (!WouldFit(path, 0)) {
@@ -165,14 +208,13 @@ Status Image::AddLink(std::string_view path, std::string target_image) {
   node->name = leaf;
   node->link_target_image = std::move(target_image);
   used_bytes_ += kEntryOverhead;
-  parent->children.emplace(leaf, std::move(node));
-  return OkStatus();
+  return parent->children.emplace(leaf, std::move(node)).first->second.get();
 }
 
 Status Image::AppendToFile(std::string_view path,
                            std::vector<std::uint8_t> data,
                            std::uint64_t logical_grow) {
-  if (closed_) {
+  if (closed()) {
     return FailedPreconditionError("image is closed");
   }
   if (data.size() > logical_grow) {
@@ -229,11 +271,12 @@ StatusOr<std::vector<std::uint8_t>> Image::ReadFile(
       length > node->logical_size - offset) {
     return OutOfRangeError("read beyond file end");
   }
+  const std::span<const std::uint8_t> stored = FileBytes(*node);
   std::vector<std::uint8_t> out(length, 0);
-  if (offset < node->data.size()) {
+  if (offset < stored.size()) {
     const std::uint64_t n =
-        std::min<std::uint64_t>(length, node->data.size() - offset);
-    std::copy_n(node->data.begin() + static_cast<std::ptrdiff_t>(offset), n,
+        std::min<std::uint64_t>(length, stored.size() - offset);
+    std::copy_n(stored.begin() + static_cast<std::ptrdiff_t>(offset), n,
                 out.begin());
   }
   return out;

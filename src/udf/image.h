@@ -14,8 +14,13 @@
 //   - byte-level serialization (serializer.h) so a scan of survived discs
 //     can rebuild the namespace (§4.4).
 //
-// File payloads may be sparse: `data` can be shorter than `logical_size`
-// (the tail reads as zeros) so PB-scale workloads stay laptop-sized.
+// File payloads may be sparse: the stored bytes can be shorter than
+// `logical_size` (the tail reads as zeros) so PB-scale workloads stay
+// laptop-sized.
+//
+// A closed image is write-once, so Close() serializes it exactly once:
+// the stream is shared (immutable) by every consumer — parity, burn,
+// audit, checkpoint — and file payloads live only inside it.
 #ifndef ROS_SRC_UDF_IMAGE_H_
 #define ROS_SRC_UDF_IMAGE_H_
 
@@ -23,6 +28,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,9 +58,16 @@ enum class NodeType { kDirectory, kFile, kLink };
 struct Node {
   NodeType type = NodeType::kDirectory;
   std::string name;
-  // kFile: payload. data.size() may be < logical_size (sparse tail).
+  // kFile payload while the image is open (the staging buffer);
+  // data.size() may be < logical_size (sparse tail). Close() moves the
+  // bytes into the image stream and empties this; read payloads through
+  // Image::FileBytes.
   std::vector<std::uint8_t> data;
   std::uint64_t logical_size = 0;
+  // kFile, closed image: the payload is stream[payload_offset,
+  // payload_offset + payload_size).
+  std::uint64_t payload_offset = 0;
+  std::uint64_t payload_size = 0;
   // kLink: the image holding the first subfile of a split file (§4.5).
   std::string link_target_image;
   std::map<std::string, std::unique_ptr<Node>> children;
@@ -70,8 +83,23 @@ class Image {
 
   const std::string& id() const { return image_id_; }
   std::uint64_t capacity() const { return capacity_; }
-  bool closed() const { return closed_; }
-  void Close() { closed_ = true; }
+  bool closed() const { return stream_ != nullptr; }
+  // Finalizes the image: serializes it once into stream(), points every
+  // file node at its payload inside that stream and releases the node's
+  // staging buffer. Idempotent.
+  void Close();
+
+  // The serialized stream of a closed image (null while open), exactly
+  // the bytes burned to disc. Shared and immutable: a consumer that keeps
+  // it across a suspension holds this pointer, since the image itself may
+  // be dropped from the buffer meanwhile.
+  const std::shared_ptr<const std::vector<std::uint8_t>>& stream() const {
+    return stream_;
+  }
+
+  // A file node's stored payload (may be shorter than logical_size): the
+  // staging buffer while open, a view into stream() once closed.
+  std::span<const std::uint8_t> FileBytes(const Node& node) const;
 
   // Bytes consumed: entry overhead + block-rounded payloads, including the
   // root directory.
@@ -138,9 +166,28 @@ class Image {
   StatusOr<std::pair<Node*, std::string>> WalkToParent(std::string_view path,
                                                        bool create);
 
+  // AddFile / AddLink / MakeDirs returning the node they created (the
+  // last directory for MakeDirs; the root for "/").
+  StatusOr<Node*> InsertFile(std::string_view path,
+                             std::vector<std::uint8_t> data,
+                             std::uint64_t logical_size);
+  StatusOr<Node*> InsertLink(std::string_view path, std::string target_image);
+  StatusOr<Node*> InsertDirs(std::string_view path);
+
+  // Pre-order visit of every node below `dir`, in Walk() order.
+  template <typename Visit>
+  static void PreOrder(Node& dir, Visit& visit) {
+    for (auto& [name, child] : dir.children) {
+      visit(*child);
+      if (child->type == NodeType::kDirectory) {
+        PreOrder(*child, visit);
+      }
+    }
+  }
+
   std::string image_id_;
   std::uint64_t capacity_;
-  bool closed_ = false;
+  std::shared_ptr<const std::vector<std::uint8_t>> stream_;  // set by Close
   Node root_;
   std::uint64_t used_bytes_;
   std::uint64_t file_count_ = 0;

@@ -79,14 +79,14 @@ class Reader {
     return s;
   }
 
-  StatusOr<std::vector<std::uint8_t>> Bytes(std::uint64_t n) {
+  // Steps over an n-byte payload; returns where it starts.
+  StatusOr<std::size_t> Skip(std::uint64_t n) {
     if (n > remaining()) {
       return DataLossError("truncated image stream (payload)");
     }
-    std::vector<std::uint8_t> out(bytes_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                  bytes_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+    const std::size_t start = pos_;
     pos_ += n;
-    return out;
+    return start;
   }
 
   Status Expect(std::span<const char> magic) {
@@ -105,42 +105,80 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
+std::uint64_t encode_count = 0;
+
 }  // namespace
 
-std::vector<std::uint8_t> Serializer::Serialize(const Image& image) {
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
+std::uint64_t Serializer::tree_encodes() { return encode_count; }
+
+std::vector<std::uint8_t> Serializer::Encode(
+    const Image& image, std::vector<std::uint64_t>* payload_offsets) {
+  ++encode_count;
+  // One walk collects the nodes and the exact stream size, so the stream
+  // is allocated once with no growth slack.
+  std::vector<std::pair<std::string, const Node*>> nodes;
+  std::size_t size = sizeof(kMagic) + 4 + 4 + image.id().size() + 8 + 8;
+  image.Walk([&](const std::string& path, const Node& node) {
+    size += 1 + 4 + path.size();
+    if (node.type == NodeType::kFile) {
+      size += 8 + 8 + image.FileBytes(node).size();
+    } else if (node.type == NodeType::kLink) {
+      size += 4 + node.link_target_image.size();
+    }
+    nodes.emplace_back(path, &node);
+  });
+  size += 4 + sizeof(kAnchor);
+
+  std::vector<std::uint8_t> out(kMagic, kMagic + sizeof(kMagic));
+  out.reserve(size);
   PutU32(out, kVersion);
   PutStr(out, image.id());
   PutU64(out, image.capacity());
-
-  std::uint64_t node_count = 0;
-  image.Walk([&](const std::string&, const Node&) { ++node_count; });
-  PutU64(out, node_count);
-
-  image.Walk([&](const std::string& path, const Node& node) {
-    out.push_back(static_cast<std::uint8_t>(node.type));
+  PutU64(out, nodes.size());
+  for (const auto& [path, node] : nodes) {
+    out.push_back(static_cast<std::uint8_t>(node->type));
     PutStr(out, path);
-    switch (node.type) {
-      case NodeType::kFile:
-        PutU64(out, node.logical_size);
-        PutU64(out, node.data.size());
-        out.insert(out.end(), node.data.begin(), node.data.end());
+    switch (node->type) {
+      case NodeType::kFile: {
+        const std::span<const std::uint8_t> payload = image.FileBytes(*node);
+        PutU64(out, node->logical_size);
+        PutU64(out, payload.size());
+        if (payload_offsets != nullptr) {
+          payload_offsets->push_back(out.size());
+        }
+        out.insert(out.end(), payload.begin(), payload.end());
         break;
+      }
       case NodeType::kLink:
-        PutStr(out, node.link_target_image);
+        PutStr(out, node->link_target_image);
         break;
       case NodeType::kDirectory:
         break;
     }
-  });
+  }
 
   PutU32(out, Crc32(out));
   out.insert(out.end(), kAnchor, kAnchor + sizeof(kAnchor));
   return out;
 }
 
+std::vector<std::uint8_t> Serializer::Serialize(const Image& image) {
+  if (image.stream() != nullptr) {
+    return *image.stream();
+  }
+  return Encode(image, nullptr);
+}
+
 StatusOr<Image> Serializer::Parse(std::span<const std::uint8_t> bytes) {
+  return Decode(bytes, nullptr);
+}
+
+StatusOr<Image> Serializer::Parse(std::vector<std::uint8_t>&& bytes) {
+  return Decode(bytes, &bytes);
+}
+
+StatusOr<Image> Serializer::Decode(std::span<const std::uint8_t> bytes,
+                                   std::vector<std::uint8_t>* owned) {
   Reader reader(bytes);
   ROS_RETURN_IF_ERROR(reader.Expect({kMagic, sizeof(kMagic)}));
   ROS_ASSIGN_OR_RETURN(std::uint32_t version, reader.U32());
@@ -155,9 +193,17 @@ StatusOr<Image> Serializer::Parse(std::span<const std::uint8_t> bytes) {
   // Rebuild errors (duplicate paths, entries that no longer fit the declared
   // capacity, non-absolute paths) all mean the stream is not something the
   // serializer ever wrote: report them uniformly as media corruption.
-  auto corrupt = [](const Status& status) {
-    return DataLossError("corrupt image stream: " + status.ToString());
+  auto rebuilt = [](StatusOr<Node*> node) -> StatusOr<Node*> {
+    if (!node.ok()) {
+      return DataLossError("corrupt image stream: " +
+                           node.status().ToString());
+    }
+    return node;
   };
+  // The node each record resolved to, in stream order. File payloads are
+  // not copied here: each file node records where its bytes sit in
+  // `bytes`, and they are taken only once the CRC has checked out.
+  std::vector<Node*> order;
   for (std::uint64_t i = 0; i < node_count; ++i) {
     ROS_ASSIGN_OR_RETURN(std::uint8_t type_byte, reader.U8());
     if (type_byte > static_cast<std::uint8_t>(NodeType::kLink)) {
@@ -167,29 +213,30 @@ StatusOr<Image> Serializer::Parse(std::span<const std::uint8_t> bytes) {
     ROS_ASSIGN_OR_RETURN(std::string path, reader.Str());
     switch (type) {
       case NodeType::kDirectory: {
-        Status status = image.MakeDirs(path);
-        if (!status.ok()) {
-          return corrupt(status);
-        }
+        ROS_ASSIGN_OR_RETURN(Node* node, rebuilt(image.InsertDirs(path)));
+        order.push_back(node);
         break;
       }
       case NodeType::kFile: {
         ROS_ASSIGN_OR_RETURN(std::uint64_t logical, reader.U64());
         ROS_ASSIGN_OR_RETURN(std::uint64_t data_len, reader.U64());
-        ROS_ASSIGN_OR_RETURN(std::vector<std::uint8_t> data,
-                             reader.Bytes(data_len));
-        Status status = image.AddFile(path, std::move(data), logical);
-        if (!status.ok()) {
-          return corrupt(status);
+        ROS_ASSIGN_OR_RETURN(std::size_t offset, reader.Skip(data_len));
+        if (data_len > logical) {
+          return DataLossError(
+              "corrupt image stream: payload larger than logical size");
         }
+        ROS_ASSIGN_OR_RETURN(Node* node,
+                             rebuilt(image.InsertFile(path, {}, logical)));
+        node->payload_offset = offset;
+        node->payload_size = data_len;
+        order.push_back(node);
         break;
       }
       case NodeType::kLink: {
         ROS_ASSIGN_OR_RETURN(std::string target, reader.Str());
-        Status status = image.AddLink(path, std::move(target));
-        if (!status.ok()) {
-          return corrupt(status);
-        }
+        ROS_ASSIGN_OR_RETURN(
+            Node* node, rebuilt(image.InsertLink(path, std::move(target))));
+        order.push_back(node);
         break;
       }
     }
@@ -201,6 +248,36 @@ StatusOr<Image> Serializer::Parse(std::span<const std::uint8_t> bytes) {
     return DataLossError("image CRC mismatch");
   }
   ROS_RETURN_IF_ERROR(reader.Expect({kAnchor, sizeof(kAnchor)}));
+
+  // Records in canonical pre-order are exactly what Encode would write for
+  // this tree (SplitPath accepts one spelling per path), so the verified
+  // bytes through the anchor are the stream. Any other order is
+  // re-encoded, which keeps Serialize(Parse(x)) canonical.
+  std::size_t next = 0;
+  bool canonical = true;
+  auto in_order = [&](Node& node) {
+    canonical = canonical && next < order.size() && order[next] == &node;
+    ++next;
+  };
+  Image::PreOrder(image.root_, in_order);
+  if (canonical && next == order.size()) {
+    if (owned != nullptr && owned->size() == reader.pos()) {
+      image.stream_ =
+          std::make_shared<const std::vector<std::uint8_t>>(std::move(*owned));
+    } else {
+      image.stream_ = std::make_shared<const std::vector<std::uint8_t>>(
+          bytes.begin(),
+          bytes.begin() + static_cast<std::ptrdiff_t>(reader.pos()));
+    }
+    return image;
+  }
+  for (Node* node : order) {
+    if (node->type == NodeType::kFile) {
+      const auto payload = bytes.subspan(node->payload_offset,
+                                         node->payload_size);
+      node->data.assign(payload.begin(), payload.end());
+    }
+  }
   image.Close();
   return image;
 }

@@ -8,6 +8,8 @@
 #include "src/common/gf256.h"
 #include "src/disk/block_device.h"
 #include "src/olfs/bucket_manager.h"
+#include "src/olfs/maintenance.h"
+#include "src/olfs/system.h"
 #include "src/sim/simulator.h"
 #include "src/udf/serializer.h"
 
@@ -272,6 +274,51 @@ TEST_F(ParityTest, RecoverReconstructsAnyMissingMember) {
   }
 }
 
+// A recovered member shorter than the longest one carries the parity's
+// zero padding after its anchor. Parse must stop at the anchor, so the
+// repaired image burns exactly the original stream (no extra bytes, no
+// extra sim time).
+TEST_F(ParityTest, RecoveredShortMemberParsesToItsExactStream) {
+  std::vector<std::string> ids;
+  for (int i = 0; i < 4; ++i) {
+    ids.push_back(MakeImage(50 + i));  // payloads grow with i
+  }
+  auto parities = sim_.RunUntilComplete(
+      builder_->Build(ids, volume_ptrs_, 0));
+  ASSERT_TRUE(parities.ok());
+  auto p_image = builder_->Get((*parities)[0].id);
+  ASSERT_TRUE(p_image.ok());
+
+  std::vector<std::vector<std::uint8_t>> streams;
+  for (const auto& id : ids) {
+    streams.push_back(*(*images_.Lookup(id))->image->stream());
+  }
+  auto survivors = streams;
+  const std::vector<std::uint8_t> original = std::move(survivors[0]);
+  survivors[0].clear();
+  auto recovered =
+      ParityBuilder::Recover(survivors, {(*p_image)->bytes}, 0);
+  ASSERT_TRUE(recovered.ok());
+  ASSERT_GT(recovered->size(), original.size());  // padded
+
+  auto parsed = udf::Serializer::Parse(*recovered);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(*parsed->stream(), original);
+  EXPECT_EQ(udf::Serializer::Serialize(*parsed), original);
+}
+
+TEST_F(ParityTest, BuildReadsTheSharedStreamsWithoutEncoding) {
+  std::vector<std::string> ids;
+  for (int i = 0; i < 3; ++i) {
+    ids.push_back(MakeImage(80 + i));
+  }
+  const std::uint64_t before = udf::Serializer::tree_encodes();
+  auto parities = sim_.RunUntilComplete(
+      builder_->Build(ids, volume_ptrs_, 0));
+  ASSERT_TRUE(parities.ok());
+  EXPECT_EQ(udf::Serializer::tree_encodes(), before);
+}
+
 TEST_F(ParityTest, RecoverRejectsBadInputs) {
   std::vector<std::vector<std::uint8_t>> streams(3,
                                                  std::vector<std::uint8_t>{1});
@@ -304,6 +351,72 @@ TEST_F(ParityTest, ParityIdsUniqueAcrossGenerations) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_NE((*a)[0].id, (*b)[0].id);
+}
+
+// The write pipeline encodes each data image once, when its bucket
+// closes; parity, burn and audit share that stream.
+class SerializeOncePipelineTest : public ::testing::Test {
+ protected:
+  SerializeOncePipelineTest() {
+    system_ = std::make_unique<RosSystem>(sim_, TestSystemConfig());
+    OlfsParams params;
+    params.disc_capacity_override = 16 * kMiB;
+    olfs_ = std::make_unique<Olfs>(sim_, system_.get(), params);
+    olfs_->burns().burn_start_interval = sim::Seconds(1);
+    mi_ = std::make_unique<Maintenance>(olfs_.get());
+  }
+  ~SerializeOncePipelineTest() override { sim_.Shutdown(); }
+
+  void Create(const std::string& path, std::size_t bytes) {
+    std::vector<std::uint8_t> data(bytes);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      data[i] = static_cast<std::uint8_t>(i * 7 + path.size());
+    }
+    ASSERT_TRUE(
+        sim_.RunUntilComplete(olfs_->Create(path, data, bytes)).ok());
+  }
+
+  int DataImages() {
+    int n = 0;
+    for (const ImageRecord* record : olfs_->images().AllRecords()) {
+      n += record->parity ? 0 : 1;
+    }
+    return n;
+  }
+
+  sim::Simulator sim_;
+  std::unique_ptr<RosSystem> system_;
+  std::unique_ptr<Olfs> olfs_;
+  std::unique_ptr<Maintenance> mi_;
+};
+
+TEST_F(SerializeOncePipelineTest, FlushAndDrainEncodesEachDataImageOnce) {
+  const std::uint64_t before = udf::Serializer::tree_encodes();
+  for (int i = 0; i < 8; ++i) {
+    Create("/p/f" + std::to_string(i), 3 * kMiB);
+  }
+  ASSERT_TRUE(sim_.RunUntilComplete(olfs_->FlushAndDrain()).ok());
+  const int images = DataImages();
+  ASSERT_GE(images, 2);
+  EXPECT_GE(olfs_->burns().arrays_burned(), 1);
+  // One encode per image at close; not one more per parity, burn and
+  // audit pass.
+  EXPECT_EQ(udf::Serializer::tree_encodes(),
+            before + static_cast<std::uint64_t>(images));
+}
+
+TEST_F(SerializeOncePipelineTest, CheckpointEncodesOnlyOpenBuckets) {
+  Create("/p/closed", 2 * kMiB);
+  ASSERT_TRUE(sim_.RunUntilComplete(olfs_->buckets().CloseCurrentBucket())
+                  .ok());
+  std::uint64_t before = udf::Serializer::tree_encodes();
+  ASSERT_TRUE(sim_.RunUntilComplete(mi_->Checkpoint()).ok());
+  EXPECT_EQ(udf::Serializer::tree_encodes(), before);  // closed: copied
+
+  Create("/p/open", kMiB);  // opens a fresh bucket
+  before = udf::Serializer::tree_encodes();
+  ASSERT_TRUE(sim_.RunUntilComplete(mi_->Checkpoint()).ok());
+  EXPECT_EQ(udf::Serializer::tree_encodes(), before + 1);
 }
 
 }  // namespace
