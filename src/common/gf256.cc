@@ -110,24 +110,6 @@ void MulAcc(std::span<std::uint8_t> out, std::uint8_t coeff,
   }
 }
 
-void Scale(std::span<std::uint8_t> buf, std::uint8_t coeff) {
-  if (coeff == 1) {
-    return;
-  }
-  if (coeff == 0) {
-    std::memset(buf.data(), 0, buf.size());
-    return;
-  }
-  const NibbleTables& t = kNibbleTables[coeff];
-  if (UseSimd()) {
-    internal::ScaleSimd(buf.data(), buf.size(), t);
-    return;
-  }
-  for (auto& b : buf) {
-    b = NibbleMul(t, b);
-  }
-}
-
 void PQAcc(std::span<std::uint8_t> p, std::span<std::uint8_t> q,
            std::span<const std::uint8_t> in) {
   ROS_CHECK(p.size() == q.size());
@@ -165,29 +147,6 @@ void PQAcc(std::span<std::uint8_t> p, std::span<std::uint8_t> q,
   }
 }
 
-void SolveTwo(std::span<std::uint8_t> da, std::span<std::uint8_t> db,
-              std::span<const std::uint8_t> pp,
-              std::span<const std::uint8_t> qp, std::uint8_t g_a,
-              std::uint8_t g_b) {
-  ROS_CHECK(g_a != g_b);
-  ROS_CHECK(da.size() == db.size());
-  ROS_CHECK(pp.size() == da.size() && qp.size() == da.size());
-  const NibbleTables& tb = kNibbleTables[g_b];
-  const NibbleTables& ti =
-      kNibbleTables[Inv(static_cast<std::uint8_t>(g_a ^ g_b))];
-  if (UseSimd()) {
-    internal::SolveTwoSimd(da.data(), db.data(), pp.data(), qp.data(),
-                           da.size(), tb, ti);
-    return;
-  }
-  for (std::size_t i = 0; i < da.size(); ++i) {
-    const std::uint8_t v = NibbleMul(
-        ti, static_cast<std::uint8_t>(qp[i] ^ NibbleMul(tb, pp[i])));
-    da[i] = v;
-    db[i] = static_cast<std::uint8_t>(pp[i] ^ v);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Scalar reference kernels.
 
@@ -210,12 +169,6 @@ void MulAccScalar(std::span<std::uint8_t> out, std::uint8_t coeff,
   }
 }
 
-void ScaleScalar(std::span<std::uint8_t> buf, std::uint8_t coeff) {
-  for (auto& b : buf) {
-    b = Mul(coeff, b);
-  }
-}
-
 void PQAccScalar(std::span<std::uint8_t> p, std::span<std::uint8_t> q,
                  std::span<const std::uint8_t> in) {
   ROS_CHECK(p.size() == q.size());
@@ -226,22 +179,6 @@ void PQAccScalar(std::span<std::uint8_t> p, std::span<std::uint8_t> q,
   }
   for (std::size_t i = in.size(); i < q.size(); ++i) {
     q[i] = Mul2(q[i]);
-  }
-}
-
-void SolveTwoScalar(std::span<std::uint8_t> da, std::span<std::uint8_t> db,
-                    std::span<const std::uint8_t> pp,
-                    std::span<const std::uint8_t> qp, std::uint8_t g_a,
-                    std::uint8_t g_b) {
-  ROS_CHECK(g_a != g_b);
-  ROS_CHECK(da.size() == db.size());
-  ROS_CHECK(pp.size() == da.size() && qp.size() == da.size());
-  const std::uint8_t inv = Inv(static_cast<std::uint8_t>(g_a ^ g_b));
-  for (std::size_t i = 0; i < da.size(); ++i) {
-    const std::uint8_t v =
-        Mul(inv, static_cast<std::uint8_t>(qp[i] ^ Mul(g_b, pp[i])));
-    da[i] = v;
-    db[i] = static_cast<std::uint8_t>(pp[i] ^ v);
   }
 }
 

@@ -1,5 +1,5 @@
-// GF(2^8) arithmetic and bulk parity kernels for Reed-Solomon P+Q parity
-// (RAID-6).
+// GF(2^8) arithmetic and the bulk kernels under the Reed-Solomon codec in
+// src/common/erasure.h.
 //
 // Uses the standard polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D) and the
 // generator g = 2, the same construction as the Linux RAID-6 driver:
@@ -7,12 +7,13 @@
 //   Q = g^0*d_0 ^ g^1*d_1 ^ ... ^ g^{n-1}*d_{n-1}
 //
 // Two kernel tiers are provided:
-//  - The default kernels (XorAcc, MulAcc, Scale, PQAcc, SolveTwo) are
-//    word-sliced: XOR and the Q doubling recurrence run over uint64_t words
-//    (8 bytes per step, memcpy loads so unaligned spans are fine), and GF
-//    multiplies go through per-coefficient split-nibble tables (two
-//    16-entry tables instead of a branch plus log/exp double lookup per
-//    byte).
+//  - The default kernels (XorAcc, MulAcc, PQAcc) are word-sliced: XOR and
+//    the Q doubling recurrence run over uint64_t words (8 bytes per step,
+//    memcpy loads so unaligned spans are fine), and GF multiplies go
+//    through per-coefficient split-nibble tables (two 16-entry tables
+//    instead of a branch plus log/exp double lookup per byte). Encode uses
+//    PQAcc (m = 2) or XorAcc (m = 1); Decode is one MulAcc sum per rebuilt
+//    shard, and MulAcc with coefficient 1 is XorAcc.
 //  - The *Scalar kernels are the byte-at-a-time reference implementations.
 //    They are kept for differential testing and for the kernel benchmark
 //    (bench/gf256_kernels.cc); production code should never call them.
@@ -124,13 +125,9 @@ inline constexpr std::array<NibbleTables, 256> kNibbleTables =
 bool SimdAvailable();
 void MulAccSimd(std::uint8_t* out, const std::uint8_t* in, std::size_t n,
                 const NibbleTables& t);
-void ScaleSimd(std::uint8_t* buf, std::size_t n, const NibbleTables& t);
 void PQAccSimd(std::uint8_t* p, std::uint8_t* q, const std::uint8_t* d,
                std::size_t n);
 void QDoubleSimd(std::uint8_t* q, std::size_t n);
-void SolveTwoSimd(std::uint8_t* da, std::uint8_t* db, const std::uint8_t* pp,
-                  const std::uint8_t* qp, std::size_t n,
-                  const NibbleTables& t_gb, const NibbleTables& t_inv);
 
 }  // namespace internal
 
@@ -145,9 +142,6 @@ void XorAcc(std::span<std::uint8_t> out, std::span<const std::uint8_t> in);
 void MulAcc(std::span<std::uint8_t> out, std::uint8_t coeff,
             std::span<const std::uint8_t> in);
 
-// Scales a buffer in place: buf *= coeff.
-void Scale(std::span<std::uint8_t> buf, std::uint8_t coeff);
-
 // Fused single-sweep P+Q update (the RAID-6 Horner recurrence):
 //   p ^= in;  q = 2*q ^ in
 // over [0, in.size()), and q = 2*q alone over [in.size(), q.size()) so a
@@ -161,17 +155,6 @@ void Scale(std::span<std::uint8_t> buf, std::uint8_t coeff);
 void PQAcc(std::span<std::uint8_t> p, std::span<std::uint8_t> q,
            std::span<const std::uint8_t> in);
 
-// RAID-6 double-erasure solve: given the partial parities
-//   pp = P ^ xor(surviving data),  qp = Q ^ sum(g^i * surviving data)
-// and the two missing members' coefficients g_a, g_b (g_a != g_b),
-// reconstructs
-//   da = (qp ^ g_b * pp) / (g_a ^ g_b),   db = pp ^ da.
-// All four spans must have the same length; da/db may alias nothing.
-void SolveTwo(std::span<std::uint8_t> da, std::span<std::uint8_t> db,
-              std::span<const std::uint8_t> pp,
-              std::span<const std::uint8_t> qp, std::uint8_t g_a,
-              std::uint8_t g_b);
-
 // ---------------------------------------------------------------------------
 // Scalar reference kernels (byte-at-a-time; differential testing + bench
 // baselines only).
@@ -180,13 +163,8 @@ void XorAccScalar(std::span<std::uint8_t> out,
                   std::span<const std::uint8_t> in);
 void MulAccScalar(std::span<std::uint8_t> out, std::uint8_t coeff,
                   std::span<const std::uint8_t> in);
-void ScaleScalar(std::span<std::uint8_t> buf, std::uint8_t coeff);
 void PQAccScalar(std::span<std::uint8_t> p, std::span<std::uint8_t> q,
                  std::span<const std::uint8_t> in);
-void SolveTwoScalar(std::span<std::uint8_t> da, std::span<std::uint8_t> db,
-                    std::span<const std::uint8_t> pp,
-                    std::span<const std::uint8_t> qp, std::uint8_t g_a,
-                    std::uint8_t g_b);
 
 }  // namespace ros::gf256
 

@@ -79,19 +79,6 @@ void MulAccSimd(std::uint8_t* out, const std::uint8_t* in, std::size_t n,
   }
 }
 
-void ScaleSimd(std::uint8_t* buf, std::size_t n, const NibbleTables& t) {
-  const __m128i lo_t = LoadTable(t.lo);
-  const __m128i hi_t = LoadTable(t.hi);
-  const __m128i low_mask = _mm_set1_epi8(0x0F);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    Store(buf + i, MulVec(Load(buf + i), lo_t, hi_t, low_mask));
-  }
-  for (; i < n; ++i) {
-    buf[i] = NibbleMul(t, buf[i]);
-  }
-}
-
 void PQAccSimd(std::uint8_t* p, std::uint8_t* q, const std::uint8_t* d,
                std::size_t n) {
   const __m128i poly = _mm_set1_epi8(0x1D);
@@ -120,31 +107,6 @@ void QDoubleSimd(std::uint8_t* q, std::size_t n) {
   }
 }
 
-void SolveTwoSimd(std::uint8_t* da, std::uint8_t* db, const std::uint8_t* pp,
-                  const std::uint8_t* qp, std::size_t n,
-                  const NibbleTables& t_gb, const NibbleTables& t_inv) {
-  const __m128i gb_lo = LoadTable(t_gb.lo);
-  const __m128i gb_hi = LoadTable(t_gb.hi);
-  const __m128i inv_lo = LoadTable(t_inv.lo);
-  const __m128i inv_hi = LoadTable(t_inv.hi);
-  const __m128i low_mask = _mm_set1_epi8(0x0F);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i vpp = Load(pp + i);
-    const __m128i t =
-        _mm_xor_si128(Load(qp + i), MulVec(vpp, gb_lo, gb_hi, low_mask));
-    const __m128i va = MulVec(t, inv_lo, inv_hi, low_mask);
-    Store(da + i, va);
-    Store(db + i, _mm_xor_si128(vpp, va));
-  }
-  for (; i < n; ++i) {
-    const std::uint8_t v = NibbleMul(
-        t_inv, static_cast<std::uint8_t>(qp[i] ^ NibbleMul(t_gb, pp[i])));
-    da[i] = v;
-    db[i] = static_cast<std::uint8_t>(pp[i] ^ v);
-  }
-}
-
 #else  // !defined(__SSSE3__)
 
 bool SimdAvailable() { return false; }
@@ -153,19 +115,11 @@ void MulAccSimd(std::uint8_t*, const std::uint8_t*, std::size_t,
                 const NibbleTables&) {
   ROS_CHECK(false);
 }
-void ScaleSimd(std::uint8_t*, std::size_t, const NibbleTables&) {
-  ROS_CHECK(false);
-}
 void PQAccSimd(std::uint8_t*, std::uint8_t*, const std::uint8_t*,
                std::size_t) {
   ROS_CHECK(false);
 }
 void QDoubleSimd(std::uint8_t*, std::size_t) { ROS_CHECK(false); }
-void SolveTwoSimd(std::uint8_t*, std::uint8_t*, const std::uint8_t*,
-                  const std::uint8_t*, std::size_t, const NibbleTables&,
-                  const NibbleTables&) {
-  ROS_CHECK(false);
-}
 
 #endif  // defined(__SSSE3__)
 

@@ -4,7 +4,7 @@
 #include <cstring>
 #include <map>
 
-#include "src/common/gf256.h"
+#include "src/common/erasure.h"
 #include "src/sim/join.h"
 
 namespace ros::disk {
@@ -12,12 +12,6 @@ namespace ros::disk {
 namespace {
 
 constexpr std::uint64_t kDiscard = ~0ull;
-
-// Index of data chunk k within stripe s for GF Q-parity coefficients: the
-// coefficient is g^k regardless of which physical device holds the chunk.
-std::span<const std::uint8_t> SpanOf(const std::vector<std::uint8_t>& v) {
-  return {v.data(), v.size()};
-}
 
 }  // namespace
 
@@ -55,13 +49,24 @@ RaidVolume::RaidVolume(sim::Simulator& sim, RaidLevel level,
   drained_ = std::make_unique<sim::ConditionVariable>(sim_);
 }
 
-int RaidVolume::PDevice(std::uint64_t stripe) const {
+int RaidVolume::ParityDevice(std::uint64_t stripe, int row) const {
   const int n = num_devices();
-  return n - 1 - static_cast<int>(stripe % n);
+  return (n - 1 - static_cast<int>(stripe % n) + row) % n;
 }
 
-int RaidVolume::QDevice(std::uint64_t stripe) const {
-  return (PDevice(stripe) + 1) % num_devices();
+int RaidVolume::ShardDevice(std::uint64_t stripe, int shard) const {
+  return shard < data_n_ ? DataChunk(stripe, shard).device
+                         : ParityDevice(stripe, shard - data_n_);
+}
+
+std::vector<std::span<const std::uint8_t>> RaidVolume::StripeShards(
+    const std::uint8_t* base) const {
+  std::vector<std::span<const std::uint8_t>> shards;
+  shards.reserve(data_n_);
+  for (int k = 0; k < data_n_; ++k) {
+    shards.emplace_back(base + k * stripe_unit_, stripe_unit_);
+  }
+  return shards;
 }
 
 RaidVolume::ChunkLoc RaidVolume::DataChunk(std::uint64_t stripe,
@@ -74,9 +79,9 @@ RaidVolume::ChunkLoc RaidVolume::DataChunk(std::uint64_t stripe,
     case RaidLevel::kRaid1:
       return {0, dev_offset};  // canonical copy; mirrors handled separately
     case RaidLevel::kRaid5:
-      return {(PDevice(stripe) + 1 + k) % n, dev_offset};
     case RaidLevel::kRaid6:
-      return {(QDevice(stripe) + 1 + k) % n, dev_offset};
+      // Data follows the parity rows round-robin.
+      return {(ParityDevice(stripe, parity_count()) + k) % n, dev_offset};
   }
   ROS_CHECK(false);
   return {0, 0};
@@ -161,23 +166,6 @@ sim::Task<Status> RaidVolume::Write(std::uint64_t offset,
   co_return co_await WriteStripes(first, last, buffer);
 }
 
-void RaidVolume::ComputeStripeParity(const std::uint8_t* base,
-                                     std::span<std::uint8_t> p,
-                                     std::span<std::uint8_t> q) const {
-  if (parity_count() >= 2) {
-    // Fused single sweep: every data chunk feeds P and Q at once. The
-    // Horner recurrence (q = 2q ^ d) wants the highest-coefficient chunk
-    // first, so walk the stripe back-to-front.
-    for (int k = data_n_ - 1; k >= 0; --k) {
-      gf256::PQAcc(p, q, {base + k * stripe_unit_, stripe_unit_});
-    }
-  } else if (parity_count() == 1) {
-    for (int k = 0; k < data_n_; ++k) {
-      gf256::XorAcc(p, {base + k * stripe_unit_, stripe_unit_});
-    }
-  }
-}
-
 sim::Task<Status> RaidVolume::WriteStripes(
     std::uint64_t first, std::uint64_t last,
     std::vector<std::uint8_t> data) {
@@ -189,25 +177,20 @@ sim::Task<Status> RaidVolume::WriteStripes(
   for (std::uint64_t stripe = first; stripe < last; ++stripe) {
     const std::uint8_t* base =
         data.data() + (stripe - first) * stripe_bytes_;
-    std::vector<std::uint8_t> p(stripe_unit_, 0);
-    std::vector<std::uint8_t> q(stripe_unit_, 0);
+    const auto chunks = StripeShards(base);
     for (int k = 0; k < data_n_; ++k) {
-      std::span<const std::uint8_t> chunk{base + k * stripe_unit_,
-                                          stripe_unit_};
       ChunkLoc loc = DataChunk(stripe, k);
       segments[loc.device].push_back(
           {loc.dev_offset,
-           std::vector<std::uint8_t>(chunk.begin(), chunk.end())});
+           std::vector<std::uint8_t>(chunks[k].begin(), chunks[k].end())});
     }
-    ComputeStripeParity(base, p, q);
-    if (parity_count() >= 1) {
-      segments[PDevice(stripe)].push_back(
-          {stripe * stripe_unit_, std::move(p)});
-      parity_bytes += stripe_bytes_;
+    if (parity_count() == 0) {
+      continue;
     }
-    if (parity_count() >= 2) {
-      segments[QDevice(stripe)].push_back(
-          {stripe * stripe_unit_, std::move(q)});
+    ec::Encoded parity = ec::Encode(chunks, parity_count());
+    for (int r = 0; r < parity_count(); ++r) {
+      segments[ParityDevice(stripe, r)].push_back(
+          {stripe * stripe_unit_, std::move(parity.rows[r])});
       parity_bytes += stripe_bytes_;
     }
   }
@@ -375,21 +358,19 @@ sim::Task<Status> RaidVolume::WriteCached(std::uint64_t offset,
 void RaidVolume::StoreStripesDirect(std::uint64_t first, std::uint64_t last,
                                     const std::vector<std::uint8_t>& data) {
   for (std::uint64_t stripe = first; stripe < last; ++stripe) {
-    const std::uint8_t* base = data.data() + (stripe - first) * stripe_bytes_;
-    std::vector<std::uint8_t> p(stripe_unit_, 0);
-    std::vector<std::uint8_t> q(stripe_unit_, 0);
+    const auto chunks =
+        StripeShards(data.data() + (stripe - first) * stripe_bytes_);
     for (int k = 0; k < data_n_; ++k) {
-      std::span<const std::uint8_t> chunk{base + k * stripe_unit_,
-                                          stripe_unit_};
       ChunkLoc loc = DataChunk(stripe, k);
-      devices_[loc.device]->StoreDirect(loc.dev_offset, chunk);
+      devices_[loc.device]->StoreDirect(loc.dev_offset, chunks[k]);
     }
-    ComputeStripeParity(base, p, q);
-    if (parity_count() >= 1) {
-      devices_[PDevice(stripe)]->StoreDirect(stripe * stripe_unit_, p);
+    if (parity_count() == 0) {
+      continue;
     }
-    if (parity_count() >= 2) {
-      devices_[QDevice(stripe)]->StoreDirect(stripe * stripe_unit_, q);
+    const ec::Encoded parity = ec::Encode(chunks, parity_count());
+    for (int r = 0; r < parity_count(); ++r) {
+      devices_[ParityDevice(stripe, r)]->StoreDirect(stripe * stripe_unit_,
+                                                     parity.rows[r]);
     }
   }
 }
@@ -529,15 +510,11 @@ sim::Task<Status> RaidVolume::ReadHealthy(std::uint64_t offset,
     // a 7-HDD RAID-5 reads at 6x — not 7x — one device's rate (§3.3).
     if (k == 0 && chunk_off == 0 && within == 0 &&
         pos + stripe_bytes_ <= offset + length) {
-      if (parity_count() >= 1) {
-        segments[PDevice(stripe)].push_back(
+      for (int r = 0; r < parity_count(); ++r) {
+        const int device = ParityDevice(stripe, r);
+        segments[device].push_back(
             {stripe * stripe_unit_, std::vector<std::uint8_t>(stripe_unit_)});
-        out_offsets[PDevice(stripe)].push_back(kDiscard);
-      }
-      if (parity_count() >= 2) {
-        segments[QDevice(stripe)].push_back(
-            {stripe * stripe_unit_, std::vector<std::uint8_t>(stripe_unit_)});
-        out_offsets[QDevice(stripe)].push_back(kDiscard);
+        out_offsets[device].push_back(kDiscard);
       }
     }
     pos += n;
@@ -566,134 +543,57 @@ sim::Task<Status> RaidVolume::ReadHealthy(std::uint64_t offset,
 sim::Task<Status> RaidVolume::ReadStripeData(std::uint64_t stripe,
                                              std::vector<std::uint8_t>* out,
                                              int exclude) {
-  out->assign(stripe_bytes_, 0);
-  const auto unavailable = [&](int device) {
-    return devices_[device]->failed() || device == exclude;
-  };
-
-  // Figure out which chunks are readable.
-  struct Piece {
-    int k;  // data chunk index, or -1 for P, -2 for Q
-    int device;
-    std::vector<std::uint8_t> data;
-    bool ok = false;
-  };
-  std::vector<Piece> pieces;
-  std::vector<int> missing_data;
-  for (int k = 0; k < data_n_; ++k) {
-    ChunkLoc loc = DataChunk(stripe, k);
-    if (unavailable(loc.device)) {
-      missing_data.push_back(k);
+  // Shards 0..data_n_-1 are the data chunks, then the parity rows.
+  const int num_shards = data_n_ + parity_count();
+  std::vector<std::vector<std::uint8_t>> shards(num_shards);
+  std::vector<int> erased;
+  std::vector<int> readable;
+  int erased_data = 0;
+  for (int s = 0; s < num_shards; ++s) {
+    const int device = ShardDevice(stripe, s);
+    if (devices_[device]->failed() || device == exclude) {
+      erased.push_back(s);
+      erased_data += s < data_n_ ? 1 : 0;
     } else {
-      pieces.push_back({k, loc.device, {}, false});
+      readable.push_back(s);
     }
   }
-  bool p_ok = false;
-  bool q_ok = false;
-  if (parity_count() >= 1 && !unavailable(PDevice(stripe))) {
-    pieces.push_back({-1, PDevice(stripe), {}, false});
-    p_ok = true;
-  }
-  if (parity_count() >= 2 && !unavailable(QDevice(stripe))) {
-    pieces.push_back({-2, QDevice(stripe), {}, false});
-    q_ok = true;
-  }
-  if (missing_data.size() >
-      static_cast<std::size_t>((p_ok ? 1 : 0) + (q_ok ? 1 : 0))) {
+  const int readable_parity =
+      parity_count() - (static_cast<int>(erased.size()) - erased_data);
+  if (erased_data > readable_parity) {
     co_return DataLossError("stripe unrecoverable: too many failures");
   }
 
   // Read all surviving chunks of the stripe in parallel.
   std::vector<sim::Task<Status>> ops;
-  for (Piece& piece : pieces) {
-    piece.data.resize(stripe_unit_);
-    std::vector<StorageDevice::Segment> segs;
-    segs.push_back({stripe * stripe_unit_,
-                    std::vector<std::uint8_t>(stripe_unit_)});
-    // Capture results through a small coroutine per piece.
+  ops.reserve(readable.size());
+  for (const int s : readable) {
     ops.push_back([](StorageDevice* device, std::uint64_t off,
+                     std::uint64_t length,
                      std::vector<std::uint8_t>* dst) -> sim::Task<Status> {
-      auto result = co_await device->Read(off, dst->size());
+      auto result = co_await device->Read(off, length);
       if (!result.ok()) {
         co_return result.status();
       }
       *dst = std::move(result).value();
       co_return OkStatus();
-    }(devices_[piece.device], stripe * stripe_unit_, &piece.data));
+    }(devices_[ShardDevice(stripe, s)], stripe * stripe_unit_, stripe_unit_,
+                  &shards[s]));
   }
   ROS_CO_RETURN_IF_ERROR(co_await sim::AllOk(sim_, std::move(ops)));
 
-  // Place surviving data chunks; collect parity buffers.
-  const std::vector<std::uint8_t>* p_buf = nullptr;
-  const std::vector<std::uint8_t>* q_buf = nullptr;
-  for (const Piece& piece : pieces) {
-    if (piece.k >= 0) {
-      std::memcpy(out->data() + piece.k * stripe_unit_, piece.data.data(),
-                  stripe_unit_);
-    } else if (piece.k == -1) {
-      p_buf = &piece.data;
-    } else {
-      q_buf = &piece.data;
-    }
+  if (erased_data > 0) {
+    // Reconstruction. Charge GF/XOR math at memory bandwidth.
+    co_await sim_.Delay(sim::TransferTime(
+        stripe_bytes_ * static_cast<std::uint64_t>(erased_data),
+        kParityComputeBytesPerSec));
+    ROS_CO_RETURN_IF_ERROR(ec::Decode(data_n_, shards, erased));
   }
-
-  if (missing_data.empty()) {
-    co_return OkStatus();
+  out->resize(stripe_bytes_);
+  for (int k = 0; k < data_n_; ++k) {
+    std::memcpy(out->data() + k * stripe_unit_, shards[k].data(),
+                stripe_unit_);
   }
-
-  // Reconstruction. Charge GF/XOR math at memory bandwidth.
-  co_await sim_.Delay(sim::TransferTime(
-      stripe_bytes_ * missing_data.size(), kParityComputeBytesPerSec));
-
-  if (missing_data.size() == 1) {
-    const int a = missing_data[0];
-    std::span<std::uint8_t> da{out->data() + a * stripe_unit_, stripe_unit_};
-    if (p_buf != nullptr) {
-      // D_a = P ^ (xor of surviving data)
-      gf256::XorAcc(da, SpanOf(*p_buf));
-      for (const Piece& piece : pieces) {
-        if (piece.k >= 0) {
-          gf256::XorAcc(da, SpanOf(piece.data));
-        }
-      }
-    } else {
-      // Only Q available: D_a = g^-a * (Q ^ sum g^i D_i)
-      ROS_CHECK(q_buf != nullptr);
-      std::vector<std::uint8_t> acc(*q_buf);
-      for (const Piece& piece : pieces) {
-        if (piece.k >= 0) {
-          gf256::MulAcc(acc, gf256::Pow2(static_cast<unsigned>(piece.k)),
-                        SpanOf(piece.data));
-        }
-      }
-      gf256::Scale(acc, gf256::Inv(gf256::Pow2(static_cast<unsigned>(a))));
-      std::memcpy(da.data(), acc.data(), stripe_unit_);
-    }
-    co_return OkStatus();
-  }
-
-  // Two missing data chunks: needs both P and Q (RAID-6).
-  ROS_CHECK(missing_data.size() == 2);
-  if (p_buf == nullptr || q_buf == nullptr) {
-    co_return DataLossError("two data chunks lost without both parities");
-  }
-  const int a = missing_data[0];
-  const int b = missing_data[1];
-  // P' = P ^ sum(surviving data); Q' = Q ^ sum(g^i * surviving data)
-  std::vector<std::uint8_t> pp(*p_buf);
-  std::vector<std::uint8_t> qp(*q_buf);
-  for (const Piece& piece : pieces) {
-    if (piece.k >= 0) {
-      gf256::XorAcc(pp, SpanOf(piece.data));
-      gf256::MulAcc(qp, gf256::Pow2(static_cast<unsigned>(piece.k)),
-                    SpanOf(piece.data));
-    }
-  }
-  // D_a = (Q' ^ g^b * P') / (g^a ^ g^b);  D_b = P' ^ D_a
-  std::span<std::uint8_t> da{out->data() + a * stripe_unit_, stripe_unit_};
-  std::span<std::uint8_t> db{out->data() + b * stripe_unit_, stripe_unit_};
-  gf256::SolveTwo(da, db, pp, qp, gf256::Pow2(static_cast<unsigned>(a)),
-                  gf256::Pow2(static_cast<unsigned>(b)));
   co_return OkStatus();
 }
 
@@ -731,46 +631,25 @@ sim::Task<Status> RaidVolume::Rebuild(int index) {
     co_return UnavailableError("no live mirror to rebuild from");
   }
 
-  // Parity RAID: reconstruct this device's chunk for every stripe. We mark
-  // the device failed for the duration of each stripe read so the
-  // reconstruction path computes its contents, then write them back.
+  // Parity RAID: reconstruct this device's chunk for every stripe. The
+  // stripe read treats the device as unavailable so the decode computes
+  // its data chunks; parity chunks are re-encoded from the stripe.
   for (std::uint64_t stripe = 0; stripe < num_stripes_; ++stripe) {
-    // Identify what lives on `index` in this stripe.
-    int role_k = -100;
-    if (parity_count() >= 1 && PDevice(stripe) == index) {
-      role_k = -1;
-    } else if (parity_count() >= 2 && QDevice(stripe) == index) {
-      role_k = -2;
-    } else {
-      for (int k = 0; k < data_n_; ++k) {
-        if (DataChunk(stripe, k).device == index) {
-          role_k = k;
-          break;
-        }
-      }
+    int shard = 0;
+    while (ShardDevice(stripe, shard) != index) {
+      ++shard;
     }
-    if (role_k == -100) {
-      continue;  // RAID-0 has no redundancy; nothing to rebuild from
-    }
-
     std::vector<std::uint8_t> stripe_data;
     ROS_CO_RETURN_IF_ERROR(
         co_await ReadStripeData(stripe, &stripe_data, /*exclude=*/index));
-
-    std::vector<std::uint8_t> chunk(stripe_unit_, 0);
-    if (role_k >= 0) {
-      std::memcpy(chunk.data(), stripe_data.data() + role_k * stripe_unit_,
-                  stripe_unit_);
-    } else if (role_k == -1) {
-      for (int k = 0; k < data_n_; ++k) {
-        gf256::XorAcc(chunk, {stripe_data.data() + k * stripe_unit_,
-                              stripe_unit_});
-      }
+    std::vector<std::uint8_t> chunk;
+    if (shard < data_n_) {
+      chunk.assign(stripe_data.begin() + shard * stripe_unit_,
+                   stripe_data.begin() + (shard + 1) * stripe_unit_);
     } else {
-      for (int k = 0; k < data_n_; ++k) {
-        gf256::MulAcc(chunk, gf256::Pow2(static_cast<unsigned>(k)),
-                      {stripe_data.data() + k * stripe_unit_, stripe_unit_});
-      }
+      ec::Encoded parity =
+          ec::Encode(StripeShards(stripe_data.data()), parity_count());
+      chunk = std::move(parity.rows[shard - data_n_]);
     }
     ROS_CO_RETURN_IF_ERROR(
         co_await target->Write(stripe * stripe_unit_, std::move(chunk)));

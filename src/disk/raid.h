@@ -2,8 +2,8 @@
 //
 // ROS configures its two SSDs as a RAID-1 metadata volume and its fourteen
 // HDDs as two RAID-5 arrays. This is a real implementation: data is
-// striped, parity is computed (XOR for RAID-5; P+Q Reed-Solomon over
-// GF(2^8) for RAID-6), reads reconstruct around failed devices, and a
+// striped, parity is computed by the ec:: Reed-Solomon codec (P alone for
+// RAID-5; P+Q for RAID-6), reads decode around failed devices, and a
 // replaced device can be rebuilt stripe by stripe.
 //
 // Layout is left-symmetric: for stripe s over n devices, the P chunk lives
@@ -98,11 +98,16 @@ class RaidVolume : public BlockDevice {
     }
   }
 
-  // Device index of the P chunk for a stripe.
-  int PDevice(std::uint64_t stripe) const;
-  int QDevice(std::uint64_t stripe) const;
+  // Device holding parity row `row` (0 = P, 1 = Q) of a stripe.
+  int ParityDevice(std::uint64_t stripe, int row) const;
   // Location of data chunk k (0-based) within a stripe.
   ChunkLoc DataChunk(std::uint64_t stripe, int k) const;
+  // Device holding erasure-code shard `shard` of a stripe: data chunks
+  // 0..data_n_-1, then the parity rows.
+  int ShardDevice(std::uint64_t stripe, int shard) const;
+  // The data chunks of one stripe laid out contiguously at `base`.
+  std::vector<std::span<const std::uint8_t>> StripeShards(
+      const std::uint8_t* base) const;
 
   // Reads a whole stripe's data chunks (reconstructing around failures)
   // into `out` (stripe_unit * data_n_ bytes). `exclude` treats one extra
@@ -115,13 +120,6 @@ class RaidVolume : public BlockDevice {
   // starts at stripe `first`. Computes and writes parity.
   sim::Task<Status> WriteStripes(std::uint64_t first, std::uint64_t last,
                                  std::vector<std::uint8_t> data);
-
-  // Fills p (and, for RAID-6, q) with the parity of one stripe's data
-  // chunks at `base` using the fused single-sweep P+Q kernel. Both spans
-  // must be stripe_unit_ bytes and zero-initialized.
-  void ComputeStripeParity(const std::uint8_t* base,
-                           std::span<std::uint8_t> p,
-                           std::span<std::uint8_t> q) const;
 
   // Fast path used when no device is failed.
   sim::Task<Status> ReadHealthy(std::uint64_t offset, std::uint64_t length,

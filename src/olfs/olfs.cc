@@ -1,8 +1,9 @@
 #include "src/olfs/olfs.h"
 
 #include <algorithm>
-#include <cstring>
+#include <optional>
 
+#include "src/common/erasure.h"
 #include "src/common/logging.h"
 #include "src/udf/serializer.h"
 
@@ -746,7 +747,7 @@ sim::Task<void> Olfs::TrayReadaheadTask(std::string image_id,
     if (member == image_id) {
       continue;
     }
-    if (member.ends_with("-P") || member.ends_with("-Q")) {
+    if (ParityRowOf(member).has_value()) {
       continue;
     }
     auto sibling = images_->Lookup(member);
@@ -1076,47 +1077,41 @@ sim::Task<Status> Olfs::RefreshImage(std::string image_id) {
   co_return co_await RepairImage(image_id, std::move(image));
 }
 
-namespace {
-
-bool HasSuffix(const std::string& s, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return s.size() > n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
-}  // namespace
-
 sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReconstructFromParity(
     std::string image_id) {
   ROS_CO_ASSIGN_OR_RETURN(const ImageRecord* record,
                           images_->Lookup(image_id));
-  // Gather surviving member streams + the parity stream(s). A member
-  // whose own media turns out damaged (kDataLoss) is added to the missing
-  // set rather than failing the recovery: under the RAID-6 schema a
-  // second data loss degrades to the double-erasure solve, and a damaged
-  // parity stream just drops out of the available set (§4.7).
+  // Gather surviving member streams + the parity stream(s) as erasure-code
+  // shards: the data members keep their order and parity row r follows
+  // them at shard k + r. A member whose own media turns out damaged
+  // (kDataLoss) is erased rather than failing the recovery: under the
+  // RAID-6 schema a second data loss degrades to the double-erasure solve,
+  // and a damaged parity stream just drops out of the readable rows (§4.7).
   const std::vector<std::string> members = record->array_members;
   if (members.empty()) {
     co_return DataLossError("no parity membership recorded for " + image_id);
   }
-  std::vector<std::vector<std::uint8_t>> streams(members.size());
-  std::vector<std::uint8_t> p_stream;
-  std::vector<std::uint8_t> q_stream;
-  bool have_p = false;
-  bool have_q = false;
-  std::vector<int> missing;  // positions of lost *data* members
-  for (std::size_t k = 0; k < members.size(); ++k) {
-    const std::string member = members[k];
-    const bool is_p = HasSuffix(member, "-P");
-    const bool is_q = HasSuffix(member, "-Q");
+  const int k = static_cast<int>(
+      std::count_if(members.begin(), members.end(), [](const std::string& m) {
+        return !ParityRowOf(m).has_value();
+      }));
+  std::vector<std::vector<std::uint8_t>> shards(members.size());
+  std::vector<int> erased;
+  int next_data = 0;
+  int requested = -1;
+  for (const std::string& member : members) {
+    const std::optional<int> row = ParityRowOf(member);
+    const int shard = row.has_value() ? k + *row : next_data++;
+    // Build() names the rows 0..m-1 of an array with m parity members.
+    ROS_CHECK(shard < static_cast<int>(shards.size()));
     if (member == image_id) {
-      missing.push_back(static_cast<int>(k));
+      requested = row.has_value() ? -1 : shard;
+      erased.push_back(shard);
       continue;
     }
     auto lookup = images_->Lookup(member);
     if (!lookup.ok() || !(*lookup)->disc.has_value()) {
-      if (!is_p && !is_q) {
-        missing.push_back(static_cast<int>(k));
-      }
+      erased.push_back(shard);
       continue;
     }
     ROS_CO_ASSIGN_OR_RETURN(FetchLease lease,
@@ -1128,10 +1123,7 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReconstructFromParity(
     drive::Disc* member_disc = lease.drive()->disc();
     auto session = member_disc->FindSession(member);
     if (!session.ok()) {
-      if (is_p || is_q) {
-        continue;
-      }
-      missing.push_back(static_cast<int>(k));
+      erased.push_back(shard);
       continue;
     }
     const std::uint64_t stream_bytes = (*session)->data.size();
@@ -1145,70 +1137,20 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReconstructFromParity(
       if (stream.status().code() != StatusCode::kDataLoss) {
         co_return stream.status();  // mech trouble, not media rot
       }
-      if (!is_p && !is_q) {
-        missing.push_back(static_cast<int>(k));
-      }
+      erased.push_back(shard);
       continue;
     }
-    if (is_p) {
-      p_stream = std::move(*stream);
-      have_p = true;
-    } else if (is_q) {
-      q_stream = std::move(*stream);
-      have_q = true;
-    } else {
-      streams[k] = std::move(*stream);
-    }
+    shards[shard] = std::move(*stream);
   }
-  // Strip parity slots from the member list (they were appended last) and
-  // translate the missing set into data-stream indices.
-  std::vector<std::vector<std::uint8_t>> data_streams;
-  std::vector<int> missing_data;
-  int requested_data_index = -1;
-  for (std::size_t k = 0; k < members.size(); ++k) {
-    const std::string& member = members[k];
-    if (HasSuffix(member, "-P") || HasSuffix(member, "-Q")) {
-      continue;
-    }
-    const int data_index = static_cast<int>(data_streams.size());
-    if (std::find(missing.begin(), missing.end(), static_cast<int>(k)) !=
-        missing.end()) {
-      missing_data.push_back(data_index);
-    }
-    if (member == image_id) {
-      requested_data_index = data_index;
-    }
-    data_streams.push_back(std::move(streams[k]));
-  }
-  if (requested_data_index < 0) {
+  if (requested < 0) {
     co_return InternalError("corrupted image not in its own array");
   }
-  if (missing_data.size() == 1) {
-    if (have_p) {
-      co_return ParityBuilder::Recover(data_streams, {p_stream},
-                                       missing_data[0]);
-    }
-    if (have_q) {
-      // P rotted along with the data member; the Reed-Solomon parity
-      // alone still solves a single erasure.
-      co_return ParityBuilder::RecoverOneFromQ(data_streams, q_stream,
-                                               missing_data[0]);
-    }
-    co_return DataLossError("parity of " + image_id + " unreadable");
+  Status decoded = ec::Decode(k, shards, erased);
+  if (!decoded.ok()) {
+    co_return Status(decoded.code(),
+                     "array of " + image_id + ": " + decoded.message());
   }
-  if (missing_data.size() == 2 && have_p && have_q) {
-    ROS_CO_ASSIGN_OR_RETURN(
-        auto pair, ParityBuilder::RecoverTwo(data_streams, p_stream,
-                                             q_stream, missing_data[0],
-                                             missing_data[1]));
-    co_return requested_data_index == missing_data[0]
-                  ? std::move(pair.first)
-                  : std::move(pair.second);
-  }
-  co_return DataLossError(
-      "array of " + image_id + " lost " +
-      std::to_string(missing_data.size()) +
-      " data members; beyond what the available parity can recover");
+  co_return std::move(shards[requested]);
 }
 
 sim::Task<Status> Olfs::RepairImage(std::string image_id,
@@ -1421,10 +1363,7 @@ sim::Task<StatusOr<RecoveryReport>> Olfs::RebuildNamespace(
         }
         // Parity discs carry raw parity of the serialized streams, not a
         // UDF volume (§4.7); register them without parsing.
-        const bool parity = session.image_id.size() > 2 &&
-                            (session.image_id.ends_with("-P") ||
-                             session.image_id.ends_with("-Q"));
-        if (parity) {
+        if (ParityRowOf(session.image_id).has_value()) {
           (void)images_->RegisterRecovered(session.image_id, true,
                                            mech::DiscAddress{tray, i},
                                            session.logical_size);

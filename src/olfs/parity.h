@@ -8,15 +8,15 @@
 // concurrent streams §4.7 schedules across independent RAID volumes.
 //
 // Parity is computed for real over the serialized image byte streams
-// (padded to the longest), so a lost disc is reconstructed bit-exactly by
-// ParityBuilder::Recover.
+// (padded to the longest) by the ec:: Reed-Solomon codec, so a lost disc is
+// reconstructed bit-exactly by ec::Decode.
 #ifndef ROS_SRC_OLFS_PARITY_H_
 #define ROS_SRC_OLFS_PARITY_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -38,6 +38,10 @@ struct ParityImage {
   std::vector<std::string> member_ids;  // the protected data images
 };
 
+// Parity row of a parity image id (0 = P, 1 = Q, the "-P"/"-Q" suffix
+// Build() gives it), or nullopt for a data image id.
+std::optional<int> ParityRowOf(const std::string& id);
+
 class ParityBuilder {
  public:
   ParityBuilder(sim::Simulator& sim, const OlfsParams& params,
@@ -57,41 +61,13 @@ class ParityBuilder {
       std::vector<std::string> data_ids,
       std::vector<disk::Volume*> data_volumes, int parity_volume_index);
 
-  // Reconstructs one missing serialized data-image stream from the
-  // survivors + parity streams. `missing_index` is the position of the
-  // lost member within `member_streams` (which holds empty vectors at the
-  // missing slots). Pure computation; the caller charges I/O.
-  static StatusOr<std::vector<std::uint8_t>> Recover(
-      const std::vector<std::vector<std::uint8_t>>& member_streams,
-      const std::vector<std::vector<std::uint8_t>>& parity_streams,
-      int missing_index);
-
-  // Single loss with P unreadable: recovers one missing data stream from
-  // the survivors plus the Q (Reed-Solomon) parity alone:
-  //   D_j = (Q ^ sum_{i != j} g^i D_i) * g^-j.
-  static StatusOr<std::vector<std::uint8_t>> RecoverOneFromQ(
-      const std::vector<std::vector<std::uint8_t>>& member_streams,
-      const std::vector<std::uint8_t>& q_stream, int missing_index);
-
-  // RAID-6 schema (§4.7, 10+2): reconstructs TWO missing data streams
-  // from the survivors plus both the P and Q parity streams. Returns the
-  // pair in (missing_a, missing_b) order. Uses the standard Reed-Solomon
-  // double-erasure solve over GF(2^8):
-  //   D_a = (Q' ^ g^b P') / (g^a ^ g^b),  D_b = P' ^ D_a.
-  static StatusOr<std::pair<std::vector<std::uint8_t>,
-                            std::vector<std::uint8_t>>>
-  RecoverTwo(const std::vector<std::vector<std::uint8_t>>& member_streams,
-             const std::vector<std::uint8_t>& p_stream,
-             const std::vector<std::uint8_t>& q_stream, int missing_a,
-             int missing_b);
-
   // Retrieves the cached parity bytes for an id (kept by the builder until
   // burned; benches use this). O(1) via the id index.
   StatusOr<const ParityImage*> Get(const std::string& id) const;
 
-  // Test hook: number of member-stream kernel sweeps performed by the most
-  // recent Build(). Stays equal to the member count even when both P and Q
-  // are generated (the fused kernel feeds both in one pass).
+  // Test hook: number of member-stream kernel sweeps ec::Encode reported
+  // for the most recent Build(). Stays equal to the member count even when
+  // both P and Q are generated (the fused kernel feeds both in one pass).
   int last_build_stream_passes() const { return last_build_stream_passes_; }
 
  private:

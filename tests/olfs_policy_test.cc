@@ -5,7 +5,6 @@
 
 #include <memory>
 
-#include "src/common/gf256.h"
 #include "src/common/rng.h"
 #include "src/olfs/olfs.h"
 #include "src/olfs/parity.h"
@@ -160,54 +159,6 @@ TEST(Raid6Schema, BurnsAndScrubsWithTwoParityImages) {
   auto data = sim.RunUntilComplete(olfs.Read("/r6/a", 0, payload.size()));
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(*data, payload);
-}
-
-// Dual-erasure recovery of serialized streams (the RAID-6 math itself).
-TEST(RecoverTwo, ReconstructsAnyTwoMissingStreams) {
-  constexpr int kMembers = 6;
-  std::vector<std::vector<std::uint8_t>> streams;
-  std::size_t max_len = 0;
-  for (int i = 0; i < kMembers; ++i) {
-    streams.push_back(RandomBytes(1000 + i * 137, 100 + i));
-    max_len = std::max(max_len, streams.back().size());
-  }
-  // Build P and Q over zero-padded streams.
-  std::vector<std::uint8_t> p(max_len, 0);
-  std::vector<std::uint8_t> q(max_len, 0);
-  for (int k = 0; k < kMembers; ++k) {
-    ros::gf256::XorAcc(p, streams[k]);
-    ros::gf256::MulAcc(q, ros::gf256::Pow2(static_cast<unsigned>(k)),
-                       streams[k]);
-  }
-
-  for (int a = 0; a < kMembers; ++a) {
-    for (int b = a + 1; b < kMembers; ++b) {
-      auto survivors = streams;
-      auto original_a = survivors[a];
-      auto original_b = survivors[b];
-      survivors[a].clear();
-      survivors[b].clear();
-      auto recovered = ParityBuilder::RecoverTwo(survivors, p, q, a, b);
-      ASSERT_TRUE(recovered.ok()) << a << "," << b;
-      EXPECT_TRUE(std::equal(original_a.begin(), original_a.end(),
-                             recovered->first.begin()));
-      EXPECT_TRUE(std::equal(original_b.begin(), original_b.end(),
-                             recovered->second.begin()));
-    }
-  }
-}
-
-TEST(RecoverTwo, RejectsBadArguments) {
-  std::vector<std::vector<std::uint8_t>> streams(4);
-  streams[0] = {1};
-  streams[3] = {2};
-  std::vector<std::uint8_t> p{0};
-  std::vector<std::uint8_t> q{0};
-  EXPECT_FALSE(ParityBuilder::RecoverTwo(streams, p, q, 1, 1).ok());
-  EXPECT_FALSE(ParityBuilder::RecoverTwo(streams, p, q, 1, 9).ok());
-  EXPECT_FALSE(ParityBuilder::RecoverTwo(streams, p, q, 0, 1).ok());
-  std::vector<std::uint8_t> q_long{0, 0};
-  EXPECT_FALSE(ParityBuilder::RecoverTwo(streams, p, q_long, 1, 2).ok());
 }
 
 // §5.1's power reference points.

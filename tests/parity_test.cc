@@ -5,6 +5,7 @@
 
 #include <memory>
 
+#include "src/common/erasure.h"
 #include "src/common/gf256.h"
 #include "src/disk/block_device.h"
 #include "src/olfs/bucket_manager.h"
@@ -109,6 +110,9 @@ TEST_F(ParityTest, Raid6BuildsPAndQ) {
   ASSERT_EQ(parities->size(), 2u);
   EXPECT_TRUE((*parities)[0].id.ends_with("-P"));
   EXPECT_TRUE((*parities)[1].id.ends_with("-Q"));
+  EXPECT_EQ(ParityRowOf((*parities)[0].id), 0);
+  EXPECT_EQ(ParityRowOf((*parities)[1].id), 1);
+  EXPECT_EQ(ParityRowOf(ids[0]), std::nullopt);
   auto p = builder_->Get((*parities)[0].id);
   auto q = builder_->Get((*parities)[1].id);
   ASSERT_TRUE(p.ok());
@@ -172,21 +176,20 @@ TEST_F(ParityTest, Raid6DoubleLossRoundTripThroughFusedPath) {
   }
   for (int a = 0; a < 5; ++a) {
     for (int b = a + 1; b < 5; ++b) {
-      auto survivors = streams;
-      std::vector<std::uint8_t> orig_a = survivors[a];
-      std::vector<std::uint8_t> orig_b = survivors[b];
-      survivors[a].clear();
-      survivors[b].clear();
-      auto recovered = ParityBuilder::RecoverTwo(survivors, (*p)->bytes,
-                                                 (*q)->bytes, a, b);
-      ASSERT_TRUE(recovered.ok()) << a << "," << b;
-      EXPECT_TRUE(std::equal(orig_a.begin(), orig_a.end(),
-                             recovered->first.begin()));
-      EXPECT_TRUE(std::equal(orig_b.begin(), orig_b.end(),
-                             recovered->second.begin()));
+      auto shards = streams;
+      shards.push_back((*p)->bytes);
+      shards.push_back((*q)->bytes);
+      shards[a].clear();
+      shards[b].clear();
+      const int erased[] = {a, b};
+      ASSERT_TRUE(ec::Decode(5, shards, erased).ok()) << a << "," << b;
+      EXPECT_TRUE(std::equal(streams[a].begin(), streams[a].end(),
+                             shards[a].begin()));
+      EXPECT_TRUE(std::equal(streams[b].begin(), streams[b].end(),
+                             shards[b].begin()));
       // Both recovered streams must parse back to the lost images.
-      auto parsed_a = udf::Serializer::Parse(recovered->first);
-      auto parsed_b = udf::Serializer::Parse(recovered->second);
+      auto parsed_a = udf::Serializer::Parse(shards[a]);
+      auto parsed_b = udf::Serializer::Parse(shards[b]);
       ASSERT_TRUE(parsed_a.ok());
       ASSERT_TRUE(parsed_b.ok());
       EXPECT_EQ(parsed_a->id(), ids[a]);
@@ -197,7 +200,7 @@ TEST_F(ParityTest, Raid6DoubleLossRoundTripThroughFusedPath) {
 
 // When the P disc rots along with a data member, the Reed-Solomon Q
 // parity alone still solves the single erasure.
-TEST_F(ParityTest, RecoverOneFromQAloneWhenPIsUnreadable) {
+TEST_F(ParityTest, DecodesFromQAloneWhenPIsUnreadable) {
   params_.parity_images = 2;
   builder_ = std::make_unique<ParityBuilder>(sim_, params_, &images_);
   std::vector<std::string> ids;
@@ -215,31 +218,38 @@ TEST_F(ParityTest, RecoverOneFromQAloneWhenPIsUnreadable) {
     auto record = images_.Lookup(id);
     streams.push_back(udf::Serializer::Serialize(*(*record)->image));
   }
+  // Shards 0-4 are the members, 5 is the unreadable P, 6 is Q.
+  const auto with_q_only = [&] {
+    auto shards = streams;
+    shards.emplace_back();
+    shards.push_back((*q)->bytes);
+    return shards;
+  };
   for (int missing = 0; missing < 5; ++missing) {
-    auto survivors = streams;
-    auto original = std::move(survivors[missing]);
-    survivors[missing].clear();
-    auto recovered =
-        ParityBuilder::RecoverOneFromQ(survivors, (*q)->bytes, missing);
-    ASSERT_TRUE(recovered.ok()) << "missing " << missing;
-    ASSERT_GE(recovered->size(), original.size());
+    auto shards = with_q_only();
+    shards[missing].clear();
+    const int erased[] = {missing, 5};
+    ASSERT_TRUE(ec::Decode(5, shards, erased).ok()) << "missing " << missing;
+    const auto& original = streams[missing];
+    ASSERT_GE(shards[missing].size(), original.size());
     EXPECT_TRUE(std::equal(original.begin(), original.end(),
-                           recovered->begin()));
-    auto parsed = udf::Serializer::Parse(*recovered);
+                           shards[missing].begin()));
+    auto parsed = udf::Serializer::Parse(shards[missing]);
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(parsed->id(), ids[missing]);
   }
-  // Guards mirror Recover(): occupied missing slot, double loss.
-  auto survivors = streams;
-  survivors[0].clear();
-  EXPECT_FALSE(
-      ParityBuilder::RecoverOneFromQ(survivors, (*q)->bytes, 1).ok());
-  survivors[1].clear();
-  EXPECT_FALSE(
-      ParityBuilder::RecoverOneFromQ(survivors, (*q)->bytes, 0).ok());
+  // Guards: occupied erased slot, double loss with one readable row.
+  auto shards = with_q_only();
+  shards[0].clear();
+  const int occupied[] = {1, 5};
+  EXPECT_EQ(ec::Decode(5, shards, occupied).code(),
+            StatusCode::kInvalidArgument);
+  shards[1].clear();
+  const int double_loss[] = {0, 1, 5};
+  EXPECT_EQ(ec::Decode(5, shards, double_loss).code(), StatusCode::kDataLoss);
 }
 
-TEST_F(ParityTest, RecoverReconstructsAnyMissingMember) {
+TEST_F(ParityTest, DecodeReconstructsAnyMissingMember) {
   std::vector<std::string> ids;
   for (int i = 0; i < 5; ++i) {
     ids.push_back(MakeImage(20 + i));
@@ -257,18 +267,18 @@ TEST_F(ParityTest, RecoverReconstructsAnyMissingMember) {
   }
 
   for (int missing = 0; missing < 5; ++missing) {
-    auto survivors = streams;
-    auto original = std::move(survivors[missing]);
-    survivors[missing].clear();
-    auto recovered = ParityBuilder::Recover(
-        survivors, {(*p_image)->bytes}, missing);
-    ASSERT_TRUE(recovered.ok()) << "missing " << missing;
+    auto shards = streams;
+    shards.push_back((*p_image)->bytes);
+    shards[missing].clear();
+    const int erased[] = {missing};
+    ASSERT_TRUE(ec::Decode(5, shards, erased).ok()) << "missing " << missing;
     // Zero-padded to the parity length; the prefix is the original.
-    ASSERT_GE(recovered->size(), original.size());
+    const auto& original = streams[missing];
+    ASSERT_GE(shards[missing].size(), original.size());
     EXPECT_TRUE(std::equal(original.begin(), original.end(),
-                           recovered->begin()));
+                           shards[missing].begin()));
     // And the recovered stream parses back to a valid image.
-    auto parsed = udf::Serializer::Parse(*recovered);
+    auto parsed = udf::Serializer::Parse(shards[missing]);
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(parsed->id(), ids[missing]);
   }
@@ -293,15 +303,15 @@ TEST_F(ParityTest, RecoveredShortMemberParsesToItsExactStream) {
   for (const auto& id : ids) {
     streams.push_back(*(*images_.Lookup(id))->image->stream());
   }
-  auto survivors = streams;
-  const std::vector<std::uint8_t> original = std::move(survivors[0]);
-  survivors[0].clear();
-  auto recovered =
-      ParityBuilder::Recover(survivors, {(*p_image)->bytes}, 0);
-  ASSERT_TRUE(recovered.ok());
-  ASSERT_GT(recovered->size(), original.size());  // padded
+  auto shards = streams;
+  shards.push_back((*p_image)->bytes);
+  const std::vector<std::uint8_t> original = std::move(shards[0]);
+  shards[0].clear();
+  const int erased[] = {0};
+  ASSERT_TRUE(ec::Decode(4, shards, erased).ok());
+  ASSERT_GT(shards[0].size(), original.size());  // padded
 
-  auto parsed = udf::Serializer::Parse(*recovered);
+  auto parsed = udf::Serializer::Parse(shards[0]);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(*parsed->stream(), original);
   EXPECT_EQ(udf::Serializer::Serialize(*parsed), original);
@@ -317,21 +327,6 @@ TEST_F(ParityTest, BuildReadsTheSharedStreamsWithoutEncoding) {
       builder_->Build(ids, volume_ptrs_, 0));
   ASSERT_TRUE(parities.ok());
   EXPECT_EQ(udf::Serializer::tree_encodes(), before);
-}
-
-TEST_F(ParityTest, RecoverRejectsBadInputs) {
-  std::vector<std::vector<std::uint8_t>> streams(3,
-                                                 std::vector<std::uint8_t>{1});
-  EXPECT_FALSE(ParityBuilder::Recover(streams, {}, 0).ok());
-  EXPECT_FALSE(ParityBuilder::Recover(streams, {{1}}, 7).ok());
-  // Missing slot must be empty.
-  EXPECT_FALSE(ParityBuilder::Recover(streams, {{1}}, 1).ok());
-  // A member stream longer than the P stream is a graceful error, not a
-  // ROS_CHECK abort inside the XOR kernel.
-  std::vector<std::vector<std::uint8_t>> long_member{{}, {1, 2, 3}, {1}};
-  auto overlong = ParityBuilder::Recover(long_member, {{9}}, 0);
-  ASSERT_FALSE(overlong.ok());
-  EXPECT_EQ(overlong.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(ParityTest, BuildRequiresBufferedImages) {

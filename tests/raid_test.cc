@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -170,6 +171,31 @@ TEST(Raid6, WritesWhileDoubleDegradedThenRebuild) {
   auto read = rig.sim.RunUntilComplete(rig.volume->Read(0, data.size()));
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, data);
+}
+
+// Rebuild must regenerate parity chunks, not just data: after rebuilding
+// devices 1 and 3, any two OTHER devices fail, so every read decodes
+// through what the rebuild wrote. P and Q rotate across the stripes, so
+// the rebuilt devices hold data, P and Q chunks.
+TEST(Raid6, RebuiltDevicesHoldCorrectPAndQ) {
+  Rig rig(RaidLevel::kRaid6, 5);
+  auto data = rig.MakeData(2 * kMiB, 9);
+  ASSERT_TRUE(rig.sim.RunUntilComplete(rig.volume->Write(0, data)).ok());
+  rig.devices[1]->Fail();
+  rig.devices[3]->Fail();
+  rig.devices[1]->Replace();
+  ASSERT_TRUE(rig.sim.RunUntilComplete(rig.volume->Rebuild(1)).ok());
+  rig.devices[3]->Replace();
+  ASSERT_TRUE(rig.sim.RunUntilComplete(rig.volume->Rebuild(3)).ok());
+  for (auto [a, b] : {std::pair{0, 2}, std::pair{0, 4}, std::pair{2, 4}}) {
+    rig.devices[a]->Fail();
+    rig.devices[b]->Fail();
+    auto read = rig.sim.RunUntilComplete(rig.volume->Read(0, data.size()));
+    ASSERT_TRUE(read.ok()) << a << "," << b;
+    EXPECT_EQ(*read, data) << a << "," << b;
+    rig.devices[a]->Revive();
+    rig.devices[b]->Revive();
+  }
 }
 
 TEST(Raid1, MirrorsSurviveSingleFailureAndRebuild) {
