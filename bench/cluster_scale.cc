@@ -109,7 +109,7 @@ sim::Task<Status> ClientRead(olfs::Cluster* cluster, int client,
         co_await cluster->Get(BucketOf(client), KeyOf(f), hint);
     ROS_CO_RETURN_IF_ERROR(data.status());
     latencies->push_back(sim::ToSeconds(sim->now() - t0));
-    hashes->push_back(Fnv1a64(*data));
+    hashes->push_back(Xxh64(*data));
   }
   co_return OkStatus();
 }

@@ -432,7 +432,7 @@ sim::Task<Status> TraceReader(olfs::Olfs* olfs, int stream, bool hints,
           co_await olfs->Read(TracePath(stream, f), offset, n, hint);
       ROS_CO_RETURN_IF_ERROR(data.status());
       latencies->push_back(sim::ToSeconds(sim->now() - t0));
-      hashes->push_back(Fnv1a64(*data));
+      hashes->push_back(Xxh64(*data));
     }
   }
   co_return OkStatus();

@@ -232,6 +232,9 @@ void FuzzAuditManifest(const std::uint8_t* data, std::size_t size) {
             "ParseAuditManifest failed with a non-parse status");
     return;
   }
+  Require(parsed->version == olfs::kAuditV1 ||
+              parsed->version == olfs::kAuditV2,
+          "accepted audit manifest has an unknown version");
   // Accepted manifests are internally verified: stored member roots and
   // the array root must recompute from the stored leaves.
   for (const olfs::AuditMember& member : parsed->members) {
@@ -249,6 +252,8 @@ void FuzzAuditManifest(const std::uint8_t* data, std::size_t size) {
           "audit manifest codec is not canonical");
   StatusOr<olfs::AuditManifest> reparsed = olfs::ParseAuditManifest(ser1);
   Require(reparsed.ok(), "re-serialized audit manifest does not parse");
+  Require(reparsed->version == parsed->version,
+          "re-serialized audit manifest changed its version");
 }
 
 }  // namespace ros::fuzz

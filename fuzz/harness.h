@@ -40,7 +40,8 @@ void FuzzMvLog(const std::uint8_t* data, std::size_t size);
 
 // olfs::ParseAuditManifest (DESIGN.md §5j): arbitrary bytes parse to a
 // fully root-verified manifest or fail with kInvalidArgument/kDataLoss,
-// and every accepted manifest re-serializes to the identical blob.
+// and every accepted manifest (version 1 or 2) re-serializes to the
+// identical blob and re-parses under the same version.
 void FuzzAuditManifest(const std::uint8_t* data, std::size_t size);
 
 }  // namespace ros::fuzz

@@ -188,10 +188,16 @@ int main(int argc, char** argv) {
   }
 
   // --- audit-manifest seeds (emitted by the real codec) ---
-  {
+  // One set per format version: v1 (FNV-1a leaves) manifests are still
+  // read back from older MVs, v2 (XXH64 leaves) is what burns write now.
+  for (const std::uint32_t version :
+       {ros::olfs::kAuditV1, ros::olfs::kAuditV2}) {
+    const fs::path dir = root / "audit";
+    const std::string prefix = "seed_v" + std::to_string(version) + "_";
     // A RAID-6-shaped array: two data members, P and Q, with real leaf
     // hashes over distinct synthetic streams.
     ros::olfs::AuditManifest manifest;
+    manifest.version = version;
     manifest.tray_index = 3;
     manifest.leaf_bytes = 64;
     const char* ids[] = {"img-0001", "img-0002", "img-0001-P", "img-0001-Q"};
@@ -204,40 +210,40 @@ int main(int argc, char** argv) {
       member.image_id = ids[m];
       member.stream_bytes = stream.size();
       member.leaves =
-          ros::olfs::AuditLeafHashes(stream, manifest.leaf_bytes);
+          ros::olfs::AuditLeafHashes(stream, manifest.leaf_bytes, version);
       member.root = ros::olfs::AuditMerkleRoot(member.leaves);
       manifest.members.push_back(std::move(member));
     }
     manifest.array_root = ros::olfs::AuditArrayRoot(manifest);
     const std::vector<std::uint8_t> blob =
         ros::olfs::SerializeAuditManifest(manifest);
-    WriteBytes(root / "audit" / "seed_array.bin", blob);
+    WriteBytes(dir / (prefix + "array.bin"), blob);
 
     // Truncated mid-leaf-table: the parser must reject it cleanly.
     std::vector<std::uint8_t> cut(blob.begin(), blob.end() - 11);
-    WriteBytes(root / "audit" / "seed_truncated.bin", cut);
+    WriteBytes(dir / (prefix + "truncated.bin"), cut);
 
     // One flipped leaf-hash bit: CRC (or a root recompute) must catch it.
     std::vector<std::uint8_t> flipped = blob;
     flipped[flipped.size() / 2] ^= 0x04;
-    WriteBytes(root / "audit" / "seed_bitflip.bin", flipped);
-  }
-  {
+    WriteBytes(dir / (prefix + "bitflip.bin"), flipped);
+
     // Degenerate but legal shapes: an empty array and an empty member.
-    ros::olfs::AuditManifest manifest;
-    manifest.tray_index = 0;
-    manifest.leaf_bytes = 4096;
-    manifest.array_root = ros::olfs::AuditArrayRoot(manifest);
-    WriteBytes(root / "audit" / "seed_empty_array.bin",
-               ros::olfs::SerializeAuditManifest(manifest));
+    ros::olfs::AuditManifest empty_array;
+    empty_array.version = version;
+    empty_array.tray_index = 0;
+    empty_array.leaf_bytes = 4096;
+    empty_array.array_root = ros::olfs::AuditArrayRoot(empty_array);
+    WriteBytes(dir / (prefix + "empty_array.bin"),
+               ros::olfs::SerializeAuditManifest(empty_array));
 
     ros::olfs::AuditMember empty;
     empty.image_id = "img-empty";
     empty.root = ros::olfs::AuditMerkleRoot(empty.leaves);
-    manifest.members.push_back(std::move(empty));
-    manifest.array_root = ros::olfs::AuditArrayRoot(manifest);
-    WriteBytes(root / "audit" / "seed_empty_member.bin",
-               ros::olfs::SerializeAuditManifest(manifest));
+    empty_array.members.push_back(std::move(empty));
+    empty_array.array_root = ros::olfs::AuditArrayRoot(empty_array);
+    WriteBytes(dir / (prefix + "empty_member.bin"),
+               ros::olfs::SerializeAuditManifest(empty_array));
   }
 
   std::printf("seed corpus written under %s\n", root.string().c_str());

@@ -11,7 +11,6 @@ namespace ros::olfs {
 namespace {
 
 constexpr char kMagic[8] = {'R', 'O', 'S', 'A', 'U', 'D', 'T', '1'};
-constexpr std::uint32_t kVersion = 1;
 constexpr char kDirectoryKey[] = "audit/dir";
 // Fuzz-input sanity caps; real arrays have 12 members and the member id
 // is a short image id.
@@ -105,12 +104,15 @@ StatusOr<std::vector<std::uint8_t>> HexDecode(const std::string& hex) {
 
 }  // namespace
 
-std::uint64_t AuditHashLeaf(std::span<const std::uint8_t> chunk) {
-  return Fnv1a64(chunk);
+std::uint64_t AuditHashLeaf(std::span<const std::uint8_t> chunk,
+                            std::uint32_t version) {
+  ROS_CHECK(version == kAuditV1 || version == kAuditV2);
+  return version == kAuditV1 ? Fnv1a64(chunk) : Xxh64(chunk);
 }
 
 std::vector<std::uint64_t> AuditLeafHashes(
-    std::span<const std::uint8_t> stream, std::uint64_t leaf_bytes) {
+    std::span<const std::uint8_t> stream, std::uint64_t leaf_bytes,
+    std::uint32_t version) {
   std::vector<std::uint64_t> leaves;
   if (leaf_bytes == 0) {
     return leaves;
@@ -119,7 +121,7 @@ std::vector<std::uint64_t> AuditLeafHashes(
        at += static_cast<std::size_t>(leaf_bytes)) {
     const std::size_t n = std::min<std::size_t>(
         static_cast<std::size_t>(leaf_bytes), stream.size() - at);
-    leaves.push_back(AuditHashLeaf(stream.subspan(at, n)));
+    leaves.push_back(AuditHashLeaf(stream.subspan(at, n), version));
   }
   return leaves;
 }
@@ -163,7 +165,7 @@ std::vector<std::uint8_t> SerializeAuditManifest(
     const AuditManifest& manifest) {
   std::vector<std::uint8_t> out;
   out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
-  PutU32(kVersion, &out);
+  PutU32(manifest.version, &out);
   PutU64(static_cast<std::uint64_t>(manifest.tray_index), &out);
   PutU64(manifest.leaf_bytes, &out);
   PutU32(static_cast<std::uint32_t>(manifest.members.size()), &out);
@@ -203,11 +205,11 @@ StatusOr<AuditManifest> ParseAuditManifest(
       magic != std::string(kMagic, sizeof(kMagic))) {
     return InvalidArgumentError("bad audit manifest magic");
   }
-  std::uint32_t version = 0;
-  if (!in.ReadU32(&version) || version != kVersion) {
+  AuditManifest manifest;
+  if (!in.ReadU32(&manifest.version) ||
+      (manifest.version != kAuditV1 && manifest.version != kAuditV2)) {
     return InvalidArgumentError("unsupported audit manifest version");
   }
-  AuditManifest manifest;
   std::uint64_t tray = 0;
   std::uint32_t member_count = 0;
   if (!in.ReadU64(&tray) || !in.ReadU64(&manifest.leaf_bytes) ||
@@ -298,7 +300,8 @@ sim::Task<Status> AuditRegistry::OnArrayBurned(
     AuditMember member;
     member.image_id = id;
     member.stream_bytes = stream.size();
-    member.leaves = AuditLeafHashes(stream, manifest.leaf_bytes);
+    member.leaves =
+        AuditLeafHashes(stream, manifest.leaf_bytes, manifest.version);
     member.root = AuditMerkleRoot(member.leaves);
     manifest.members.push_back(std::move(member));
   }

@@ -14,6 +14,14 @@
 // latent corruption of a sampled leaf is provably detected, because the
 // stored chain from leaf hash to array root must recompute exactly.
 //
+// Two format versions differ only in the leaf hash. Version 1 hashes each
+// leaf with bytewise FNV-1a 64; version 2, the only one built today, with
+// XXH64 (seed 0), which reads whole 64-bit words and runs about eight
+// times faster. Manifests already persisted as v1 still parse and verify
+// under FNV-1a. The Merkle fold above the leaves is FNV-1a in both
+// versions: it hashes 16 bytes per node, so it costs nothing measurable,
+// and keeping it fixed means the root checks in Parse do not fork.
+//
 // The binary manifest format is a durable-state parser like the index
 // file, the UDF image and the MV log, and is hardened the same way:
 // arbitrary input parses to a fully verified manifest or fails cleanly
@@ -38,15 +46,20 @@
 
 namespace ros::olfs {
 
+inline constexpr std::uint32_t kAuditV1 = 1;  // FNV-1a 64 leaves
+inline constexpr std::uint32_t kAuditV2 = 2;  // XXH64 leaves
+inline constexpr std::uint32_t kAuditCurrentVersion = kAuditV2;
+
 // One burned member's hash tree.
 struct AuditMember {
   std::string image_id;
   std::uint64_t stream_bytes = 0;          // burned payload length
-  std::vector<std::uint64_t> leaves;       // FNV-1a 64 per leaf chunk
+  std::vector<std::uint64_t> leaves;       // per leaf chunk, version's hash
   std::uint64_t root = 0;                  // Merkle fold of `leaves`
 };
 
 struct AuditManifest {
+  std::uint32_t version = kAuditCurrentVersion;  // selects the leaf hash
   std::int64_t tray_index = 0;
   std::uint64_t leaf_bytes = 0;
   std::vector<AuditMember> members;
@@ -55,9 +68,12 @@ struct AuditManifest {
 
 // --- hash-tree math (shared by builder, verifier and fuzz harness) ---
 
-std::uint64_t AuditHashLeaf(std::span<const std::uint8_t> chunk);
+// Leaf hash of manifest `version` (kAuditV1 or kAuditV2).
+std::uint64_t AuditHashLeaf(std::span<const std::uint8_t> chunk,
+                            std::uint32_t version = kAuditCurrentVersion);
 std::vector<std::uint64_t> AuditLeafHashes(
-    std::span<const std::uint8_t> stream, std::uint64_t leaf_bytes);
+    std::span<const std::uint8_t> stream, std::uint64_t leaf_bytes,
+    std::uint32_t version = kAuditCurrentVersion);
 // Binary Merkle fold; an odd trailing node is promoted unchanged. The
 // root of zero leaves is a fixed sentinel, so empty members still chain.
 std::uint64_t AuditMerkleRoot(const std::vector<std::uint64_t>& leaves);
@@ -67,11 +83,13 @@ std::uint64_t AuditArrayRoot(const AuditManifest& manifest);
 // Layout: magic "ROSAUDT1" | version u32 | tray i64 | leaf_bytes u64 |
 // member_count u32 | per member (id_len u32, id, stream_bytes u64,
 // leaf_count u32, leaves u64[n], root u64) | array_root u64 | crc32 u32.
-// All integers little-endian.
+// All integers little-endian. Versions 1 and 2 share this layout; the
+// version field alone says which hash produced `leaves`.
 
 std::vector<std::uint8_t> SerializeAuditManifest(
     const AuditManifest& manifest);
 // Strict parse: bounds-checked, CRC-verified (mismatch = kDataLoss),
+// version 1 or 2 (any other = kInvalidArgument),
 // stored member roots and array root recomputed from the leaves and
 // required to match (mismatch = kDataLoss); any structural problem is
 // kInvalidArgument. Never trusts a length field beyond the input size.

@@ -266,8 +266,9 @@ sim::Task<StatusOr<AuditReport>> ScrubManager::RunAudit(
           continue;
         }
         if (bytes->size() != len ||
-            AuditHashLeaf(std::span<const std::uint8_t>(
-                bytes->data(), bytes->size())) != member.leaves[leaf]) {
+            AuditHashLeaf(std::span<const std::uint8_t>(bytes->data(),
+                                                        bytes->size()),
+                          manifests[m].version) != member.leaves[leaf]) {
           ++member_bad;  // silent corruption: hash chain breaks
         }
       }

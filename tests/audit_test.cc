@@ -1,17 +1,24 @@
-// Audit manifest codec + Merkle math (DESIGN.md §5j). Pure unit tests:
-// the physical (sampled-read) verification path lives in
-// preservation_test.cc; here we prove the hash tree behaves and that the
-// binary parser fails *cleanly* on arbitrary damage — the same contract
-// the fuzz harness (FuzzAuditManifest) hammers continuously.
+// Audit manifest codec + Merkle math (DESIGN.md §5j). The unit tests prove
+// the hash tree behaves and that the binary parser fails *cleanly* on
+// arbitrary damage — the same contract the fuzz harness
+// (FuzzAuditManifest) hammers continuously. The physical (sampled-read)
+// verification path lives in preservation_test.cc; the full-stack tests
+// here cover only the format versions: a v1 manifest already in the MV
+// must keep verifying under its own leaf hash.
 #include "src/olfs/audit.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/rng.h"
+#include "src/common/units.h"
+#include "src/olfs/olfs.h"
 
 namespace ros::olfs {
 namespace {
@@ -25,8 +32,9 @@ std::vector<std::uint8_t> RandomBytes(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
-AuditManifest SampleManifest() {
+AuditManifest SampleManifest(std::uint32_t version = kAuditCurrentVersion) {
   AuditManifest manifest;
+  manifest.version = version;
   manifest.tray_index = 7;
   manifest.leaf_bytes = 1024;
   for (int m = 0; m < 3; ++m) {
@@ -36,7 +44,7 @@ AuditManifest SampleManifest() {
     member.stream_bytes = stream.size();
     member.leaves = AuditLeafHashes(
         std::span<const std::uint8_t>(stream.data(), stream.size()),
-        manifest.leaf_bytes);
+        manifest.leaf_bytes, version);
     member.root = AuditMerkleRoot(member.leaves);
     manifest.members.push_back(std::move(member));
   }
@@ -62,6 +70,18 @@ TEST(AuditMerkle, LeafHashingCoversEveryChunkBoundary) {
   EXPECT_EQ(AuditLeafHashes(view.subspan(0, 2048), 1024).size(), 2u);
   // leaf_bytes=0 is the disabled configuration: no leaves at all.
   EXPECT_TRUE(AuditLeafHashes(view, 0).empty());
+}
+
+TEST(AuditMerkle, LeafHashFollowsTheVersion) {
+  const auto chunk = RandomBytes(5000, 2);
+  const std::span<const std::uint8_t> view(chunk.data(), chunk.size());
+  EXPECT_EQ(AuditHashLeaf(view, kAuditV1), Fnv1a64(view));
+  EXPECT_EQ(AuditHashLeaf(view, kAuditV2), Xxh64(view));
+  EXPECT_EQ(AuditHashLeaf(view), AuditHashLeaf(view, kAuditV2));
+  EXPECT_EQ(AuditLeafHashes(view, 1024, kAuditV1)[4],
+            Fnv1a64(view.subspan(4096)));
+  EXPECT_EQ(AuditLeafHashes(view, 1024)[4], Xxh64(view.subspan(4096)));
+  EXPECT_EQ(AuditManifest{}.version, kAuditV2);
 }
 
 TEST(AuditMerkle, RootPropertiesHoldForAllShapes) {
@@ -103,6 +123,39 @@ TEST(AuditCodec, RoundTripPreservesEveryField) {
   }
   // Serialize(Parse(x)) == x: the codec is canonical.
   EXPECT_EQ(SerializeAuditManifest(*parsed), blob);
+}
+
+TEST(AuditCodec, RoundTripKeepsTheVersion) {
+  for (std::uint32_t version : {kAuditV1, kAuditV2}) {
+    const AuditManifest manifest = SampleManifest(version);
+    const std::vector<std::uint8_t> blob = SerializeAuditManifest(manifest);
+    auto parsed = ParseAuditManifest(
+        std::span<const std::uint8_t>(blob.data(), blob.size()));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->version, version);
+    EXPECT_EQ(parsed->members[0].leaves, manifest.members[0].leaves);
+    EXPECT_EQ(SerializeAuditManifest(*parsed), blob);
+  }
+  // The two versions differ in the leaves they carry, not in size.
+  EXPECT_NE(SampleManifest(kAuditV1).members[0].leaves,
+            SampleManifest(kAuditV2).members[0].leaves);
+  EXPECT_EQ(SerializeAuditManifest(SampleManifest(kAuditV1)).size(),
+            SerializeAuditManifest(SampleManifest(kAuditV2)).size());
+}
+
+// A well-formed manifest (valid CRC and roots) under an unknown version
+// names a leaf hash the reader does not have: a structural rejection.
+TEST(AuditCodec, UnknownVersionsAreInvalidArgument) {
+  for (std::uint32_t version : {0u, 3u}) {
+    AuditManifest manifest = SampleManifest();
+    manifest.version = version;
+    const std::vector<std::uint8_t> blob = SerializeAuditManifest(manifest);
+    auto parsed = ParseAuditManifest(
+        std::span<const std::uint8_t>(blob.data(), blob.size()));
+    ASSERT_FALSE(parsed.ok()) << "version " << version;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+        << "version " << version << ": " << parsed.status().ToString();
+  }
 }
 
 TEST(AuditCodec, EveryTruncationFailsCleanly) {
@@ -155,6 +208,162 @@ TEST(AuditCodec, InternallyInconsistentRootsAreDataLoss) {
       std::span<const std::uint8_t>(blob2.data(), blob2.size()));
   ASSERT_FALSE(parsed2.ok());
   EXPECT_EQ(parsed2.status().code(), StatusCode::kDataLoss);
+}
+
+// ------------------------------------------------------------------
+// Full stack: manifests of both versions in the MV, verified by RunAudit.
+// ------------------------------------------------------------------
+
+std::string HexEncode(std::span<const std::uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+class AuditVersionTest : public ::testing::Test {
+ protected:
+  AuditVersionTest() {
+    OlfsParams params;
+    params.disc_type = drive::DiscType::kBdr25;
+    params.disc_capacity_override = 16 * kMiB;
+    params.read_cache_bytes = 0;  // force optical reads
+    params.audit_leaf_bytes = 4 * kKiB;
+    system_ = std::make_unique<RosSystem>(sim_, TestSystemConfig());
+    olfs_ = std::make_unique<Olfs>(sim_, system_.get(), params);
+    olfs_->burns().burn_start_interval = sim::Seconds(1);
+  }
+  ~AuditVersionTest() override { sim_.Shutdown(); }
+
+  // Writes one file and burns it, so it gets an array (and manifest) of
+  // its own.
+  void BurnFile(const std::string& path, std::uint64_t seed) {
+    const auto data = RandomBytes(48 * kKiB, seed);
+    ASSERT_TRUE(
+        sim_.RunUntilComplete(olfs_->Create(path, data, data.size())).ok());
+    ASSERT_TRUE(sim_.RunUntilComplete(olfs_->FlushAndDrain()).ok());
+  }
+
+  std::vector<AuditManifest> Manifests() {
+    auto manifests = sim_.RunUntilComplete(olfs_->audit().LoadManifests());
+    ROS_CHECK(manifests.ok());
+    return *manifests;
+  }
+
+  drive::Disc* DiscOf(const std::string& image_id) {
+    auto record = olfs_->images().Lookup(image_id);
+    ROS_CHECK(record.ok() && (*record)->disc.has_value());
+    return olfs_->mech().DiscAt(*(*record)->disc);
+  }
+
+  // Rebuilds `manifest` from the burned media under `version`, the way
+  // a build of that version would have hashed the same streams.
+  AuditManifest Rehash(AuditManifest manifest, std::uint32_t version) {
+    manifest.version = version;
+    for (AuditMember& member : manifest.members) {
+      auto stream = DiscOf(member.image_id)
+                        ->ReadSession(member.image_id, 0, member.stream_bytes);
+      ROS_CHECK(stream.ok());
+      member.leaves = AuditLeafHashes(*stream, manifest.leaf_bytes, version);
+      member.root = AuditMerkleRoot(member.leaves);
+    }
+    manifest.array_root = AuditArrayRoot(manifest);
+    return manifest;
+  }
+
+  // Persists `manifest` over the registry's copy for its tray and points
+  // the directory at its root, as an MV written by an older build holds.
+  void Store(const AuditManifest& manifest) {
+    const std::string tray = "t" + std::to_string(manifest.tray_index);
+    const std::vector<std::uint8_t> blob = SerializeAuditManifest(manifest);
+    ASSERT_TRUE(sim_.RunUntilComplete(olfs_->mv().PutState(
+                                          "audit/" + tray,
+                                          json::Value(HexEncode(blob))))
+                    .ok());
+    auto dir = sim_.RunUntilComplete(olfs_->mv().GetState("audit/dir"));
+    ASSERT_TRUE(dir.ok());
+    std::uint8_t root[8];
+    for (int b = 0; b < 8; ++b) {
+      root[b] = static_cast<std::uint8_t>(manifest.array_root >> (8 * b));
+    }
+    dir->as_object()[tray] = json::Value(HexEncode(root));
+    ASSERT_TRUE(
+        sim_.RunUntilComplete(olfs_->mv().PutState("audit/dir", *dir)).ok());
+  }
+
+  AuditReport Audit() {
+    auto report = sim_.RunUntilComplete(olfs_->scrub().RunAudit(1.0, 5));
+    ROS_CHECK(report.ok());
+    return *report;
+  }
+
+  sim::Simulator sim_;
+  std::unique_ptr<RosSystem> system_;
+  std::unique_ptr<Olfs> olfs_;
+};
+
+TEST_F(AuditVersionTest, V1ManifestInTheMvAuditsClean) {
+  BurnFile("/v1/a", 1);
+  std::vector<AuditManifest> built = Manifests();
+  ASSERT_EQ(built.size(), 1u);
+  EXPECT_EQ(built[0].version, kAuditV2);  // new burns write v2 only
+
+  Store(Rehash(built[0], kAuditV1));
+  const std::vector<AuditManifest> stored = Manifests();
+  ASSERT_EQ(stored.size(), 1u);
+  EXPECT_EQ(stored[0].version, kAuditV1);
+  EXPECT_NE(stored[0].array_root, built[0].array_root);
+
+  const AuditReport report = Audit();
+  EXPECT_EQ(report.manifests, 1);
+  EXPECT_GT(report.leaves_sampled, 0u);
+  EXPECT_EQ(report.mismatches, 0u);
+  EXPECT_TRUE(report.damaged.empty());
+}
+
+TEST_F(AuditVersionTest, TamperedLeafUnderV1ManifestIsCaught) {
+  BurnFile("/v1/b", 2);
+  const AuditManifest v1 = Rehash(Manifests()[0], kAuditV1);
+  Store(v1);
+  const std::string victim = v1.members[0].image_id;
+  ASSERT_TRUE(DiscOf(victim)->TamperSessionData(victim, 100, 0x40).ok());
+
+  const AuditReport report = Audit();
+  EXPECT_EQ(report.mismatches, 1u);
+  ASSERT_EQ(report.damaged.size(), 1u);
+  EXPECT_EQ(report.damaged[0], victim);
+}
+
+TEST_F(AuditVersionTest, MixedVersionsVerifyEachUnderItsOwnHash) {
+  BurnFile("/mix/a", 3);
+  BurnFile("/mix/b", 4);
+  const std::vector<AuditManifest> built = Manifests();
+  ASSERT_EQ(built.size(), 2u);
+  Store(Rehash(built[0], kAuditV1));
+  ASSERT_EQ(Manifests()[0].version, kAuditV1);
+  ASSERT_EQ(Manifests()[1].version, kAuditV2);
+
+  const AuditReport clean = Audit();
+  EXPECT_EQ(clean.manifests, 2);
+  EXPECT_EQ(clean.mismatches, 0u);
+
+  // Relabel the v2 manifest as v1 without rehashing: its XXH64 leaves no
+  // longer match the FNV-1a the audit now applies, so every member of that
+  // array fails while the genuine v1 array still verifies.
+  AuditManifest mislabeled = built[1];
+  mislabeled.version = kAuditV1;
+  Store(mislabeled);
+  const AuditReport caught = Audit();
+  EXPECT_EQ(caught.damaged.size(), built[1].members.size());
+  for (const std::string& id : caught.damaged) {
+    EXPECT_TRUE(std::any_of(
+        built[1].members.begin(), built[1].members.end(),
+        [&id](const AuditMember& member) { return member.image_id == id; }))
+        << id;
+  }
 }
 
 }  // namespace

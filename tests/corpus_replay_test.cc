@@ -12,7 +12,10 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <set>
 #include <vector>
+
+#include "src/olfs/audit.h"
 
 namespace ros::fuzz {
 namespace {
@@ -67,6 +70,21 @@ TEST(CorpusReplay, MvLog) { ReplayAll("mvlog", FuzzMvLog); }
 
 TEST(CorpusReplay, AuditManifest) {
   ReplayAll("audit", FuzzAuditManifest);
+}
+
+// The audit corpus holds a valid seed set of each manifest version, so the
+// replay above walks both leaf hashes and both version values.
+TEST(CorpusReplay, AuditManifestSeedsCoverEveryVersion) {
+  std::set<std::uint32_t> versions;
+  for (const fs::path& file : CorpusFiles("audit")) {
+    const std::vector<std::uint8_t> data = ReadFileBytes(file);
+    auto parsed = olfs::ParseAuditManifest(data);
+    if (parsed.ok()) {
+      versions.insert(parsed->version);
+    }
+  }
+  EXPECT_EQ(versions, (std::set<std::uint32_t>{olfs::kAuditV1,
+                                               olfs::kAuditV2}));
 }
 
 }  // namespace
