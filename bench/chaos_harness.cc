@@ -166,13 +166,31 @@ bool RunSeed(std::uint64_t seed, const Options& opt,
   // Storm over: scrub out latent damage, drain repair re-burns, then
   // prove a from-scratch disc scan still recovers the namespace.
   system.InstallFaultInjector(nullptr);
-  auto scrubbed = sim.RunUntilComplete(olfs->ScrubAndRepair());
+  auto scrubbed = sim.RunUntilComplete(olfs->scrub().RunPass());
   if (!scrubbed.ok()) {
     return fail("scrub: " + scrubbed.status().ToString());
   }
   Status repairs = sim.RunUntilComplete(olfs->FlushAndDrain());
   if (!repairs.ok()) {
     return fail("repair burns: " + repairs.ToString());
+  }
+  // The pass repairs before it refreshes, so an array with no more
+  // damaged members than parity rows loses none: no acked file's image
+  // is left behind on a retired tray.
+  for (const auto& [path, expect] : acked) {
+    auto index = sim.RunUntilComplete(olfs->mv().Get(path));
+    if (!index.ok()) {
+      return fail(path + " index: " + index.status().ToString());
+    }
+    for (const auto& part : (*index->Latest())->parts) {
+      auto record = olfs->images().Lookup(part.image_id);
+      if (record.ok() && (*record)->disc.has_value() &&
+          olfs->da_index().state((*record)->disc->tray) ==
+              ArrayState::kFailed) {
+        return fail(path + " is on retired tray " +
+                    (*record)->disc->tray.ToString());
+      }
+    }
   }
 
   std::set<int> tray_indices;

@@ -68,14 +68,14 @@ int main() {
   std::printf("  direct read: %s\n", broken.status().ToString().c_str());
 
   sim::TimePoint t0 = sim.now();
-  auto repaired = sim.RunUntilComplete(olfs->ScrubAndRepair());
-  ROS_CHECK(repaired.ok());
+  auto pass = sim.RunUntilComplete(olfs->scrub().RunPass());
+  ROS_CHECK(pass.ok());
   ROS_CHECK(sim.RunUntilComplete(olfs->FlushAndDrain()).ok());
   auto healed = sim.RunUntilComplete(
       olfs->Read("/vault/genome.fa", 0, genome.size()));
   ROS_CHECK(healed.ok());
   std::printf("  scrub repaired %d image(s) from parity in %.0f s; "
-              "data %s\n", *repaired, sim::ToSeconds(sim.now() - t0),
+              "data %s\n", pass->repairs, sim::ToSeconds(sim.now() - t0),
               *healed == genome ? "bit-exact" : "CORRUPT");
 
   // --- disaster 2: total controller + MV loss ----------------------

@@ -155,7 +155,9 @@ class Disc {
 
   // Marks the sector at absolute disc offset `sector * kSectorSize` bad.
   void CorruptSector(std::uint64_t sector) { corrupted_.insert(sector); }
-  // Enumerates corrupted sectors in burned area (what a scrub pass finds).
+  // Enumerates corrupted sectors in burned area. A test oracle only
+  // (disc_test, preservation_test): the system finds damage by reading it
+  // back, through ScrubManager::RunPass.
   std::vector<std::uint64_t> ScrubForErrors() const;
   bool HasCorruption() const { return !corrupted_.empty(); }
 

@@ -435,33 +435,6 @@ void Cluster::StartBackgroundPolicies(sim::Duration mv_snapshot_interval,
   }
 }
 
-sim::Task<Status> Cluster::ScrubRack(int rack,
-                                     std::shared_ptr<int> repaired) {
-  RackNode& node = *nodes_.at(static_cast<std::size_t>(rack));
-  if (!node.alive || node.olfs == nullptr) {
-    co_return OkStatus();
-  }
-  ++node.inflight;
-  co_await Hop(rack, "scrub");
-  auto n = co_await node.olfs->ScrubAndRepair();
-  --node.inflight;
-  if (!n.ok()) {
-    co_return n.status();
-  }
-  *repaired += *n;
-  co_return OkStatus();
-}
-
-sim::Task<StatusOr<int>> Cluster::ScrubAndRepair() {
-  auto repaired = std::make_shared<int>(0);
-  std::vector<sim::Task<Status>> scrubs;
-  for (int i = 0; i < racks(); ++i) {
-    scrubs.push_back(ScrubRack(i, repaired));
-  }
-  ROS_CO_RETURN_IF_ERROR(co_await sim::AllOk(sim_, std::move(scrubs)));
-  co_return *repaired;
-}
-
 sim::Task<Status> Cluster::SyncRackState() {
   for (int shard = 0; shard < RoutingTable::kShards; ++shard) {
     ROS_CO_RETURN_IF_ERROR(co_await PersistShard(shard));

@@ -129,9 +129,6 @@ class Cluster {
                                sim::Duration auto_flush_interval,
                                sim::Duration scrub_interval = 0);
 
-  // Scrub passes on every alive rack concurrently; sums repaired images.
-  sim::Task<StatusOr<int>> ScrubAndRepair();
-
   // Persists cluster state into the cluster MV: every routing shard and,
   // per alive rack, the manifest of burned tray indices (what
   // RecoverRack feeds to RebuildNamespace).
@@ -212,7 +209,6 @@ class Cluster {
                               AccessHint hint);
   sim::Task<Status> UnlinkOnRack(int rack, std::string path);
   sim::Task<Status> FlushRack(int rack);
-  sim::Task<Status> ScrubRack(int rack, std::shared_ptr<int> repaired);
 
   // Persists one routing shard to the cluster MV.
   sim::Task<Status> PersistShard(int shard);

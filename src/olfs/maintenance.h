@@ -37,9 +37,6 @@ class Maintenance {
   // requires the MV (and disk buffer) to have survived.
   sim::Task<Status> RestoreFromCheckpoint();
 
-  // Administrative scrub pass (§4.7), as the console's "verify media" op.
-  sim::Task<StatusOr<int>> TriggerScrub() { return olfs_->ScrubAndRepair(); }
-
   static constexpr const char* kCheckpointKey = "controller-checkpoint";
 
  private:

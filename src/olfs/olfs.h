@@ -146,19 +146,13 @@ class Olfs {
   //    admitted to the burn pipeline every `interval` while dirty;
   //  - stale buffered data is flushed (a "pre-defined burning policy",
   //    §4.3) when the open bucket has been idle for `interval`.
-  //  - burned arrays are scrubbed for sector errors during idle periods
-  //    (§4.7) every `scrub_interval`, repairing from parity.
+  //  - burned arrays are scrubbed during idle periods (§4.7) every
+  //    `scrub_interval`: one ScrubManager::RunPass, which repairs damaged
+  //    members from parity before any refresh (DESIGN.md §5j).
   // All run until the simulation ends. Intervals of 0 disable them.
   void StartBackgroundPolicies(sim::Duration mv_snapshot_interval,
                                sim::Duration auto_flush_interval,
                                sim::Duration scrub_interval = 0);
-
-  // Periodic scrub (§4.7): checks burned discs for sector errors and
-  // recovers damaged images from their array's parity onto fresh media
-  // (a new bucket -> image -> burn cycle). Returns repaired image count.
-  // (Metadata-level sweep; the scheduled deep scrub with refresh burns
-  // lives in ScrubManager, DESIGN.md §5j.)
-  sim::Task<StatusOr<int>> ScrubAndRepair();
 
   // Reconstructs one damaged image from its array's parity and re-stages
   // it for a re-burn onto fresh media.

@@ -58,12 +58,14 @@ class ScrubManager {
  public:
   ScrubManager(sim::Simulator& sim, Olfs* olfs) : sim_(sim), olfs_(olfs) {}
 
-  // Walks every burned array: background-class fetch of each member,
-  // full-stream read-back (which is also what materializes media aging in
-  // sim time), parity repair of damaged members, and refresh burns per
-  // the policy knobs (scrub_refresh_enabled, refresh_age_years,
-  // generation_migration_enabled). Ends with a pipeline drain when any
-  // refresh was staged, so the pass leaves the rack fully burned.
+  // The only scrub. Walks every burned array: background-class fetch of
+  // each member, full-stream read-back (which is also what materializes
+  // media aging in sim time), then parity repair of every damaged data
+  // member while all its siblings are still on their discs, and only then
+  // refresh burns per the policy knobs (scrub_refresh_enabled,
+  // refresh_age_years, generation_migration_enabled). Ends with a
+  // pipeline drain when anything was staged, so the pass leaves the rack
+  // fully burned.
   sim::Task<StatusOr<ScrubPassReport>> RunPass();
 
   // Samples `sample_fraction` of each manifest member's leaves (at least
@@ -90,8 +92,9 @@ class ScrubManager {
   // damaged in range; other codes are mech trouble.
   sim::Task<StatusOr<std::uint64_t>> ScrubOneImage(std::string image_id);
 
-  // Re-burns one array onto fresh media: damaged data members through
-  // parity recovery, clean ones as refresh burns; retires the old tray.
+  // Re-stages the clean data members of one array as refresh burns
+  // (RunPass has already repaired the `damaged` ones) and retires the old
+  // tray.
   sim::Task<Status> RefreshArray(int tray_index,
                                  std::vector<std::string> member_ids,
                                  std::vector<std::string> damaged,

@@ -204,7 +204,7 @@ TimePoint RunMixedWorkload(EventHasher* hasher) {
     EXPECT_TRUE(data.ok());
   }
   system.InstallFaultInjector(nullptr);
-  EXPECT_TRUE(sim.RunUntilComplete(olfs->ScrubAndRepair()).ok());
+  EXPECT_TRUE(sim.RunUntilComplete(olfs->scrub().RunPass()).ok());
   const TimePoint end = sim.now();
   sim.Shutdown();
   return end;

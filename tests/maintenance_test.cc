@@ -98,7 +98,7 @@ TEST_F(MaintenanceTest, StatusReportExposesHintTelemetry) {
   EXPECT_GE(after["caches"]["image_ghost_entries"].as_int(), 1);
 }
 
-TEST_F(MaintenanceTest, TriggerScrubRepairs) {
+TEST_F(MaintenanceTest, ScrubPassRepairsAndReportsIt) {
   auto payload = RandomBytes(20 * kKiB, 3);
   ASSERT_TRUE(sim_.RunUntilComplete(
                   olfs_->Create("/m/s", payload, payload.size())).ok());
@@ -109,9 +109,12 @@ TEST_F(MaintenanceTest, TriggerScrubRepairs) {
   ASSERT_TRUE(record.ok());
   olfs_->mech().DiscAt(*(*record)->disc)->CorruptSector(1);
 
-  auto repaired = sim_.RunUntilComplete(mi_->TriggerScrub());
-  ASSERT_TRUE(repaired.ok());
-  EXPECT_EQ(*repaired, 1);
+  auto pass = sim_.RunUntilComplete(olfs_->scrub().RunPass());
+  ASSERT_TRUE(pass.ok()) << pass.status().ToString();
+  EXPECT_EQ(pass->repairs, 1);
+  json::Value report = mi_->StatusReport();
+  EXPECT_EQ(report["preservation"]["scrub_passes"].as_int(), 1);
+  EXPECT_EQ(report["preservation"]["scrub_repairs"].as_int(), 1);
 }
 
 // §4.2: a crashed controller restores from the MV checkpoint — far faster

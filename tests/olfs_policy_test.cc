@@ -152,9 +152,9 @@ TEST(Raid6Schema, BurnsAndScrubsWithTwoParityImages) {
   auto record = olfs.images().Lookup((*index->Latest())->parts[0].image_id);
   ASSERT_TRUE(record.ok());
   olfs.mech().DiscAt(*(*record)->disc)->CorruptSector(1);
-  auto repaired = sim.RunUntilComplete(olfs.ScrubAndRepair());
-  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
-  EXPECT_EQ(*repaired, 1);
+  auto pass = sim.RunUntilComplete(olfs.scrub().RunPass());
+  ASSERT_TRUE(pass.ok()) << pass.status().ToString();
+  EXPECT_EQ(pass->repairs, 1);
   ASSERT_TRUE(sim.RunUntilComplete(olfs.FlushAndDrain()).ok());
   auto data = sim.RunUntilComplete(olfs.Read("/r6/a", 0, payload.size()));
   ASSERT_TRUE(data.ok());

@@ -339,9 +339,9 @@ TEST_F(OlfsTest, ScrubRepairsCorruptedDiscFromParity) {
 
   // The repair already re-staged the image, so the scrub finds nothing
   // further to do.
-  auto repaired = sim_->RunUntilComplete(olfs_->ScrubAndRepair());
-  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
-  EXPECT_EQ(*repaired, 0);
+  auto pass = sim_->RunUntilComplete(olfs_->scrub().RunPass());
+  ASSERT_TRUE(pass.ok()) << pass.status().ToString();
+  EXPECT_EQ(pass->repairs, 0);
 
   auto data = sim_->RunUntilComplete(olfs_->Read("/precious", 0, 100));
   ASSERT_TRUE(data.ok()) << data.status().ToString();
@@ -369,9 +369,9 @@ TEST_F(OlfsTest, ScrubRepairsSilentCorruptionWithoutARead) {
   ASSERT_TRUE((*record)->disc.has_value());
   olfs_->mech().DiscAt(*(*record)->disc)->CorruptSector(1);
 
-  auto repaired = sim_->RunUntilComplete(olfs_->ScrubAndRepair());
-  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
-  EXPECT_EQ(*repaired, 1);
+  auto pass = sim_->RunUntilComplete(olfs_->scrub().RunPass());
+  ASSERT_TRUE(pass.ok()) << pass.status().ToString();
+  EXPECT_EQ(pass->repairs, 1);
   EXPECT_EQ(olfs_->reconstructions(), 1u);
   ASSERT_TRUE(sim_->RunUntilComplete(olfs_->FlushAndDrain()).ok());
 

@@ -3,6 +3,7 @@
 // sampled Merkle audit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -239,6 +240,69 @@ TEST_F(PreservationTest, RepairOnlyModeNeverRetiresArrays) {
   EXPECT_EQ(olfs_->scrub().refresh_burns(), 0u);
   ExpectReadsBack("/keep/solo", payload);
 }
+
+// A damaged data member that is not first in its array's id order is
+// repaired from parity in either policy mode. With refresh on, the pass
+// must rebuild it before re-staging its siblings: a re-staged sibling no
+// longer counts toward the parity solve, so the member would be lost and
+// its tray retired with it.
+class ScrubRepairOrderTest : public PreservationTest,
+                             public ::testing::WithParamInterface<bool> {};
+
+TEST_P(ScrubRepairOrderTest, RepairsDamagedMemberBeforeRefresh) {
+  OlfsParams params = BaseParams();
+  params.scrub_refresh_enabled = GetParam();
+  Reset(params);
+
+  // Three closed buckets burn as one RAID-5 array: 3 data members + P.
+  std::map<std::string, std::vector<std::uint8_t>> acked;
+  for (int i = 0; i < 3; ++i) {
+    const std::string path = "/order/f" + std::to_string(i);
+    auto payload = RandomBytes(20 * kKiB + i * 1000, 40 + i);
+    ASSERT_TRUE(Create(path, payload).ok()) << path;
+    ASSERT_TRUE(
+        sim_->RunUntilComplete(olfs_->buckets().CloseCurrentBucket()).ok());
+    acked[path] = std::move(payload);
+  }
+  ASSERT_TRUE(sim_->RunUntilComplete(olfs_->FlushAndDrain()).ok());
+
+  const std::string victim = BurnedImageOf("/order/f1");
+  auto record = olfs_->images().Lookup(victim);
+  ASSERT_TRUE(record.ok());
+  ASSERT_TRUE((*record)->disc.has_value());
+  std::vector<std::string> data_members;
+  for (const std::string& id : (*record)->array_members) {
+    auto member = olfs_->images().Lookup(id);
+    ASSERT_TRUE(member.ok()) << id;
+    if (!(*member)->parity) {
+      data_members.push_back(id);
+    }
+  }
+  ASSERT_EQ(data_members.size(), 3u);
+  ASSERT_LT(*std::min_element(data_members.begin(), data_members.end()),
+            victim);
+  olfs_->mech().DiscAt(*(*record)->disc)->CorruptSector(1);
+
+  auto pass = sim_->RunUntilComplete(olfs_->scrub().RunPass());
+  ASSERT_TRUE(pass.ok()) << pass.status().ToString();
+  EXPECT_EQ(pass->repairs, 1);
+  auto repaired = olfs_->images().Lookup(victim);
+  ASSERT_TRUE(repaired.ok());
+  if ((*repaired)->disc.has_value()) {
+    EXPECT_NE(olfs_->da_index().state((*repaired)->disc->tray),
+              ArrayState::kFailed)
+        << victim << " was left on a retired tray";
+  }
+  for (const auto& [path, expect] : acked) {
+    ExpectReadsBack(path, expect);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RefreshOnAndOff, ScrubRepairOrderTest, ::testing::Bool(),
+    [](const ::testing::TestParamInfo<bool>& param_info) {
+      return param_info.param ? "RefreshOn" : "RefreshOff";
+    });
 
 // Age-triggered refresh with generation migration: once the media
 // crosses the age threshold the whole array moves to the next
