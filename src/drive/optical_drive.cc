@@ -129,6 +129,17 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> OpticalDrive::Read(
   co_return data;
 }
 
+sim::Task<StatusOr<std::vector<std::uint8_t>>> OpticalDrive::ReadAll(
+    std::string image_id) {
+  if (disc_ == nullptr) {
+    co_return FailedPreconditionError("no disc in drive");
+  }
+  ROS_CO_ASSIGN_OR_RETURN(const Session* session,
+                          disc_->FindSession(image_id));
+  const std::uint64_t n = std::max<std::uint64_t>(1, session->data.size());
+  co_return co_await Read(std::move(image_id), 0, n);
+}
+
 sim::Task<StatusOr<BurnResult>> OpticalDrive::BurnImage(
     std::string image_id, std::uint64_t logical_size,
     std::vector<std::uint8_t> payload, BurnOptions options) {

@@ -105,6 +105,13 @@ class OpticalDrive {
                                                       std::uint64_t offset,
                                                       std::uint64_t length);
 
+  // Reads the whole stream of the session holding `image_id`: Read(0, n)
+  // with n its payload size, and at least 1 byte, so an empty session is
+  // still charged as a read. Fails without charging any time: kNotFound
+  // when the disc has no such session, kFailedPrecondition when the drive
+  // is empty.
+  sim::Task<StatusOr<std::vector<std::uint8_t>>> ReadAll(std::string image_id);
+
   // Burns one disc image as a session. Payload may be sparse (shorter than
   // `logical_size`); timing uses the logical size. In append mode the first
   // burn on a blank disc formats the metadata zone first, and the burn can

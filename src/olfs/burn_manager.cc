@@ -38,12 +38,11 @@ void BurnManager::MaybeStartBurn() {
   // Affinity placement: cluster co-accessed images onto this array. The
   // batch forms over a wider window of closed images so the clusterer has
   // genuine choice of membership (forming at exactly `quota` could only
-  // reorder the same prefix). With no tracker, no recorded edges, or the
-  // feature off, this is exactly the close-order prefix — and the original
-  // fire-at-quota timing — of the pre-hint planner.
-  const bool affinity_active = affinity_ != nullptr &&
-                               params_.affinity_placement_enabled &&
-                               affinity_->edges() > 0;
+  // reorder the same prefix). With no tracker or no recorded edges, this
+  // is exactly the close-order prefix — and the original fire-at-quota
+  // timing — of the pre-hint planner.
+  const bool affinity_active =
+      affinity_ != nullptr && affinity_->edges() > 0;
   const int form_at =
       affinity_active ? quota + params_.affinity_window() : quota;
   if (static_cast<int>(available.size()) < form_at) {
@@ -72,9 +71,8 @@ sim::Task<Status> BurnManager::FlushPartialArray() {
   // exceed the quota here — MaybeStartBurn drains it — so this loop
   // degenerates to at most the original single partial array.)
   const int quota = params_.data_images_per_array();
-  const bool affinity_active = affinity_ != nullptr &&
-                               params_.affinity_placement_enabled &&
-                               affinity_->edges() > 0;
+  const bool affinity_active =
+      affinity_ != nullptr && affinity_->edges() > 0;
   while (static_cast<int>(available.size()) >= quota) {
     std::vector<std::string> batch =
         affinity_active ? affinity_->PlanBatch(available, quota)
@@ -153,11 +151,13 @@ sim::Task<void> BurnManager::BurnArrayTask(
 
   // Burn with two-tier retry. Transient failures (a mechanical fault, a
   // momentarily busy drive) leave the media sound: the same array retries
-  // in place under params.burn_retry's backoff. Permanent failures (burn
-  // errors: suspect media) mark the array kFailed in the DAindex and the
-  // job moves to a fresh empty array.
+  // in place under kBurnRetry's backoff. Permanent failures (burn errors:
+  // suspect media) mark the array kFailed in the DAindex and the job moves
+  // to a fresh empty array.
   constexpr int kMaxArrayRetries = 2;
-  sim::Retrier retrier(sim_, params_.burn_retry,
+  constexpr sim::RetryPolicy kBurnRetry{.max_attempts = 3,
+                                        .initial_backoff = sim::Seconds(5)};
+  sim::Retrier retrier(sim_, kBurnRetry,
                        static_cast<std::uint64_t>(job.tray.ToIndex()) + 1);
   int reallocations = 0;
   while (true) {

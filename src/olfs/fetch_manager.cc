@@ -9,13 +9,17 @@
 namespace ros::olfs {
 
 sim::Task<StatusOr<FetchLease>> FetchManager::FetchDisc(
-    std::string image_id) {
-  sim::Retrier retrier(
-      sim_, params_.mech_retry,
+    std::string image_id, FetchClass fetch_class) {
+  const bool background = fetch_class == FetchClass::kBackground;
+  std::uint64_t seed =
       Fnv1a64({reinterpret_cast<const std::uint8_t*>(image_id.data()),
-               image_id.size()}));
+               image_id.size()});
+  if (background) {
+    seed ^= 0xBA5EBA11u;  // background backoff jitter differs from demand's
+  }
+  sim::Retrier retrier(sim_, params_.mech_retry, seed);
   while (true) {
-    StatusOr<FetchLease> lease = co_await FetchDiscOnce(image_id);
+    StatusOr<FetchLease> lease = co_await FetchDiscOnce(image_id, fetch_class);
     if (lease.ok()) {
       co_return std::move(lease);
     }
@@ -23,51 +27,15 @@ sim::Task<StatusOr<FetchLease>> FetchManager::FetchDisc(
       co_return lease.status();
     }
     ++retries_;
-    ROS_LOG(kWarning) << "retrying fetch of " << image_id << " (attempt "
+    ROS_LOG(kWarning) << "retrying " << (background ? "background " : "")
+                      << "fetch of " << image_id << " (attempt "
                       << retrier.attempts() + 1
                       << "): " << lease.status().ToString();
   }
 }
 
-sim::Task<StatusOr<FetchLease>> FetchManager::FetchDiscBackground(
-    std::string image_id) {
-  sim::Retrier retrier(
-      sim_, params_.mech_retry,
-      Fnv1a64({reinterpret_cast<const std::uint8_t*>(image_id.data()),
-               image_id.size()}) ^
-          0xBA5EBA11u);
-  while (true) {
-    StatusOr<FetchLease> lease = co_await FetchBackgroundOnce(image_id);
-    if (lease.ok()) {
-      co_return std::move(lease);
-    }
-    if (!co_await retrier.AwaitRetry(lease.status())) {
-      co_return lease.status();
-    }
-    ++retries_;
-    ROS_LOG(kWarning) << "retrying background fetch of " << image_id
-                      << " (attempt " << retrier.attempts() + 1
-                      << "): " << lease.status().ToString();
-  }
-}
-
-sim::Task<StatusOr<FetchLease>> FetchManager::FetchBackgroundOnce(
-    std::string image_id) {
-  ROS_CO_ASSIGN_OR_RETURN(const ImageRecord* record,
-                          images_->Lookup(image_id));
-  if (!record->disc.has_value()) {
-    co_return FailedPreconditionError("image " + image_id +
-                                      " is not on any disc");
-  }
-  const mech::DiscAddress address = *record->disc;
-  ROS_CO_ASSIGN_OR_RETURN(
-      int bay, co_await scheduler_->AcquireForBackground(address));
-  co_return FetchLease(scheduler_, bay,
-                       &mech_->drive_set(bay).drive(address.index));
-}
-
 sim::Task<StatusOr<FetchLease>> FetchManager::FetchDiscOnce(
-    std::string image_id) {
+    std::string image_id, FetchClass fetch_class) {
   ROS_CO_ASSIGN_OR_RETURN(const ImageRecord* record,
                           images_->Lookup(image_id));
   if (!record->disc.has_value()) {
@@ -75,10 +43,21 @@ sim::Task<StatusOr<FetchLease>> FetchManager::FetchDiscOnce(
                                       " is not on any disc");
   }
   const mech::DiscAddress address = *record->disc;
+
+  // Each class awaits its own call: GCC 12 miscompiles a co_await on a
+  // conditional expression of two sim::Task temporaries (a
+  // heap-use-after-free; ros-lint rule coro-conditional-await).
+  if (fetch_class == FetchClass::kBackground) {
+    ROS_CO_ASSIGN_OR_RETURN(
+        int bay, co_await scheduler_->AcquireForBackground(address));
+    co_return FetchLease(scheduler_, bay,
+                         &mech_->drive_set(bay).drive(address.index));
+  }
 
   // Under the interrupt-and-swap policy, nudge a burn before queueing when
   // every bay is busy: the burn in bay 0 is interrupted, unloads at its
   // next chunk boundary, and the scheduler dispatches into the freed bay.
+  // Background sweeps never interrupt a burn.
   if (params_.busy_drive_policy == BusyDrivePolicy::kInterruptAndSwap) {
     bool all_busy = true;
     for (int bay = 0; bay < mech_->num_bays(); ++bay) {

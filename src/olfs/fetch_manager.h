@@ -75,6 +75,16 @@ class FetchLease {
   drive::OpticalDrive* drive_ = nullptr;
 };
 
+// Which scheduler class a fetch claims its bay through.
+enum class FetchClass {
+  // A client read: FetchScheduler::AcquireForRead.
+  kDemand,
+  // Scrub, audit and refresh sweeps (DESIGN.md §5j):
+  // FetchScheduler::AcquireForBackground, which parks while foreground
+  // demand is queued or loading, so sweeps never starve readers.
+  kBackground,
+};
+
 // Every bay claim on behalf of a read goes through the FetchScheduler,
 // which batches concurrent readers of one tray onto a single mechanical
 // fetch (the MC "optimizes the usage of mechanical resources", §4.1).
@@ -90,13 +100,8 @@ class FetchManager {
   // Transient mechanical faults (kUnavailable) are retried under
   // params.mech_retry; each retry re-enters the scheduler queue, so a bay
   // whose mechanics misbehaved naturally falls back to another bay.
-  sim::Task<StatusOr<FetchLease>> FetchDisc(std::string image_id);
-
-  // Background-class fetch for scrub / audit sweeps (DESIGN.md §5j): the
-  // bay claim goes through FetchScheduler::AcquireForBackground, which
-  // parks while foreground demand is queued or loading, so sweeps never
-  // starve readers.
-  sim::Task<StatusOr<FetchLease>> FetchDiscBackground(std::string image_id);
+  sim::Task<StatusOr<FetchLease>> FetchDisc(
+      std::string image_id, FetchClass fetch_class = FetchClass::kDemand);
 
   // Mechanical load cycles performed on behalf of reads.
   std::uint64_t fetches() const { return scheduler_->stats().loads; }
@@ -104,9 +109,8 @@ class FetchManager {
 
  private:
   // One fetch attempt, no retry.
-  sim::Task<StatusOr<FetchLease>> FetchDiscOnce(std::string image_id);
-  // One background-class attempt, no retry.
-  sim::Task<StatusOr<FetchLease>> FetchBackgroundOnce(std::string image_id);
+  sim::Task<StatusOr<FetchLease>> FetchDiscOnce(std::string image_id,
+                                                FetchClass fetch_class);
 
   sim::Simulator& sim_;
   OlfsParams params_;

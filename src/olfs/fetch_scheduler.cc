@@ -157,9 +157,6 @@ sim::Task<void> FetchScheduler::DispatchLoop() {
 }
 
 void FetchScheduler::EnqueueSpeculative(mech::TrayAddress tray) {
-  if (!params_.tray_prefetch_enabled) {
-    return;
-  }
   const int index = tray.ToIndex();
   if (loading_.count(index) > 0 || BayHolding(index) >= 0) {
     return;

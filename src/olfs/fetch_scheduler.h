@@ -117,8 +117,8 @@ class FetchScheduler {
   // readahead). Speculative loads dispatch only when every queued demand
   // request is already resident or in flight, never evict a tray with
   // queued demand, and pending entries are canceled the moment new demand
-  // queues. Dropped when the tray is already resident, loading, queued,
-  // or OlfsParams::tray_prefetch_enabled is off.
+  // queues. Dropped when the tray is already resident, loading or
+  // queued.
   void EnqueueSpeculative(mech::TrayAddress tray);
 
   // True if any queued or in-dispatch request wants `tray` (the demand

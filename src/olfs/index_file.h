@@ -26,6 +26,10 @@ namespace ros::olfs {
 // through the image id (see DiscImageStore).
 enum class LocationKind { kBucket, kImage, kDisc };
 
+// Version entries an index file keeps: a 1 KiB index block stores up to 15
+// (§4.6).
+inline constexpr int kMaxVersionEntries = 15;
+
 char LocationCode(LocationKind kind);
 StatusOr<LocationKind> LocationFromCode(char code);
 

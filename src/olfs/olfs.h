@@ -276,10 +276,11 @@ class Olfs {
   sim::Task<void> PrefetchTask(std::string image_id,
                                std::string internal_path);
 
-  // Whole-tray readahead (scan hint): stages burned sibling images of the
-  // tray just fetched into the read cache's probationary segment, so the
-  // rest of the scan reads from the disk buffer instead of re-fetching
-  // the tray after an eviction.
+  // Whole-tray readahead (scan hint): stages up to kReadaheadMaxImages
+  // burned sibling images of the tray just fetched into the read cache's
+  // probationary segment, so the rest of the scan reads from the disk
+  // buffer instead of re-fetching the tray after an eviction.
+  static constexpr int kReadaheadMaxImages = 16;
   sim::Task<void> TrayReadaheadTask(std::string image_id, int tray_index);
   // Reads one sibling's full stream (single-flight with concurrent
   // readers) and re-admits it as kBurnedCached.

@@ -27,13 +27,6 @@ struct OlfsParams {
   std::uint64_t disc_capacity_override = 0;
   int parity_images = 1;
 
-  // Preliminary bucket writing (§4.3): number of pre-created empty buckets
-  // kept ready ("a couple of updatable buckets").
-  int free_bucket_pool = 4;
-
-  // Versioned updates (§4.6): a 1 KiB index block stores up to 15 entries.
-  int max_version_entries = 15;
-
   // Forepart-data-stored mechanism (§4.8): first bytes of each file kept in
   // MV so reads can answer within ~2 ms while a disc is fetched.
   bool forepart_enabled = false;
@@ -43,9 +36,6 @@ struct OlfsParams {
   // disk buffer.
   std::uint64_t read_cache_bytes = 50 * kTB;
 
-  // Group-commit flush window for the namespace store's WAL (DESIGN.md
-  // §5i).
-  sim::Duration mv_commit_window = sim::Micros(100);
   // Fetch scheduling (§4.1: the MC "optimizes the usage of mechanical
   // resources"): queued fetches are grouped by tray (one load/unload cycle
   // drains every waiter of that tray) and dispatched in the order that
@@ -56,19 +46,16 @@ struct OlfsParams {
   // queued request immediately aged, i.e. strict FIFO.
   sim::Duration fetch_aging_bound = sim::Seconds(300);
 
-  // Cross-layer hints (ROADMAP item 4). All three optimizations key off
-  // AccessHint::stream, so untagged traffic is unaffected regardless of
-  // these switches.
+  // Cross-layer hints (DESIGN.md §5g). Three optimizations key off
+  // AccessHint::stream, so untagged traffic is unaffected by them:
   //   - Affinity placement: burn batches cluster images co-accessed by one
   //     stream onto the same array (tray) instead of pure close order.
   //   - Tray prefetch: the per-stream successor model enqueues speculative
   //     loads through the FetchScheduler's background class.
   //   - Whole-tray readahead: a scan-hinted read stages up to
-  //     `readahead_max_images` burned siblings of the fetched tray into
-  //     the read cache's probationary segment (0 disables).
-  bool affinity_placement_enabled = true;
-  bool tray_prefetch_enabled = true;
-  int readahead_max_images = 16;
+  //     Olfs::kReadaheadMaxImages burned siblings of the fetched tray into
+  //     the read cache's probationary segment.
+
   // How many closed images beyond the array quota to accumulate before
   // forming an affinity-clustered burn batch. A batch formed the moment
   // the quota is reached (the close-order timing) leaves the clusterer no
@@ -128,17 +115,12 @@ struct OlfsParams {
   drive::DiscType migration_disc_type = drive::DiscType::kBdr100;
   // Merkle audit manifests (built at burn time, persisted in the MV):
   // sampled leaf verification proves array integrity without full reads.
-  bool audit_manifests_enabled = true;
   std::uint64_t audit_leaf_bytes = 256 * kKiB;
 
-  // Self-healing budgets: transient (kUnavailable) mechanical faults during
-  // a fetch re-run bay selection under `mech_retry`; transient burn-path
-  // faults re-attempt the same array under `burn_retry` before the burn
-  // manager escalates to spare media.
+  // Self-healing budget: transient (kUnavailable) mechanical faults during
+  // a fetch re-run bay selection under `mech_retry`.
   sim::RetryPolicy mech_retry{.max_attempts = 3,
                               .initial_backoff = sim::Seconds(2)};
-  sim::RetryPolicy burn_retry{.max_attempts = 3,
-                              .initial_backoff = sim::Seconds(5)};
 
   // 11 (RAID-5) or 10 (RAID-6) data images per 12-disc array.
   int data_images_per_array() const { return 12 - parity_images; }

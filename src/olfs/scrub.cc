@@ -16,20 +16,12 @@ sim::Task<StatusOr<std::uint64_t>> ScrubManager::ScrubOneImage(
     std::string image_id) {
   ROS_CO_ASSIGN_OR_RETURN(
       FetchLease lease,
-      co_await olfs_->fetches().FetchDiscBackground(image_id));
-  auto session = lease.drive()->disc()->FindSession(image_id);
-  if (!session.ok()) {
-    co_return session.status();
-  }
-  const std::uint64_t stream_bytes = (*session)->data.size();
-  // Charge the full-stream optical read; this is also what advances the
-  // media aging clock on the disc (OpticalDrive::Read).
-  auto stream = co_await lease.drive()->Read(
-      image_id, 0, std::max<std::uint64_t>(1, stream_bytes));
-  if (!stream.ok()) {
-    co_return stream.status();
-  }
-  co_return stream_bytes;
+      co_await olfs_->fetches().FetchDisc(image_id, FetchClass::kBackground));
+  // The full-stream optical read is also what advances the media aging
+  // clock on the disc (OpticalDrive::Read).
+  ROS_CO_ASSIGN_OR_RETURN(std::vector<std::uint8_t> stream,
+                          co_await lease.drive()->ReadAll(image_id));
+  co_return stream.size();
 }
 
 sim::Task<StatusOr<ScrubPassReport>> ScrubManager::RunPass() {
@@ -217,8 +209,8 @@ sim::Task<StatusOr<AuditReport>> ScrubManager::RunAudit(
       }
       const std::vector<std::uint64_t> leaves(chosen.begin(), chosen.end());
 
-      auto lease =
-          co_await olfs_->fetches().FetchDiscBackground(member.image_id);
+      auto lease = co_await olfs_->fetches().FetchDisc(
+          member.image_id, FetchClass::kBackground);
       if (!lease.ok()) {
         ROS_LOG(kWarning) << "audit could not fetch " << member.image_id
                           << ": " << lease.status().ToString();

@@ -88,7 +88,7 @@ class ScrubManager {
 
  private:
   // Reads one member's full stream back through a background lease.
-  // Returns the stream size on success, kDataLoss when the media is
+  // Returns the bytes read on success, kDataLoss when the media is
   // damaged in range; other codes are mech trouble.
   sim::Task<StatusOr<std::uint64_t>> ScrubOneImage(std::string image_id);
 

@@ -52,30 +52,39 @@ OlfsParams PolicyParams(BusyDrivePolicy policy) {
   return params;
 }
 
+// Burns the cold file onto its own array.
+void BurnColdFile(Rig& rig) {
+  auto payload = RandomBytes(64 * kKiB, 77);
+  ROS_CHECK(rig.sim.RunUntilComplete(
+                rig.olfs->Create("/cold/data.bin", payload, payload.size()))
+                .ok());
+  ROS_CHECK(rig.sim.RunUntilComplete(rig.olfs->FlushAndDrain()).ok());
+}
+
+// Kicks off a burn of three files under `dir` that occupies the single bay
+// for minutes, and lets it get past loading and into recording.
+void StartLongBurn(Rig& rig, const std::string& dir) {
+  Olfs& olfs = *rig.olfs;
+  sim::Simulator& sim = rig.sim;
+  for (int i = 0; i < 3; ++i) {
+    ROS_CHECK(sim.RunUntilComplete(
+                  olfs.Create(dir + "/f" + std::to_string(i),
+                              RandomBytes(4096, i), 1536 * kMiB))
+                  .ok());
+  }
+  ROS_CHECK(sim.RunUntilComplete(olfs.buckets().CloseCurrentBucket()).ok());
+  ROS_CHECK(sim.RunUntilComplete(olfs.burns().FlushPartialArray()).ok());
+  sim.RunFor(Seconds(80));
+}
+
 // Shared scenario: burn a first batch (the cold file), then start a long
 // second burn, and read the cold file while the only bay is burning.
 // Returns the read latency in seconds.
 double ReadDuringBurn(Rig& rig) {
   Olfs& olfs = *rig.olfs;
   sim::Simulator& sim = rig.sim;
-
-  auto payload = RandomBytes(64 * kKiB, 77);
-  ROS_CHECK(sim.RunUntilComplete(
-                olfs.Create("/cold/data.bin", payload, payload.size()))
-                .ok());
-  ROS_CHECK(sim.RunUntilComplete(olfs.FlushAndDrain()).ok());
-
-  // Kick off a second burn that will occupy the single bay for minutes.
-  for (int i = 0; i < 3; ++i) {
-    ROS_CHECK(sim.RunUntilComplete(
-                  olfs.Create("/bulk/f" + std::to_string(i),
-                              RandomBytes(4096, i), 1536 * kMiB))
-                  .ok());
-  }
-  ROS_CHECK(sim.RunUntilComplete(olfs.buckets().CloseCurrentBucket()).ok());
-  ROS_CHECK(sim.RunUntilComplete(olfs.burns().FlushPartialArray()).ok());
-  // Let the burn get past loading and into recording.
-  sim.RunFor(Seconds(80));
+  BurnColdFile(rig);
+  StartLongBurn(rig, "/bulk");
 
   sim::TimePoint t0 = sim.now();
   auto data = sim.RunUntilComplete(
@@ -120,6 +129,35 @@ TEST(BusyDrivePolicy, InterruptAndSwapServesReadSooner) {
     EXPECT_TRUE(std::equal(data->begin(), data->end(),
                            RandomBytes(4096, i).begin()));
   }
+}
+
+// Under interrupt-and-swap only a demand fetch interrupts a burn. A
+// background fetch (scrub, audit, refresh) waits for the bay instead.
+TEST(BusyDrivePolicy, InterruptAndSwapSparesBurnsFromBackgroundFetches) {
+  Rig rig(PolicyParams(BusyDrivePolicy::kInterruptAndSwap));
+  Olfs& olfs = *rig.olfs;
+  sim::Simulator& sim = rig.sim;
+  BurnColdFile(rig);
+  auto index = sim.RunUntilComplete(olfs.mv().Get("/cold/data.bin"));
+  ASSERT_TRUE(index.ok());
+  const std::string image_id = (*index->Latest())->parts[0].image_id;
+
+  StartLongBurn(rig, "/bulk");
+  ASSERT_EQ(olfs.mech().bay_state(0), BayState::kBusy);
+  auto lease = sim.RunUntilComplete(
+      olfs.fetches().FetchDisc(image_id, FetchClass::kBackground));
+  ASSERT_TRUE(lease.ok()) << lease.status().ToString();
+  EXPECT_EQ(olfs.burns().interrupts_taken(), 0);
+  lease->Release();
+  ASSERT_TRUE(sim.RunUntilComplete(olfs.burns().DrainAll()).ok());
+
+  StartLongBurn(rig, "/more");
+  ASSERT_EQ(olfs.mech().bay_state(0), BayState::kBusy);
+  auto data = sim.RunUntilComplete(olfs.Read("/cold/data.bin", 0, 64 * kKiB));
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(*data, RandomBytes(64 * kKiB, 77));
+  EXPECT_GT(olfs.burns().interrupts_taken(), 0);
+  ASSERT_TRUE(sim.RunUntilComplete(olfs.burns().DrainAll()).ok());
 }
 
 // §4.7: the RAID-6 schema (10 data + 2 parity) burns 12-disc arrays and

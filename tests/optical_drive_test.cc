@@ -80,6 +80,63 @@ TEST_F(OpticalDriveTest, ReadReturnsBurnedBytes) {
   EXPECT_EQ(drive.bytes_read(), 3u);
 }
 
+// ReadAll is Read(0, stream size) after a session lookup: same bytes, same
+// sim time, and no time at all when the image is not on the disc.
+TEST_F(OpticalDriveTest, ReadAllReadsTheWholeStreamLikeRead) {
+  const std::vector<std::uint8_t> stream(3 * kSectorSize + 17, 0x5a);
+  OpticalDrive drive(sim_, nullptr, 0);
+  disc_ = BurnedDisc("img", stream, kMB);
+  ASSERT_TRUE(drive.InsertDisc(disc_.get()).ok());
+  OpticalDrive twin(sim_, nullptr, 1);
+  auto twin_disc = BurnedDisc("img", stream, kMB);
+  ASSERT_TRUE(twin.InsertDisc(twin_disc.get()).ok());
+
+  sim::TimePoint t0 = sim_.now();
+  auto all = sim_.RunUntilComplete(drive.ReadAll("img"));
+  const sim::Duration read_all = sim_.now() - t0;
+  t0 = sim_.now();
+  auto ranged = sim_.RunUntilComplete(twin.Read("img", 0, stream.size()));
+  const sim::Duration read = sim_.now() - t0;
+  ASSERT_TRUE(all.ok());
+  ASSERT_TRUE(ranged.ok());
+  EXPECT_EQ(*all, stream);
+  EXPECT_EQ(read_all, read);
+  EXPECT_GT(read_all, 0);
+  EXPECT_EQ(drive.bytes_read(), stream.size());
+
+  // Absent image: kNotFound before any wake, mount, seek or transfer.
+  drive.Sleep();
+  t0 = sim_.now();
+  auto absent = sim_.RunUntilComplete(drive.ReadAll("other"));
+  EXPECT_EQ(absent.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(sim_.now(), t0);
+
+  // A rotten sector inside the stream surfaces as kDataLoss.
+  disc_->CorruptSector((*disc_->FindSession("img"))->start / kSectorSize + 1);
+  auto rotten = sim_.RunUntilComplete(drive.ReadAll("img"));
+  EXPECT_EQ(rotten.status().code(), StatusCode::kDataLoss);
+}
+
+// A session with no stored payload still pays for a 1-byte read.
+TEST_F(OpticalDriveTest, ReadAllOfEmptySessionPaysOneByte) {
+  OpticalDrive drive(sim_, nullptr, 0);
+  disc_ = BurnedDisc("img", {}, kMB);
+  ASSERT_TRUE(drive.InsertDisc(disc_.get()).ok());
+  OpticalDrive twin(sim_, nullptr, 1);
+  auto twin_disc = BurnedDisc("img", {}, kMB);
+  ASSERT_TRUE(twin.InsertDisc(twin_disc.get()).ok());
+
+  sim::TimePoint t0 = sim_.now();
+  auto all = sim_.RunUntilComplete(drive.ReadAll("img"));
+  const sim::Duration read_all = sim_.now() - t0;
+  t0 = sim_.now();
+  ASSERT_TRUE(sim_.RunUntilComplete(twin.Read("img", 0, 1)).ok());
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(*all, std::vector<std::uint8_t>{0});
+  EXPECT_EQ(read_all, sim_.now() - t0);
+  EXPECT_EQ(drive.bytes_read(), 1u);
+}
+
 // Sequential continuation does not seek; switching files does.
 TEST_F(OpticalDriveTest, SeekChargedOnlyOnHeadMovement) {
   OpticalDrive drive(sim_, nullptr, 0);

@@ -68,6 +68,15 @@ leans on but the compiler cannot fully check:
                       justified demand-priority call carries an inline
                       `// ros-lint: allow(speculative-fetch): <why>`.
 
+  coro-conditional-await
+                      `co_await (c ? A() : B())`: a co_await whose
+                      parenthesised operand has a top-level `?`. GCC 12
+                      miscompiles this on sim::Task (the chosen task's
+                      frame is freed while it is awaited, a
+                      heap-use-after-free under ASan). Await in each
+                      branch instead: if/else, or
+                      `c ? co_await A() : co_await B()`.
+
 Usage:
     tools/ros_lint.py [paths...]          # default: src/ of the repo root
     tools/ros_lint.py --list-status-fns   # debug: dump the Status fn set
@@ -114,6 +123,7 @@ RULES = (
     "retry-unclassified",
     "acquire-bay",
     "speculative-fetch",
+    "coro-conditional-await",
 )
 
 @dataclass
@@ -448,6 +458,33 @@ class FileLint:
                 "annotate with ros-lint: allow(speculative-fetch)",
             )
 
+    # --- rule: coro-conditional-await ------------------------------------
+
+    CO_AWAIT_PAREN_RE = re.compile(r"(?<!\w)co_await\s*\(")
+
+    def check_coro_conditional_await(self) -> None:
+        for m in self.CO_AWAIT_PAREN_RE.finditer(self.stripped):
+            open_paren = m.end() - 1
+            end = find_matching(self.stripped, open_paren, "(", ")")
+            if end < 0:
+                continue
+            depth = 0
+            for ch in self.stripped[open_paren + 1 : end - 1]:
+                if ch in "([{":
+                    depth += 1
+                elif ch in ")]}":
+                    depth -= 1
+                elif ch == "?" and depth == 0:
+                    self.report(
+                        m.start(),
+                        "coro-conditional-await",
+                        "co_await of a conditional expression frees the "
+                        "chosen sim::Task under GCC 12 (heap-use-after-"
+                        "free); await in each branch (if/else, or "
+                        "`c ? co_await A() : co_await B()`)",
+                    )
+                    break
+
     def run(self) -> list[Finding]:
         self.check_discarded_status()
         self.check_coro_ref_param()
@@ -457,6 +494,7 @@ class FileLint:
         self.check_retry_unclassified()
         self.check_acquire_bay()
         self.check_speculative_fetch()
+        self.check_coro_conditional_await()
         return self.findings
 
 

@@ -442,6 +442,57 @@ class SpeculativeFetchTest(unittest.TestCase):
         self.assertNotIn("speculative-fetch", rules)
 
 
+class CoroConditionalAwaitTest(unittest.TestCase):
+    def test_flags_awaited_conditional(self):
+        src = ("sim::Task<void> f(bool c) {\n"
+               "  auto s = co_await (c ? A() : B());\n"
+               "  (void)s;\n"
+               "}\n")
+        self.assertIn(("coro-conditional-await", 2), lint_source(src))
+
+    def test_flags_multiline_and_unspaced(self):
+        src = ("sim::Task<void> f(bool c) {\n"
+               "  auto s = co_await(c\n"
+               "                        ? A(1)\n"
+               "                        : B(2));\n"
+               "  (void)s;\n"
+               "}\n")
+        self.assertIn(("coro-conditional-await", 2), lint_source(src))
+
+    def test_await_in_each_branch_clean(self):
+        src = ("sim::Task<void> f(bool c) {\n"
+               "  auto s = c ? co_await A() : co_await B();\n"
+               "  (void)s;\n"
+               "}\n")
+        rules = [r for r, _ in lint_source(src)]
+        self.assertNotIn("coro-conditional-await", rules)
+
+    def test_if_else_clean(self):
+        src = ("sim::Task<void> f(bool c) {\n"
+               "  StatusOr<int> s = 0;\n"
+               "  if (c) {\n"
+               "    s = co_await A();\n"
+               "  } else {\n"
+               "    s = co_await B();\n"
+               "  }\n"
+               "  (void)s;\n"
+               "}\n")
+        rules = [r for r, _ in lint_source(src)]
+        self.assertNotIn("coro-conditional-await", rules)
+
+    def test_nested_conditional_and_literals_clean(self):
+        # The `?` sits inside the call's own arguments, in a string or in
+        # a character literal: the awaited operand is not a conditional.
+        src = ("sim::Task<void> f(bool c) {\n"
+               "  auto s = co_await (A(c ? 1 : 2));\n"
+               "  auto t = co_await (B(\"a?b\", '?'));\n"
+               "  (void)s;\n"
+               "  (void)t;\n"
+               "}\n")
+        rules = [r for r, _ in lint_source(src)]
+        self.assertNotIn("coro-conditional-await", rules)
+
+
 class AllowlistTest(unittest.TestCase):
     def test_allowlist_file_filters_by_suffix_and_rule(self):
         with tempfile.TemporaryDirectory() as tmp:
