@@ -18,7 +18,11 @@
 // its own pre-crash views. Any divergence fails the run.
 //
 // Flags: --smoke (tiny sizes, CI), --scale (1M + 10M with RSS gate and
-// recovery timing), --scale-smoke (1M, for the mv-scale-smoke CI job).
+// recovery timing), --scale-smoke (1M, for the mv-scale-smoke CI job),
+// --replay-check (double-run a small cell that flushes, compacts and
+// re-attaches the store, with the sim::EventHasher divergence oracle
+// installed; fails on any event-stream or namespace divergence, naming
+// the first divergent event).
 #include <unistd.h>
 
 #include <algorithm>
@@ -40,6 +44,7 @@
 #include "src/disk/volume.h"
 #include "src/olfs/index_file.h"
 #include "src/olfs/metadata_volume.h"
+#include "src/sim/event_hasher.h"
 #include "src/sim/join.h"
 #include "src/sim/simulator.h"
 
@@ -693,6 +698,112 @@ json::Value RunScale(std::size_t n, std::vector<std::string>* failures) {
   return json::Value(std::move(row));
 }
 
+// --- determinism: double-run a flush + compaction + re-attach cell ---
+
+struct ReplayResult {
+  std::uint64_t flushes = 0;
+  std::uint64_t compactions = 0;
+  Views views;  // after the re-attach
+};
+
+// Three rounds of concurrent creates over one path set (later rounds
+// overwrite, leaving garbage for the compactor), a removal of every 7th
+// path, a background drain, then a crash re-attach and replay. The
+// thresholds are small so the cell flushes and compacts many times.
+bool RunReplayCell(sim::EventHasher* hasher, ReplayResult* out) {
+  Fixture fx(64 * kMiB, 256);
+  fx.sim.set_event_hasher(hasher);
+  fx.options.memtable_flush_bytes = 64 * kKiB;
+  fx.options.compact_min_segments = 2;
+  fx.options.compact_fan_in = 2;
+  fx.Reattach();
+  const std::vector<std::string> paths = MakePaths(2000);
+  for (int round = 0; round < 3; ++round) {
+    std::vector<double> latencies_us;
+    Status status = fx.sim.RunUntilComplete(
+        CreateConcurrent(&fx.sim, fx.mv.get(), &paths, &latencies_us));
+    if (!status.ok()) {
+      std::fprintf(stderr, "replay cell create failed: %s\n",
+                   status.ToString().c_str());
+      return false;
+    }
+  }
+  for (std::size_t i = 0; i < paths.size(); i += 7) {
+    const std::string removed = fx.sim.RunUntilComplete(
+        ApplyOp(&fx.sim, fx.mv.get(), 2, paths[i], {}));
+    if (removed != "rm:OK") {
+      std::fprintf(stderr, "replay cell remove failed: %s\n",
+                   removed.c_str());
+      return false;
+    }
+  }
+  fx.sim.RunFor(sim::Seconds(10));  // drain flushes and compactions
+  const olfs::MetadataVolume::StoreStats store = fx.mv->store_stats();
+  out->flushes = store.memtable_flushes;
+  out->compactions = store.compactions;
+
+  fx.Reattach();
+  Status opened = fx.sim.RunUntilComplete(fx.mv->Open());
+  if (!opened.ok()) {
+    std::fprintf(stderr, "replay cell recovery failed: %s\n",
+                 opened.ToString().c_str());
+    return false;
+  }
+  std::vector<std::string> sample;
+  for (std::size_t i = 0; i < paths.size(); i += 5) {
+    sample.push_back(paths[i]);
+  }
+  out->views = Capture(fx, sample);
+  return true;
+}
+
+int ReplayCheck() {
+  sim::EventHasher record;
+  ReplayResult first;
+  if (!RunReplayCell(&record, &first)) {
+    return 1;
+  }
+  sim::EventHasher check(record.trail());
+  ReplayResult second;
+  if (!RunReplayCell(&check, &second)) {
+    return 1;
+  }
+  check.Finish();
+  if (check.diverged()) {
+    const sim::EventHasher::Divergence& div = *check.divergence();
+    std::fprintf(stderr, "REPLAY DIVERGENCE: event #%llu: %s\n",
+                 static_cast<unsigned long long>(div.index),
+                 div.description.c_str());
+    return 1;
+  }
+  if (first.flushes == 0 || first.compactions == 0) {
+    std::fprintf(stderr, "replay cell ran %llu flushes and %llu compactions; "
+                 "it must cover both\n",
+                 static_cast<unsigned long long>(first.flushes),
+                 static_cast<unsigned long long>(first.compactions));
+    return 1;
+  }
+  std::vector<std::string> mismatches;
+  std::vector<std::string> sample(first.views.reads.size());
+  CompareViews(first.views, second.views, "replay", sample, &mismatches);
+  if (first.flushes != second.flushes ||
+      first.compactions != second.compactions || !mismatches.empty()) {
+    std::fprintf(stderr,
+                 "REPLAY DIVERGENCE: identical event stream but different "
+                 "store state\n");
+    return 1;
+  }
+  std::printf("{\"bench\": \"mv_hotpath\", \"mode\": \"replay_check\", "
+              "\"memtable_flushes\": %llu, \"compactions\": %llu, "
+              "\"replay_events\": %llu, \"replay_digest\": \"%016llx\", "
+              "\"pass\": true}\n",
+              static_cast<unsigned long long>(first.flushes),
+              static_cast<unsigned long long>(first.compactions),
+              static_cast<unsigned long long>(check.event_count()),
+              static_cast<unsigned long long>(check.digest()));
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -706,6 +817,8 @@ int main(int argc, char** argv) {
       scale = true;
     } else if (std::strcmp(argv[i], "--scale-smoke") == 0) {
       scale_smoke = true;
+    } else if (std::strcmp(argv[i], "--replay-check") == 0) {
+      return ReplayCheck();
     }
   }
 
