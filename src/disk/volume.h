@@ -95,6 +95,8 @@ class Volume {
   sim::Task<Status> Create(std::string name);
 
   // Writes at `offset` (extending the file as needed; holes read as zero).
+  // A failed write does not grow the file: its size goes back to what it
+  // was, unless another write has grown it since.
   sim::Task<Status> Write(std::string name, std::uint64_t offset,
                           std::vector<std::uint8_t> data);
 

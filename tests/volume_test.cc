@@ -286,5 +286,36 @@ TEST_F(VolumeTest, TruncateShrinksAndFreesBlocks) {
   EXPECT_EQ(*volume_.FileSize("/wal"), 0u);
 }
 
+TEST_F(VolumeTest, FailedAppendDoesNotGrowTheFile) {
+  ASSERT_TRUE(sim_.RunUntilComplete(volume_.Create("/wal")).ok());
+  ASSERT_TRUE(sim_.RunUntilComplete(
+                  volume_.Append("/wal", std::vector<std::uint8_t>(100, 0x11)))
+                  .ok());
+
+  // The device dies under a growing append: the size must not cover the
+  // bytes that never landed (the new blocks would read back stale data).
+  device_.Fail();
+  EXPECT_FALSE(sim_.RunUntilComplete(
+                   volume_.Append("/wal",
+                                  std::vector<std::uint8_t>(3000, 0x22)))
+                   .ok());
+  EXPECT_EQ(*volume_.FileSize("/wal"), 100u);
+  const std::uint64_t used_after_failure = volume_.used_blocks();
+
+  // The blocks the failed write allocated stay with the file; the next
+  // append lands at the old end and reuses them.
+  device_.Revive();
+  ASSERT_TRUE(sim_.RunUntilComplete(
+                  volume_.Append("/wal", std::vector<std::uint8_t>(50, 0x33)))
+                  .ok());
+  EXPECT_EQ(*volume_.FileSize("/wal"), 150u);
+  EXPECT_EQ(volume_.used_blocks(), used_after_failure);
+  auto data = sim_.RunUntilComplete(volume_.ReadAll("/wal"));
+  ASSERT_TRUE(data.ok());
+  std::vector<std::uint8_t> want(100, 0x11);
+  want.insert(want.end(), 50, 0x33);
+  EXPECT_EQ(*data, want);
+}
+
 }  // namespace
 }  // namespace ros::disk
