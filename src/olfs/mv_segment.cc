@@ -165,9 +165,9 @@ Status ParseSegment(
   return OkStatus();
 }
 
-void MergeSortedRuns(std::vector<std::vector<mvlog::Record>> runs,
-                     bool drop_tombstones,
-                     const std::function<void(mvlog::Record)>& fn) {
+void MergeSortedRuns(
+    std::vector<std::vector<mvlog::Record>> runs, bool drop_tombstones,
+    const std::function<void(mvlog::Record, MergeSource)>& fn) {
   std::vector<std::size_t> cursors(runs.size(), 0);
   while (true) {
     // Smallest current key; among equals the NEWEST run (highest index)
@@ -185,19 +185,20 @@ void MergeSortedRuns(std::vector<std::vector<mvlog::Record>> runs,
     if (min_key == nullptr) {
       return;
     }
-    const std::string key = *min_key;  // runs mutate below; copy the key
-    std::optional<mvlog::Record> winner;
+    const std::string& key = *min_key;
+    std::optional<MergeSource> winner;
     for (std::size_t r = 0; r < runs.size(); ++r) {
       if (cursors[r] < runs[r].size() && runs[r][cursors[r]].key == key) {
-        winner = std::move(runs[r][cursors[r]]);
+        winner = MergeSource{r, cursors[r]};
         ++cursors[r];
       }
     }
     ROS_CHECK(winner.has_value());
-    if (drop_tombstones && winner->type == mvlog::RecordType::kRemove) {
+    mvlog::Record& record = runs[winner->run][winner->index];
+    if (drop_tombstones && record.type == mvlog::RecordType::kRemove) {
       continue;
     }
-    fn(std::move(*winner));
+    fn(std::move(record), *winner);
   }
 }
 

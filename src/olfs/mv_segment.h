@@ -80,14 +80,22 @@ Status ParseSegment(
     const std::function<void(mvlog::Record, std::uint64_t, std::uint32_t)>&
         fn);
 
+// Where a merged record came from: its run and its position in that run.
+struct MergeSource {
+  std::size_t run = 0;
+  std::size_t index = 0;
+
+  friend bool operator==(const MergeSource&, const MergeSource&) = default;
+};
+
 // Merges sorted runs ordered oldest to newest, emitting the newest record
-// for each key in increasing key order. With `drop_tombstones` (legal only
-// when the inputs are the oldest segments in the store — nothing below
-// them left to shadow), surviving kRemove records are dropped instead of
-// emitted.
-void MergeSortedRuns(std::vector<std::vector<mvlog::Record>> runs,
-                     bool drop_tombstones,
-                     const std::function<void(mvlog::Record)>& fn);
+// for each key in increasing key order, with its source. With
+// `drop_tombstones` (legal only when the inputs are the oldest segments in
+// the store — nothing below them left to shadow), surviving kRemove
+// records are dropped instead of emitted.
+void MergeSortedRuns(
+    std::vector<std::vector<mvlog::Record>> runs, bool drop_tombstones,
+    const std::function<void(mvlog::Record, MergeSource)>& fn);
 
 }  // namespace ros::olfs::mvseg
 

@@ -155,14 +155,23 @@ TEST(MvSegment, MergeNewestRunWinsAndDropsTombstones) {
                   {RecordType::kRemove, "b", ""},
                   {RecordType::kPut, "c", "only-c"}});
   std::vector<Record> merged;
+  std::vector<mvseg::MergeSource> sources;
   mvseg::MergeSortedRuns(runs, /*drop_tombstones=*/true,
-                         [&merged](Record r) { merged.push_back(std::move(r)); });
+                         [&](Record r, mvseg::MergeSource from) {
+                           merged.push_back(std::move(r));
+                           sources.push_back(from);
+                         });
   const std::vector<Record> want = {
       {RecordType::kPut, "a", "new-a"},
       {RecordType::kPut, "c", "only-c"},
       {RecordType::kPut, "d", "only-d"},
   };
   EXPECT_EQ(merged, want);
+  // Each winner names the run and position it came from; the compactor
+  // maps that back to the record's place in its input segment.
+  const std::vector<mvseg::MergeSource> want_sources = {
+      {/*run=*/1, /*index=*/0}, {1, 2}, {0, 2}};
+  EXPECT_EQ(sources, want_sources);
 }
 
 TEST(MvSegment, MergeKeepsTombstonesWhenAsked) {
@@ -172,8 +181,9 @@ TEST(MvSegment, MergeKeepsTombstonesWhenAsked) {
   runs.push_back({{RecordType::kPut, "b", "old-b"}});
   runs.push_back({{RecordType::kRemove, "b", ""}});
   std::vector<Record> merged;
-  mvseg::MergeSortedRuns(runs, /*drop_tombstones=*/false,
-                         [&merged](Record r) { merged.push_back(std::move(r)); });
+  mvseg::MergeSortedRuns(
+      runs, /*drop_tombstones=*/false,
+      [&merged](Record r, mvseg::MergeSource) { merged.push_back(std::move(r)); });
   const std::vector<Record> want = {{RecordType::kRemove, "b", ""}};
   EXPECT_EQ(merged, want);
 }
