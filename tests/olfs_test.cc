@@ -9,6 +9,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/units.h"
+#include "src/sim/fault.h"
 #include "src/sim/time.h"
 
 namespace ros::olfs {
@@ -84,6 +85,41 @@ TEST_F(OlfsTest, CreateExistingFails) {
   ASSERT_TRUE(sim_->RunUntilComplete(olfs_->Create("/a", Bytes("1"))).ok());
   EXPECT_EQ(sim_->RunUntilComplete(olfs_->Create("/a", Bytes("2"))).code(),
             StatusCode::kAlreadyExists);
+}
+
+// A failed MV commit must not hide the namespace: the file that was there
+// is still there, with its history, and a Create of it still fails.
+TEST_F(OlfsTest, FailedMvCommitKeepsTheNamespace) {
+  ASSERT_TRUE(sim_->RunUntilComplete(olfs_->Create("/f", Bytes("one"))).ok());
+  ASSERT_TRUE(
+      sim_->RunUntilComplete(olfs_->Update("/f", Bytes("two!"), 4)).ok());
+  // One MV mirror dies under the next WAL append, which fails; the pair
+  // keeps serving from the survivor. (Write-through: the controller cache
+  // would hide the death until destage.)
+  system_->mv_raid()->set_write_cache(false);
+  sim::FaultInjector faults(/*seed=*/1);
+  faults.FailNth(sim::FaultKind::kHddFailure, "ssd0", 1);
+  system_->InstallFaultInjector(&faults);
+  EXPECT_FALSE(
+      sim_->RunUntilComplete(olfs_->Update("/f", Bytes("three"), 5)).ok());
+  system_->InstallFaultInjector(nullptr);
+
+  EXPECT_EQ(sim_->RunUntilComplete(olfs_->Create("/f", Bytes("new"))).code(),
+            StatusCode::kAlreadyExists);
+  auto listing = sim_->RunUntilComplete(olfs_->ReadDir("/"));
+  ASSERT_TRUE(listing.ok());
+  EXPECT_EQ(*listing, std::vector<std::string>{"f"});
+  auto info = sim_->RunUntilComplete(olfs_->Stat("/f"));
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->version, 2);
+  ASSERT_TRUE(
+      sim_->RunUntilComplete(olfs_->Update("/f", Bytes("four"), 4)).ok());
+  auto v1 = sim_->RunUntilComplete(olfs_->ReadVersion("/f", 1, 0, 3));
+  ASSERT_TRUE(v1.ok());
+  EXPECT_EQ(*v1, Bytes("one"));
+  info = sim_->RunUntilComplete(olfs_->Stat("/f"));
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->version, 3);
 }
 
 TEST_F(OlfsTest, ReadMissingFails) {
