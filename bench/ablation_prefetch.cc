@@ -57,15 +57,14 @@ Result Run(std::uint64_t file_cache_bytes, int prefetch) {
   result.first_scan_s = scan();
 
   // Unrelated work evicts the scanned array from the drives.
-  // ros-lint: allow(acquire-bay): the ablation deliberately steals a bay
-  // outside the scheduler to force an eviction between the two scans.
-  auto bay = sim.RunUntilComplete(
-      olfs.mech().AcquireBay(std::nullopt, true));
-  ROS_CHECK(bay.ok());
-  if (olfs.mech().bay_tray(*bay).has_value()) {
-    ROS_CHECK(sim.RunUntilComplete(olfs.mech().UnloadArray(*bay)).ok());
+  // ros-lint: allow(acquire-bay): the ablation claims a bay the way a
+  // burn does to force an eviction between the two scans.
+  const int bay =
+      sim.RunUntilComplete(olfs.fetch_scheduler()->AcquireForBurn());
+  if (olfs.mech().bay_tray(bay).has_value()) {
+    ROS_CHECK(sim.RunUntilComplete(olfs.mech().UnloadArray(bay)).ok());
   }
-  olfs.mech().ReleaseBay(*bay);
+  olfs.fetch_scheduler()->ReleaseBay(bay);
 
   result.second_scan_s = scan();
   result.fetches = olfs.fetches().fetches();

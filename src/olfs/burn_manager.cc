@@ -12,10 +12,11 @@ namespace ros::olfs {
 BurnManager::BurnManager(sim::Simulator& sim, const OlfsParams& params,
                          BucketManager* buckets, DiscImageStore* images,
                          ParityBuilder* parity, MechController* mech,
-                         DaIndex* da, ReadCache* cache, MetadataVolume* mv)
+                         FetchScheduler* scheduler, DaIndex* da,
+                         ReadCache* cache, MetadataVolume* mv)
     : sim_(sim), params_(params), buckets_(buckets), images_(images),
-      parity_(parity), mech_(mech), da_(da), cache_(cache), mv_(mv),
-      burns_changed_(sim) {
+      parity_(parity), mech_(mech), scheduler_(scheduler), da_(da),
+      cache_(cache), mv_(mv), burns_changed_(sim) {
   interrupt_requested_.assign(
       static_cast<std::size_t>(mech_->num_bays()), false);
 }
@@ -161,14 +162,9 @@ sim::Task<void> BurnManager::BurnArrayTask(
                        static_cast<std::uint64_t>(job.tray.ToIndex()) + 1);
   int reallocations = 0;
   while (true) {
-    auto bay = co_await mech_->AcquireBay(std::nullopt, /*wait=*/true);
-    if (!bay.ok()) {
-      last_error_ = bay.status();
-      fatal_error_ = bay.status();
-      break;
-    }
-    Status status = co_await BurnArrayInBay(job, *bay);
-    mech_->ReleaseBay(*bay);
+    const int bay = co_await scheduler_->AcquireForBurn();
+    Status status = co_await BurnArrayInBay(job, bay);
+    scheduler_->ReleaseBay(bay);
     if (status.ok()) {
       --active_burns_;
       burns_changed_.NotifyAll();

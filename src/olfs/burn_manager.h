@@ -25,6 +25,7 @@
 #include "src/olfs/bucket_manager.h"
 #include "src/olfs/da_index.h"
 #include "src/olfs/disc_image_store.h"
+#include "src/olfs/fetch_scheduler.h"
 #include "src/olfs/mech_controller.h"
 #include "src/olfs/metadata_volume.h"
 #include "src/olfs/parity.h"
@@ -41,8 +42,9 @@ class BurnManager {
  public:
   BurnManager(sim::Simulator& sim, const OlfsParams& params,
               BucketManager* buckets, DiscImageStore* images,
-              ParityBuilder* parity, MechController* mech, DaIndex* da,
-              ReadCache* cache, MetadataVolume* mv);
+              ParityBuilder* parity, MechController* mech,
+              FetchScheduler* scheduler, DaIndex* da, ReadCache* cache,
+              MetadataVolume* mv);
 
   // Interval between successive burn starts within one array (the
   // controller paces burn initiation while staging images; Fig 9).
@@ -119,6 +121,7 @@ class BurnManager {
   DiscImageStore* images_;
   ParityBuilder* parity_;
   MechController* mech_;
+  FetchScheduler* scheduler_;  // the bay arbiter
   DaIndex* da_;
   ReadCache* cache_;
   MetadataVolume* mv_;

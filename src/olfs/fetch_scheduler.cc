@@ -99,8 +99,8 @@ sim::Task<StatusOr<int>> FetchScheduler::AcquireForRead(
   }
   stats_.max_queue_depth = std::max(
       stats_.max_queue_depth, static_cast<std::uint64_t>(queue_depth()));
-  // Wake the dispatcher (and any legacy AcquireBay waiters; they re-scan
-  // and go back to sleep, which keeps wakeup order deterministic).
+  // Wake the dispatcher (and any AcquireForBurn waiters; they re-scan and
+  // go back to sleep, which keeps wakeup order deterministic).
   mech_->bay_changed().NotifyAll();
   co_await request->done.Wait();
   co_return request->bay;
@@ -118,6 +118,20 @@ sim::Task<StatusOr<int>> FetchScheduler::AcquireForBackground(
   }
   ++stats_.background_acquires;
   co_return co_await AcquireForRead(address);
+}
+
+sim::Task<int> FetchScheduler::AcquireForBurn() {
+  while (true) {
+    const int bay = PickLoadBay(/*allow_demanded=*/true);
+    if (bay >= 0 && mech_->TryClaimBay(bay)) {
+      auto victim = mech_->bay_tray(bay);
+      if (victim.has_value()) {
+        NoteUnload(victim->ToIndex());
+      }
+      co_return bay;
+    }
+    co_await mech_->bay_changed().Wait();
+  }
 }
 
 void FetchScheduler::ReleaseBay(int bay) {
@@ -186,17 +200,6 @@ void FetchScheduler::NoteUnload(int tray_index) {
 bool FetchScheduler::TryDispatch() {
   bool progressed = false;
   const int starved = AgedTray();
-
-  // Lazily reconcile speculative residency: an array evicted behind the
-  // scheduler's back (e.g. a burn claiming its bay) was loaded for nothing.
-  for (auto it = spec_resident_.begin(); it != spec_resident_.end();) {
-    if (loading_.count(*it) == 0 && BayHolding(*it) < 0) {
-      ++stats_.speculative_wasted;
-      it = spec_resident_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 
   // Pass 1: waiters whose array already sits parked in a bay — claim it,
   // no mechanics. (A busy bay holding the tray hands off on release.)

@@ -1,10 +1,13 @@
-// Fetch Scheduler: batched, geometry-aware dispatch of queued fetches.
+// Fetch Scheduler: batched, geometry-aware dispatch of queued fetches, and
+// the rack's one bay arbiter.
 //
 // The MC "optimizes the usage of mechanical resources" (§4.1); with 70-155 s
 // load/unload cycles the mechanical queue is the dominant tail-latency term,
 // so the order in which queued fetches are serviced matters more than any
-// other read-path decision. This scheduler replaces the first-come-first-
-// served bay scramble with a real request queue:
+// other read-path decision. Burns, reads and namespace-rebuild scans share
+// the same bays, so every bay claim and every unload-victim choice is made
+// here (MechController only executes them). Reads go through a real
+// request queue:
 //
 //   - Pending fetches are grouped by tray: one load/unload cycle drains
 //     every waiter of that tray, and a bay whose reader finishes is handed
@@ -98,9 +101,18 @@ class FetchScheduler {
   // must be returned through ReleaseBay (FetchLease does this).
   sim::Task<StatusOr<int>> AcquireForRead(mech::DiscAddress address);
 
-  // Returns a bay claimed through AcquireForRead. If more requests are
+  // Claims a bay for a burn, waiting on bay_changed() while every bay is
+  // busy. Order: an empty bay, else the LRU parked bay with no queued
+  // demand, else the LRU parked bay. A burn does not queue behind reads
+  // and is not subject to the aging bound. The caller unloads the
+  // returned bay's array (if any) before loading its own; a speculatively
+  // loaded victim is booked as wasted here.
+  sim::Task<int> AcquireForBurn();
+
+  // Returns a bay claimed through any Acquire* call. If more requests are
   // queued for the tray it holds, ownership passes directly to the next
-  // waiter (the bay never leaves kBusy); otherwise the bay is parked.
+  // waiter (the bay never leaves kBusy); otherwise the bay is parked (or
+  // left empty) and becomes the most recently used.
   void ReleaseBay(int bay);
 
   // Background claim class (scrub / audit sweeps, DESIGN.md §5j): like
@@ -120,10 +132,6 @@ class FetchScheduler {
   // queues. Dropped when the tray is already resident, loading or
   // queued.
   void EnqueueSpeculative(mech::TrayAddress tray);
-
-  // True if any queued or in-dispatch request wants `tray` (the demand
-  // oracle behind MechController's victim pass).
-  bool HasDemand(mech::TrayAddress tray) const;
 
   int queue_depth() const;
   const FetchSchedulerStats& stats() const { return stats_; }
@@ -152,6 +160,9 @@ class FetchScheduler {
     StatusOr<int> bay;
   };
 
+  // True if any queued or in-dispatch request wants `tray`; the victim
+  // pass keeps such arrays resident.
+  bool HasDemand(mech::TrayAddress tray) const;
   void EnsureDispatcher();
   sim::Task<void> DispatchLoop();
   // One synchronous scheduling pass; true if anything was dispatched.
@@ -166,8 +177,8 @@ class FetchScheduler {
   // aging bound forced a strict-FIFO choice over the geometry-optimal one.
   int PickTrayToLoad(bool* aged);
   // Empty bay, else the LRU parked bay with no queued demand, or -1.
-  // `allow_demanded` (aged dispatch only) falls back to the LRU parked bay
-  // even if its tray has queued demand — strict FIFO outranks locality.
+  // `allow_demanded` (aged dispatch and burns) falls back to the LRU
+  // parked bay even if its tray has queued demand.
   int PickLoadBay(bool allow_demanded) const;
   int BayHolding(int tray_index) const;
   sim::Duration PositioningCost(mech::TrayAddress tray);
@@ -195,8 +206,9 @@ class FetchScheduler {
   std::deque<int> spec_pending_;
   std::set<int> spec_resident_;
   std::uint64_t next_seq_ = 0;
-  // Per-bay logical-clock stamp of the last scheduler release (LRU victim
-  // ordering that does not depend on wall or sim time).
+  // Per-bay logical-clock stamp of the last release through ReleaseBay:
+  // the rack's one LRU clock (victim ordering that does not depend on
+  // wall or sim time).
   std::vector<std::uint64_t> last_used_;
   std::uint64_t use_clock_ = 0;
   bool dispatcher_running_ = false;

@@ -99,8 +99,8 @@ class IndexFile {
   // so error behaviour and accepted inputs are identical to the tree
   // decoder on every input.
   static StatusOr<IndexFile> FromJson(std::string_view text);
-  // The reference tree-based decoder (exposed for differential tests and
-  // the mv_hotpath bench's pre-change baseline).
+  // The reference tree-based decoder (exposed for the differential tests
+  // in index_file_test).
   static StatusOr<IndexFile> FromJsonTree(std::string_view text);
 
   // Approximate on-MV footprint in bytes (the paper quotes ~388 bytes

@@ -1,5 +1,7 @@
 #include "src/olfs/maintenance.h"
 
+#include <limits>
+
 #include "src/udf/serializer.h"
 
 namespace ros::olfs {
@@ -15,6 +17,55 @@ const char* TierName(ImageTier tier) {
   }
   return "?";
 }
+
+// Type- and range-checked reads of a controller checkpoint. The first
+// failure is kept as kDataLoss and later reads return empty values, so a
+// decode runs straight through and checks status() once, before any of
+// the checkpoint is applied.
+class CheckpointReader {
+ public:
+  std::int64_t Int(const json::Value& v, std::int64_t limit,
+                   const char* what) {
+    if (v.is_int() && v.as_int() >= 0 && v.as_int() < limit) {
+      return v.as_int();
+    }
+    Fail(what);
+    return 0;
+  }
+  std::string String(const json::Value& v, const char* what) {
+    if (v.is_string()) {
+      return v.as_string();
+    }
+    Fail(what);
+    return "";
+  }
+  bool Bool(const json::Value& v, const char* what) {
+    if (v.is_bool()) {
+      return v.as_bool();
+    }
+    Fail(what);
+    return false;
+  }
+  const json::Array& Array(const json::Value& v, const char* what) {
+    static const json::Array kEmpty;
+    if (v.is_array()) {
+      return v.as_array();
+    }
+    Fail(what);
+    return kEmpty;
+  }
+  const Status& status() const { return status_; }
+
+ private:
+  void Fail(const char* what) {
+    if (status_.ok()) {
+      status_ = DataLossError(std::string("controller checkpoint: bad ") +
+                              what);
+    }
+  }
+
+  Status status_;
+};
 
 }  // namespace
 
@@ -298,41 +349,56 @@ sim::Task<Status> Maintenance::Checkpoint() {
 sim::Task<Status> Maintenance::RestoreFromCheckpoint() {
   ROS_CO_ASSIGN_OR_RETURN(json::Value state,
                           co_await olfs_->mv().GetState(kCheckpointKey));
-  for (const json::Value& t : state["da_used"].as_array()) {
-    olfs_->da_index().set_state(
-        mech::TrayAddress::FromIndex(static_cast<int>(t.as_int())),
-        ArrayState::kUsed);
+  CheckpointReader in;
+  const std::int64_t trays =
+      std::int64_t{olfs_->da_index().rollers()} * mech::kTraysPerRoller;
+  std::vector<mech::TrayAddress> used;
+  std::vector<mech::TrayAddress> failed;
+  for (const json::Value& t : in.Array(state["da_used"], "da_used")) {
+    used.push_back(mech::TrayAddress::FromIndex(
+        static_cast<int>(in.Int(t, trays, "da_used tray"))));
   }
-  for (const json::Value& t : state["da_failed"].as_array()) {
-    olfs_->da_index().set_state(
-        mech::TrayAddress::FromIndex(static_cast<int>(t.as_int())),
-        ArrayState::kFailed);
+  for (const json::Value& t : in.Array(state["da_failed"], "da_failed")) {
+    failed.push_back(mech::TrayAddress::FromIndex(
+        static_cast<int>(in.Int(t, trays, "da_failed tray"))));
   }
-  olfs_->buckets().RestoreCounter(
-      static_cast<int>(state["bucket_counter"].as_int()));
-
-  for (const json::Value& entry : state["images"].as_array()) {
+  const auto counter = static_cast<int>(in.Int(
+      state["bucket_counter"], std::numeric_limits<int>::max(),
+      "bucket_counter"));
+  std::vector<ImageRecord> decoded;
+  for (const json::Value& entry : in.Array(state["images"], "images")) {
     ImageRecord record;
-    record.id = entry["id"].as_string();
-    record.parity = entry["parity"].as_bool();
-    record.logical_bytes =
-        static_cast<std::uint64_t>(entry["bytes"].as_int());
-    record.volume_index = static_cast<int>(entry["vol"].as_int());
-    record.volume_file = entry["file"].as_string();
+    record.id = in.String(entry["id"], "image id");
+    record.parity = in.Bool(entry["parity"], "image parity");
+    record.logical_bytes = static_cast<std::uint64_t>(in.Int(
+        entry["bytes"], std::numeric_limits<std::int64_t>::max(),
+        "image bytes"));
+    record.volume_index = static_cast<int>(
+        in.Int(entry["vol"], olfs_->buckets().num_volumes(), "image vol"));
+    record.volume_file = in.String(entry["file"], "image file");
     if (entry.contains("disc")) {
-      record.disc = mech::DiscAddress::FromIndex(
-          static_cast<int>(entry["disc"].as_int()));
+      record.disc = mech::DiscAddress::FromIndex(static_cast<int>(
+          in.Int(entry["disc"], trays * mech::kDiscsPerTray, "image disc")));
     }
-    for (const json::Value& member : entry["members"].as_array()) {
-      record.array_members.push_back(member.as_string());
+    for (const json::Value& member :
+         in.Array(entry["members"], "image members")) {
+      record.array_members.push_back(in.String(member, "image member"));
     }
-    const auto tier = static_cast<ImageTier>(entry["tier"].as_int());
+    const auto tier = static_cast<ImageTier>(
+        in.Int(entry["tier"], static_cast<int>(ImageTier::kBurnedOnly) + 1,
+               "image tier"));
     // Open buckets are closed by the crash; their checkpointed content
     // survives as a buffered image awaiting burn.
     record.tier = tier == ImageTier::kOpenBucket ? ImageTier::kBuffered
                                                  : tier;
+    decoded.push_back(std::move(record));
+  }
+  ROS_CO_RETURN_IF_ERROR(in.status());
 
-    // Reload the serialized structure for buffer-resident data images.
+  // Reload every buffer-resident data image before touching controller
+  // state, so a lost image leaves the controller as it was.
+  std::vector<ImageRecord> records;
+  for (ImageRecord& record : decoded) {
     if ((record.tier == ImageTier::kBuffered ||
          record.tier == ImageTier::kBurnedCached) &&
         !record.parity) {
@@ -361,6 +427,17 @@ sim::Task<Status> Maintenance::RestoreFromCheckpoint() {
     if (record.parity && !record.disc.has_value()) {
       continue;  // will be regenerated with its array's next burn
     }
+    records.push_back(std::move(record));
+  }
+
+  for (const mech::TrayAddress& tray : used) {
+    olfs_->da_index().set_state(tray, ArrayState::kUsed);
+  }
+  for (const mech::TrayAddress& tray : failed) {
+    olfs_->da_index().set_state(tray, ArrayState::kFailed);
+  }
+  olfs_->buckets().RestoreCounter(counter);
+  for (ImageRecord& record : records) {
     ROS_CO_RETURN_IF_ERROR(
         olfs_->images().RestoreRecord(std::move(record)));
   }

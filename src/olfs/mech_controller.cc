@@ -19,7 +19,6 @@ MechController::MechController(sim::Simulator& sim, mech::Library* library,
   ROS_CHECK(static_cast<int>(drive_sets_.size()) <= library_->num_bays());
   bay_states_.assign(drive_sets_.size(), BayState::kEmpty);
   bay_trays_.assign(drive_sets_.size(), std::nullopt);
-  last_parked_.assign(drive_sets_.size(), 0);
   // Boot inventory: a replacement controller finds whatever arrays the
   // previous one left parked in the drives (the rack's physical state
   // outlives the software).
@@ -52,69 +51,6 @@ drive::OpticalDrive* MechController::DriveHolding(
   return nullptr;
 }
 
-sim::Task<StatusOr<int>> MechController::AcquireBay(
-    std::optional<mech::TrayAddress> want, bool wait) {
-  while (true) {
-    // 1. A bay already holding the wanted array: take it when parked, or
-    // queue behind its current user — grabbing a different bay would
-    // double-load the same tray.
-    if (want.has_value()) {
-      bool want_is_busy = false;
-      for (int bay = 0; bay < num_bays(); ++bay) {
-        if (bay_trays_[bay].has_value() && *bay_trays_[bay] == *want) {
-          if (bay_states_[bay] == BayState::kParked) {
-            bay_states_[bay] = BayState::kBusy;
-            co_return bay;
-          }
-          want_is_busy = true;
-        }
-      }
-      if (want_is_busy) {
-        if (!wait) {
-          co_return UnavailableError("bay holding the wanted array is busy");
-        }
-        co_await bay_changed_.Wait();
-        continue;
-      }
-    }
-    // 2. An empty bay.
-    for (int bay = 0; bay < num_bays(); ++bay) {
-      if (bay_states_[bay] == BayState::kEmpty) {
-        bay_states_[bay] = BayState::kBusy;
-        co_return bay;
-      }
-    }
-    // 3. A parked bay (caller unloads it). Utility-aware victim choice:
-    // a parked array that queued fetches are waiting for is worth more
-    // than one nobody wants, and among equally wanted arrays the least
-    // recently parked is the weakest locality bet.
-    int victim = -1;
-    bool victim_demand = false;
-    std::uint64_t victim_stamp = 0;
-    for (int bay = 0; bay < num_bays(); ++bay) {
-      if (bay_states_[bay] != BayState::kParked) {
-        continue;
-      }
-      const bool demand = demand_oracle_ && bay_trays_[bay].has_value() &&
-                          demand_oracle_(*bay_trays_[bay]);
-      if (victim < 0 || std::pair(demand, last_parked_[bay]) <
-                            std::pair(victim_demand, victim_stamp)) {
-        victim = bay;
-        victim_demand = demand;
-        victim_stamp = last_parked_[bay];
-      }
-    }
-    if (victim >= 0) {
-      bay_states_[victim] = BayState::kBusy;
-      co_return victim;
-    }
-    if (!wait) {
-      co_return UnavailableError("all drive bays are busy");
-    }
-    co_await bay_changed_.Wait();
-  }
-}
-
 bool MechController::TryClaimBay(int bay) {
   if (bay_states_.at(bay) == BayState::kBusy) {
     return false;
@@ -127,7 +63,6 @@ void MechController::ReleaseBay(int bay) {
   ROS_CHECK(bay_states_.at(bay) == BayState::kBusy);
   if (bay_trays_[bay].has_value()) {
     bay_states_[bay] = BayState::kParked;
-    last_parked_[bay] = ++park_clock_;
   } else {
     bay_states_[bay] = BayState::kEmpty;
   }

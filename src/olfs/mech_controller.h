@@ -3,13 +3,14 @@
 //
 // MC owns the drive::Disc objects (one per rack slot, created lazily) and
 // keeps the mapping between drive bays and the disc arrays currently
-// loaded in them. Burn and fetch tasks coordinate bay ownership through
-// MC's per-bay locks and states.
+// loaded in them, with each bay's state. MC claims a bay only when asked;
+// which bay a burn, fetch or rebuild scan gets (and which parked array
+// is unloaded for it) is decided by the FetchScheduler, the one bay
+// arbiter.
 #ifndef ROS_SRC_OLFS_MECH_CONTROLLER_H_
 #define ROS_SRC_OLFS_MECH_CONTROLLER_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -50,27 +51,12 @@ class MechController {
   // Signalled whenever a bay changes state (waiters re-scan).
   sim::ConditionVariable& bay_changed() { return bay_changed_; }
 
-  // Claims a bay for exclusive use. Preference order: the bay already
-  // holding `want` (if any), an empty bay, a parked bay (which the caller
-  // must unload — trays with pending fetch demand and recently used trays
-  // are avoided when possible). Returns the bay index once state is kBusy,
-  // or kUnavailable immediately if every bay is busy and `wait` is false.
-  sim::Task<StatusOr<int>> AcquireBay(
-      std::optional<mech::TrayAddress> want, bool wait);
-
-  // Non-waiting claim of one specific bay: kEmpty/kParked -> kBusy. Used
-  // by the FetchScheduler, which runs its own victim/dispatch policy.
+  // Non-waiting claim of one specific bay: kEmpty/kParked -> kBusy. Only
+  // the FetchScheduler calls it; it owns the victim/dispatch policy.
   bool TryClaimBay(int bay);
 
   // Releases a bay, marking it kParked (array still loaded) or kEmpty.
   void ReleaseBay(int bay);
-
-  // Lets the fetch scheduler advertise queued demand so AcquireBay's
-  // unload-victim pass (used by burns and recovery scans) avoids evicting
-  // an array that readers are waiting for.
-  void SetDemandOracle(std::function<bool(mech::TrayAddress)> oracle) {
-    demand_oracle_ = std::move(oracle);
-  }
 
   // Loads the disc array of `tray` into `bay` (which must be claimed and
   // empty) and inserts the 12 discs into the bay's drives.
@@ -100,11 +86,6 @@ class MechController {
   drive::DiscType media_type_;
   std::vector<BayState> bay_states_;
   std::vector<std::optional<mech::TrayAddress>> bay_trays_;
-  // Logical-clock stamp of each bay's last transition to kParked; the
-  // victim pass prefers the stalest (LRU) parked array.
-  std::vector<std::uint64_t> last_parked_;
-  std::uint64_t park_clock_ = 0;
-  std::function<bool(mech::TrayAddress)> demand_oracle_;
   sim::ConditionVariable bay_changed_;
   DiscInventory* inventory_;  // owned by RosSystem
 };

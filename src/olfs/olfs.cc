@@ -55,16 +55,9 @@ Olfs::Olfs(sim::Simulator& sim, RosSystem* system, OlfsParams params)
                                            system->drive_sets(),
                                            &system->discs(), params_);
   scheduler_ = std::make_unique<FetchScheduler>(sim_, params_, mech_.get());
-  // Burns and recovery scans pick unload victims through AcquireBay; the
-  // oracle keeps them away from arrays that readers are queued for.
-  mech_->SetDemandOracle(
-      [scheduler = scheduler_.get()](mech::TrayAddress tray) {
-        return scheduler->HasDemand(tray);
-      });
-  burns_ = std::make_unique<BurnManager>(sim_, params_, buckets_.get(),
-                                         images_.get(), parity_.get(),
-                                         mech_.get(), da_.get(), cache_.get(),
-                                         mv_.get());
+  burns_ = std::make_unique<BurnManager>(
+      sim_, params_, buckets_.get(), images_.get(), parity_.get(), mech_.get(),
+      scheduler_.get(), da_.get(), cache_.get(), mv_.get());
   burns_->set_affinity_tracker(affinity_.get());
   fetcher_ = std::make_unique<FetchManager>(sim_, params_, images_.get(),
                                             mech_.get(), burns_.get(),
@@ -660,6 +653,12 @@ sim::Task<void> Olfs::AutoFlushLoop(sim::Duration interval,
 
 sim::Task<StatusOr<RecoveryReport>> Olfs::RebuildNamespace(
     std::vector<mech::TrayAddress> trays) {
+  for (const mech::TrayAddress& tray : trays) {
+    if (!tray.IsValid(da_->rollers())) {
+      co_return InvalidArgumentError("tray " + tray.ToString() +
+                                     " is outside the rack");
+    }
+  }
   RecoveryReport report;
   mv_->WipeAll();
   disc_mounts_.clear();
@@ -675,26 +674,11 @@ sim::Task<StatusOr<RecoveryReport>> Olfs::RebuildNamespace(
 
   for (const mech::TrayAddress& tray : trays) {
     da_->set_state(tray, ArrayState::kUsed);
-    // ros-lint: allow(acquire-bay): namespace rebuild is a sequential
-    // full-rack scan with no concurrent readers to batch against.
-    auto bay = co_await mech_->AcquireBay(tray, /*wait=*/true);
+    // ros-lint: allow(speculative-fetch): the rebuild scan is demand (the
+    // namespace is empty until it finishes) and must hold the whole tray.
+    auto bay = co_await scheduler_->AcquireForRead(mech::DiscAddress{tray, 0});
     if (!bay.ok()) {
       co_return bay.status();
-    }
-    if (mech_->bay_tray(*bay).has_value() &&
-        *mech_->bay_tray(*bay) != tray) {
-      Status status = co_await mech_->UnloadArray(*bay);
-      if (!status.ok()) {
-        mech_->ReleaseBay(*bay);
-        co_return status;
-      }
-    }
-    if (!mech_->bay_tray(*bay).has_value()) {
-      Status status = co_await mech_->LoadArray(tray, *bay);
-      if (!status.ok()) {
-        mech_->ReleaseBay(*bay);
-        co_return status;
-      }
     }
 
     for (int i = 0; i < mech::kDiscsPerTray; ++i) {
@@ -759,7 +743,7 @@ sim::Task<StatusOr<RecoveryReport>> Olfs::RebuildNamespace(
         });
       }
     }
-    mech_->ReleaseBay(*bay);
+    scheduler_->ReleaseBay(*bay);
   }
 
   // Rebuild MV index files.

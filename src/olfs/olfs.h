@@ -165,7 +165,9 @@ class Olfs {
   sim::Task<Status> RefreshImage(std::string image_id);
 
   // Rebuilds the global namespace by physically scanning the given disc
-  // arrays (§4.4). Wipes the current MV first. Used after MV loss.
+  // arrays (§4.4), each claimed through the FetchScheduler. Wipes the
+  // current MV first. Used after MV loss. Returns kInvalidArgument, with
+  // nothing wiped, if any tray lies outside the rack.
   sim::Task<StatusOr<RecoveryReport>> RebuildNamespace(
       std::vector<mech::TrayAddress> trays);
 

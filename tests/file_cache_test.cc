@@ -118,12 +118,11 @@ TEST(FileCacheIntegration, RepeatReadsHitAfterArrayUnloaded) {
   rig.sim.Run();  // let the background prefetch finish
 
   // Force the array out of the drives (another task claims the bay).
-  auto bay = rig.sim.RunUntilComplete(
-      rig.olfs->mech().AcquireBay(std::nullopt, true));
-  ASSERT_TRUE(bay.ok());
+  const int bay = rig.sim.RunUntilComplete(
+      rig.olfs->fetch_scheduler()->AcquireForBurn());
   ASSERT_TRUE(rig.sim.RunUntilComplete(
-                  rig.olfs->mech().UnloadArray(*bay)).ok());
-  rig.olfs->mech().ReleaseBay(*bay);
+                  rig.olfs->mech().UnloadArray(bay)).ok());
+  rig.olfs->fetch_scheduler()->ReleaseBay(bay);
 
   // The file-granular cache still answers without any mechanics.
   double warm = rig.TimedRead(0);
@@ -153,14 +152,13 @@ TEST(FileCacheIntegration, SiblingPrefetchWarmsTheDirectory) {
   }
 
   // Unload the array; sibling reads are served from the cache.
-  auto bay = rig.sim.RunUntilComplete(
-      rig.olfs->mech().AcquireBay(std::nullopt, true));
-  ASSERT_TRUE(bay.ok());
-  if (rig.olfs->mech().bay_tray(*bay).has_value()) {
+  const int bay = rig.sim.RunUntilComplete(
+      rig.olfs->fetch_scheduler()->AcquireForBurn());
+  if (rig.olfs->mech().bay_tray(bay).has_value()) {
     ASSERT_TRUE(rig.sim.RunUntilComplete(
-                    rig.olfs->mech().UnloadArray(*bay)).ok());
+                    rig.olfs->mech().UnloadArray(bay)).ok());
   }
-  rig.olfs->mech().ReleaseBay(*bay);
+  rig.olfs->fetch_scheduler()->ReleaseBay(bay);
   for (int i = 1; i < 5; ++i) {
     EXPECT_LT(rig.TimedRead(i), 0.1) << i;
   }
@@ -172,12 +170,11 @@ TEST(FileCacheIntegration, DisabledCacheRefetchesMechanically) {
   rig.Preserve(2);
   EXPECT_GT(rig.TimedRead(0), 60.0);  // cold fetch
   // Array parked: fast. Unload it...
-  auto bay = rig.sim.RunUntilComplete(
-      rig.olfs->mech().AcquireBay(std::nullopt, true));
-  ASSERT_TRUE(bay.ok());
+  const int bay = rig.sim.RunUntilComplete(
+      rig.olfs->fetch_scheduler()->AcquireForBurn());
   ASSERT_TRUE(rig.sim.RunUntilComplete(
-                  rig.olfs->mech().UnloadArray(*bay)).ok());
-  rig.olfs->mech().ReleaseBay(*bay);
+                  rig.olfs->mech().UnloadArray(bay)).ok());
+  rig.olfs->fetch_scheduler()->ReleaseBay(bay);
   // ...and without a file cache the next read fetches again.
   EXPECT_GT(rig.TimedRead(0), 60.0);
   EXPECT_EQ(rig.olfs->fetches().fetches(), 2u);

@@ -170,6 +170,36 @@ TEST_F(MaintenanceTest, RestoreWithoutCheckpointFails) {
       sim_.RunUntilComplete(mi_->RestoreFromCheckpoint()).ok());
 }
 
+// A malformed checkpoint is rejected as a whole before any of it is
+// applied: kDataLoss, and the DAindex is left as it was.
+TEST_F(MaintenanceTest, MalformedCheckpointIsDataLossAndAppliesNothing) {
+  ASSERT_TRUE(sim_.RunUntilComplete(
+                  olfs_->Create("/m/x", RandomBytes(1000, 1), 1000)).ok());
+  ASSERT_TRUE(sim_.RunUntilComplete(olfs_->FlushAndDrain()).ok());
+  ASSERT_TRUE(sim_.RunUntilComplete(mi_->Checkpoint()).ok());
+  auto good = sim_.RunUntilComplete(
+      olfs_->mv().GetState(Maintenance::kCheckpointKey));
+  ASSERT_TRUE(good.ok());
+  ASSERT_FALSE(good->as_object().at("da_used").as_array().empty());
+
+  auto wrong_type = *good;
+  wrong_type.as_object()["da_used"] = json::Value("oops");
+  // A valid tray first, so a partial apply would show in the DAindex.
+  auto out_of_range = *good;
+  out_of_range.as_object()["da_used"].as_array().push_back(
+      json::Value(1000000));
+  for (const json::Value& bad : {wrong_type, out_of_range}) {
+    NewController();
+    ASSERT_TRUE(sim_.RunUntilComplete(olfs_->mv().PutState(
+                    Maintenance::kCheckpointKey, bad)).ok());
+    const int used = olfs_->da_index().CountState(ArrayState::kUsed);
+    EXPECT_EQ(sim_.RunUntilComplete(mi_->RestoreFromCheckpoint()).code(),
+              StatusCode::kDataLoss);
+    EXPECT_EQ(olfs_->da_index().CountState(ArrayState::kUsed), used);
+    EXPECT_EQ(olfs_->da_index().CountState(ArrayState::kFailed), 0);
+  }
+}
+
 TEST_F(MaintenanceTest, CheckpointIsIdempotent) {
   ASSERT_TRUE(sim_.RunUntilComplete(
                   olfs_->Create("/m/x", RandomBytes(1000, 1), 1000)).ok());

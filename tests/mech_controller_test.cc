@@ -1,10 +1,13 @@
-// Unit tests for the Mechanical Controller's bay/array management.
+// Unit tests for the Mechanical Controller's bay/array management, and for
+// the FetchScheduler's bay arbitration on top of it (burn and read claims).
 #include "src/olfs/mech_controller.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
+#include "src/olfs/fetch_scheduler.h"
 #include "src/olfs/system.h"
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
@@ -23,84 +26,81 @@ class MechControllerTest : public ::testing::Test {
     mc_ = std::make_unique<MechController>(sim_, system_->library(),
                                            system_->drive_sets(),
                                            &system_->discs(), params_);
+    sched_ = std::make_unique<FetchScheduler>(sim_, params_, mc_.get());
+  }
+
+  // The scheduler's dispatcher stays suspended on bay_changed(); destroy
+  // it while the controller it waits on is alive.
+  ~MechControllerTest() override { sim_.Shutdown(); }
+
+  // A read claim of `tray`, loading it if needed; returns the bay.
+  int Read(mech::TrayAddress tray) {
+    auto bay = sim_.RunUntilComplete(sched_->AcquireForRead({tray, 0}));
+    ROS_CHECK(bay.ok());
+    return *bay;
+  }
+
+  // Parks `tray` in a bay through a read claim and its release.
+  int Park(mech::TrayAddress tray) {
+    const int bay = Read(tray);
+    sched_->ReleaseBay(bay);
+    return bay;
+  }
+
+  // Claims the parked array in `bay` for a read and queues a second
+  // reader of it behind that claim. Releasing the bay through the
+  // controller (skipping the scheduler's handoff) then leaves it parked
+  // with queued demand until the dispatcher's next pass, so callers claim
+  // inline, before the simulator runs again.
+  void HoldWithQueuedReader(int bay) {
+    const mech::TrayAddress tray = *mc_->bay_tray(bay);
+    const int depth = sched_->queue_depth();
+    ASSERT_EQ(Read(tray), bay);
+    sim_.Spawn([](FetchScheduler* sched,
+                  mech::TrayAddress want) -> sim::Task<void> {
+      auto got = co_await sched->AcquireForRead({want, 0});
+      ROS_CHECK(got.ok());
+      sched->ReleaseBay(*got);
+    }(sched_.get(), tray));
+    sim_.RunFor(sim::Seconds(1));
+    ASSERT_EQ(sched_->queue_depth(), depth + 1);
   }
 
   sim::Simulator sim_;
   std::unique_ptr<RosSystem> system_;
   OlfsParams params_;
   std::unique_ptr<MechController> mc_;
+  std::unique_ptr<FetchScheduler> sched_;
 };
 
-TEST_F(MechControllerTest, AcquirePrefersEmptyBays) {
-  auto bay = sim_.RunUntilComplete(mc_->AcquireBay(std::nullopt, false));
-  ASSERT_TRUE(bay.ok());
-  EXPECT_EQ(mc_->bay_state(*bay), BayState::kBusy);
-  auto bay2 = sim_.RunUntilComplete(mc_->AcquireBay(std::nullopt, false));
-  ASSERT_TRUE(bay2.ok());
-  EXPECT_NE(*bay, *bay2);
-  // All busy now: non-waiting acquisition fails.
-  EXPECT_EQ(sim_.RunUntilComplete(mc_->AcquireBay(std::nullopt, false))
-                .status()
-                .code(),
-            StatusCode::kUnavailable);
-}
-
-TEST_F(MechControllerTest, AcquirePrefersBayHoldingWantedArray) {
-  mech::TrayAddress tray{0, 3, 1};
-  auto bay = sim_.RunUntilComplete(mc_->AcquireBay(tray, false));
-  ASSERT_TRUE(bay.ok());
-  ASSERT_TRUE(sim_.RunUntilComplete(mc_->LoadArray(tray, *bay)).ok());
-  mc_->ReleaseBay(*bay);
-  EXPECT_EQ(mc_->bay_state(*bay), BayState::kParked);
-
-  // Asking for that tray again returns the same bay, array still loaded.
-  auto again = sim_.RunUntilComplete(mc_->AcquireBay(tray, false));
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(*again, *bay);
-  ASSERT_TRUE(mc_->bay_tray(*again).has_value());
-  EXPECT_EQ(*mc_->bay_tray(*again), tray);
-  mc_->ReleaseBay(*again);
-}
-
-TEST_F(MechControllerTest, WaitingAcquireWakesOnRelease) {
-  auto a = sim_.RunUntilComplete(mc_->AcquireBay(std::nullopt, false));
-  auto b = sim_.RunUntilComplete(mc_->AcquireBay(std::nullopt, false));
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-
-  bool acquired = false;
-  sim_.Spawn([](MechController* mc, bool* done) -> sim::Task<void> {
-    auto bay = co_await mc->AcquireBay(std::nullopt, true);
-    ROS_CHECK(bay.ok());
-    *done = true;
-    mc->ReleaseBay(*bay);
-  }(mc_.get(), &acquired));
-  sim_.RunFor(sim::Seconds(1));
-  EXPECT_FALSE(acquired);
-  mc_->ReleaseBay(*a);
-  sim_.Run();
-  EXPECT_TRUE(acquired);
+TEST_F(MechControllerTest, TryClaimBayTakesOnlyNonBusyBays) {
+  ASSERT_TRUE(mc_->TryClaimBay(0));
+  EXPECT_EQ(mc_->bay_state(0), BayState::kBusy);
+  EXPECT_FALSE(mc_->TryClaimBay(0));
+  mc_->ReleaseBay(0);
+  EXPECT_EQ(mc_->bay_state(0), BayState::kEmpty);
+  EXPECT_TRUE(mc_->TryClaimBay(0));
+  mc_->ReleaseBay(0);
 }
 
 TEST_F(MechControllerTest, LoadInsertsDiscsIntoDrives) {
   mech::TrayAddress tray{0, 7, 2};
-  auto bay = sim_.RunUntilComplete(mc_->AcquireBay(std::nullopt, false));
-  ASSERT_TRUE(bay.ok());
-  ASSERT_TRUE(sim_.RunUntilComplete(mc_->LoadArray(tray, *bay)).ok());
+  ASSERT_TRUE(mc_->TryClaimBay(0));
+  ASSERT_TRUE(sim_.RunUntilComplete(mc_->LoadArray(tray, 0)).ok());
   for (int i = 0; i < 12; ++i) {
-    EXPECT_TRUE(mc_->drive_set(*bay).drive(i).has_disc());
-    EXPECT_EQ(mc_->drive_set(*bay).drive(i).disc()->id(),
+    EXPECT_TRUE(mc_->drive_set(0).drive(i).has_disc());
+    EXPECT_EQ(mc_->drive_set(0).drive(i).disc()->id(),
               (mech::DiscAddress{tray, i}.ToString()));
   }
   EXPECT_NE(mc_->DriveHolding({tray, 5}), nullptr);
   EXPECT_EQ(mc_->DriveHolding({{0, 8, 2}, 5}), nullptr);
 
-  ASSERT_TRUE(sim_.RunUntilComplete(mc_->UnloadArray(*bay)).ok());
+  ASSERT_TRUE(sim_.RunUntilComplete(mc_->UnloadArray(0)).ok());
   for (int i = 0; i < 12; ++i) {
-    EXPECT_FALSE(mc_->drive_set(*bay).drive(i).has_disc());
+    EXPECT_FALSE(mc_->drive_set(0).drive(i).has_disc());
   }
-  mc_->ReleaseBay(*bay);
-  EXPECT_EQ(mc_->bay_state(*bay), BayState::kEmpty);
+  mc_->ReleaseBay(0);
+  EXPECT_EQ(mc_->bay_state(0), BayState::kEmpty);
 }
 
 TEST_F(MechControllerTest, DiscIdentityStableAcrossLoads) {
@@ -108,84 +108,167 @@ TEST_F(MechControllerTest, DiscIdentityStableAcrossLoads) {
   drive::Disc* disc = mc_->DiscAt({tray, 4});
   ASSERT_TRUE(disc->AppendSession("img", 100, {1, 2, 3}, true).ok());
 
-  auto bay = sim_.RunUntilComplete(mc_->AcquireBay(std::nullopt, false));
-  ASSERT_TRUE(bay.ok());
-  ASSERT_TRUE(sim_.RunUntilComplete(mc_->LoadArray(tray, *bay)).ok());
+  ASSERT_TRUE(mc_->TryClaimBay(0));
+  ASSERT_TRUE(sim_.RunUntilComplete(mc_->LoadArray(tray, 0)).ok());
   // The same physical media (with its burned session) is in the drive.
-  EXPECT_TRUE(mc_->drive_set(*bay).drive(4).disc()->FindSession("img").ok());
-  ASSERT_TRUE(sim_.RunUntilComplete(mc_->UnloadArray(*bay)).ok());
-  mc_->ReleaseBay(*bay);
+  EXPECT_TRUE(mc_->drive_set(0).drive(4).disc()->FindSession("img").ok());
+  ASSERT_TRUE(sim_.RunUntilComplete(mc_->UnloadArray(0)).ok());
+  mc_->ReleaseBay(0);
 }
 
 TEST_F(MechControllerTest, BootInventoryFindsParkedArrays) {
   mech::TrayAddress tray{0, 2, 3};
-  auto bay = sim_.RunUntilComplete(mc_->AcquireBay(std::nullopt, false));
-  ASSERT_TRUE(bay.ok());
-  ASSERT_TRUE(sim_.RunUntilComplete(mc_->LoadArray(tray, *bay)).ok());
-  mc_->ReleaseBay(*bay);
+  ASSERT_TRUE(mc_->TryClaimBay(1));
+  ASSERT_TRUE(sim_.RunUntilComplete(mc_->LoadArray(tray, 1)).ok());
+  mc_->ReleaseBay(1);
 
   // Controller replacement: physical state is rediscovered.
   MechController fresh(sim_, system_->library(), system_->drive_sets(),
                        &system_->discs(), params_);
-  EXPECT_EQ(fresh.bay_state(*bay), BayState::kParked);
-  ASSERT_TRUE(fresh.bay_tray(*bay).has_value());
-  EXPECT_EQ(*fresh.bay_tray(*bay), tray);
-}
-
-TEST_F(MechControllerTest, NonWaitingAcquireOfBusyWantedArrayFails) {
-  mech::TrayAddress tray{0, 4, 1};
-  auto bay = sim_.RunUntilComplete(mc_->AcquireBay(tray, false));
-  ASSERT_TRUE(bay.ok());
-  ASSERT_TRUE(sim_.RunUntilComplete(mc_->LoadArray(tray, *bay)).ok());
-
-  // The wanted array sits in a busy bay. Even though the other bay is
-  // free, a non-waiting acquire must not grab it: reloading the same
-  // array elsewhere while its discs are in drives would fork the media.
-  ASSERT_EQ(mc_->bay_state(1 - *bay), BayState::kEmpty);
-  auto blocked = sim_.RunUntilComplete(mc_->AcquireBay(tray, false));
-  EXPECT_EQ(blocked.status().code(), StatusCode::kUnavailable);
-
-  // A waiting acquire parks until the burnlike owner releases, then gets
-  // the bay that already holds the array (§4.8's wait-for-burn shape).
-  std::optional<int> woken;
-  sim_.Spawn([](MechController* mc, mech::TrayAddress want,
-                std::optional<int>* out) -> sim::Task<void> {
-    auto got = co_await mc->AcquireBay(want, true);
-    ROS_CHECK(got.ok());
-    *out = *got;
-    mc->ReleaseBay(*got);
-  }(mc_.get(), tray, &woken));
-  sim_.RunFor(sim::Seconds(5));
-  EXPECT_FALSE(woken.has_value());
-  mc_->ReleaseBay(*bay);
-  sim_.Run();
-  ASSERT_TRUE(woken.has_value());
-  EXPECT_EQ(*woken, *bay);
-}
-
-TEST_F(MechControllerTest, NonWaitingAcquireWithAllBaysBusyFails) {
-  auto a = sim_.RunUntilComplete(mc_->AcquireBay(std::nullopt, false));
-  auto b = sim_.RunUntilComplete(mc_->AcquireBay(std::nullopt, false));
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  auto blocked = sim_.RunUntilComplete(mc_->AcquireBay(std::nullopt, false));
-  EXPECT_EQ(blocked.status().code(), StatusCode::kUnavailable);
-  // Releasing one bay makes non-waiting acquisition succeed again.
-  mc_->ReleaseBay(*a);
-  auto again = sim_.RunUntilComplete(mc_->AcquireBay(std::nullopt, false));
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(*again, *a);
-  mc_->ReleaseBay(*again);
-  mc_->ReleaseBay(*b);
+  EXPECT_EQ(fresh.bay_state(1), BayState::kParked);
+  ASSERT_TRUE(fresh.bay_tray(1).has_value());
+  EXPECT_EQ(*fresh.bay_tray(1), tray);
 }
 
 TEST_F(MechControllerTest, LoadIntoOccupiedBayFails) {
-  auto bay = sim_.RunUntilComplete(mc_->AcquireBay(std::nullopt, false));
-  ASSERT_TRUE(bay.ok());
+  ASSERT_TRUE(mc_->TryClaimBay(0));
   ASSERT_TRUE(sim_.RunUntilComplete(
-                  mc_->LoadArray({0, 0, 0}, *bay)).ok());
-  EXPECT_EQ(sim_.RunUntilComplete(mc_->LoadArray({0, 0, 1}, *bay)).code(),
+                  mc_->LoadArray({0, 0, 0}, 0)).ok());
+  EXPECT_EQ(sim_.RunUntilComplete(mc_->LoadArray({0, 0, 1}, 0)).code(),
             StatusCode::kFailedPrecondition);
+}
+
+// A read of a parked array claims the bay that holds it: no load cycle.
+TEST_F(MechControllerTest, ReadClaimPrefersBayHoldingWantedArray) {
+  mech::TrayAddress tray{0, 3, 1};
+  const int bay = Park(tray);
+  EXPECT_EQ(mc_->bay_state(bay), BayState::kParked);
+
+  EXPECT_EQ(Read(tray), bay);
+  ASSERT_TRUE(mc_->bay_tray(bay).has_value());
+  EXPECT_EQ(*mc_->bay_tray(bay), tray);
+  EXPECT_EQ(sched_->stats().loads, 1u);
+  EXPECT_EQ(sched_->stats().parked_hits, 1u);
+  sched_->ReleaseBay(bay);
+}
+
+TEST_F(MechControllerTest, BurnClaimTakesEmptyBayFirst) {
+  const int parked = Park({0, 4, 1});
+  const int bay = sim_.RunUntilComplete(sched_->AcquireForBurn());
+  EXPECT_NE(bay, parked);
+  EXPECT_EQ(mc_->bay_state(bay), BayState::kBusy);
+  EXPECT_FALSE(mc_->bay_tray(bay).has_value());
+  EXPECT_EQ(mc_->bay_state(parked), BayState::kParked);
+  sched_->ReleaseBay(bay);
+  EXPECT_EQ(mc_->bay_state(bay), BayState::kEmpty);
+}
+
+TEST_F(MechControllerTest, BurnClaimTakesLruParkedBay) {
+  const int older = Park({0, 4, 1});
+  const int newer = Park({0, 5, 1});
+  ASSERT_NE(older, newer);
+  EXPECT_EQ(sim_.RunUntilComplete(sched_->AcquireForBurn()), older);
+  sched_->ReleaseBay(older);
+  // The release made `older` the most recently used bay.
+  EXPECT_EQ(sim_.RunUntilComplete(sched_->AcquireForBurn()), newer);
+  sched_->ReleaseBay(newer);
+}
+
+TEST_F(MechControllerTest, BurnClaimSparesDemandedTray) {
+  const int older = Park({0, 4, 1});
+  const int newer = Park({0, 5, 1});
+  HoldWithQueuedReader(older);
+  mc_->ReleaseBay(older);
+  // LRU alone would pick `older`; its queued reader keeps it resident.
+  EXPECT_EQ(sim_.RunUntilComplete(sched_->AcquireForBurn()), newer);
+  EXPECT_EQ(sched_->queue_depth(), 1);  // claimed without waiting
+  sched_->ReleaseBay(newer);
+  sim_.Run();
+  EXPECT_EQ(sched_->queue_depth(), 0);
+  EXPECT_EQ(sched_->stats().loads, 2u);
+}
+
+TEST_F(MechControllerTest, BurnClaimEvictsDemandedTrayWhenAllAre) {
+  const int older = Park({0, 4, 1});
+  const int newer = Park({0, 5, 1});
+  HoldWithQueuedReader(older);
+  HoldWithQueuedReader(newer);
+  mc_->ReleaseBay(older);
+  mc_->ReleaseBay(newer);
+  // Both parked arrays have a queued reader. The burn does not queue
+  // behind reads, so it takes the LRU one at once.
+  EXPECT_EQ(sim_.RunUntilComplete(sched_->AcquireForBurn()), older);
+  EXPECT_EQ(sched_->queue_depth(), 2);
+  // The burn left the array loaded: its release hands the bay to the
+  // queued reader.
+  sched_->ReleaseBay(older);
+  sim_.Run();
+  EXPECT_EQ(sched_->queue_depth(), 0);
+  EXPECT_EQ(sched_->stats().loads, 2u);
+}
+
+TEST_F(MechControllerTest, BurnClaimWaitsForReleaseWhenAllBaysBusy) {
+  const int a = Read({0, 4, 1});
+  const int b = Read({0, 5, 1});
+  std::optional<int> burn_bay;
+  sim_.Spawn([](FetchScheduler* sched,
+                std::optional<int>* out) -> sim::Task<void> {
+    *out = co_await sched->AcquireForBurn();
+  }(sched_.get(), &burn_bay));
+  sim_.RunFor(sim::Seconds(5));
+  EXPECT_FALSE(burn_bay.has_value());
+  sched_->ReleaseBay(a);
+  sim_.Run();
+  ASSERT_TRUE(burn_bay.has_value());
+  EXPECT_EQ(*burn_bay, a);
+  EXPECT_EQ(mc_->bay_state(a), BayState::kBusy);
+  sched_->ReleaseBay(a);
+  sched_->ReleaseBay(b);
+}
+
+// A reader of the array a burn holds queues behind the burn and gets the
+// same bay when it is released, array still loaded (§4.8's wait-for-burn
+// shape): loading the array into the free bay would fork the media.
+TEST_F(MechControllerTest, ReadOfArrayHeldByBurnWaitsForItsBay) {
+  mech::TrayAddress tray{0, 4, 1};
+  const int bay = sim_.RunUntilComplete(sched_->AcquireForBurn());
+  ASSERT_TRUE(sim_.RunUntilComplete(mc_->LoadArray(tray, bay)).ok());
+  ASSERT_EQ(mc_->bay_state(1 - bay), BayState::kEmpty);
+
+  std::optional<int> woken;
+  sim_.Spawn([](FetchScheduler* sched, mech::TrayAddress want,
+                std::optional<int>* out) -> sim::Task<void> {
+    auto got = co_await sched->AcquireForRead({want, 0});
+    ROS_CHECK(got.ok());
+    *out = *got;
+    sched->ReleaseBay(*got);
+  }(sched_.get(), tray, &woken));
+  sim_.RunFor(sim::Seconds(5));
+  EXPECT_FALSE(woken.has_value());
+  EXPECT_EQ(mc_->bay_state(1 - bay), BayState::kEmpty);
+  sched_->ReleaseBay(bay);
+  sim_.Run();
+  ASSERT_TRUE(woken.has_value());
+  EXPECT_EQ(*woken, bay);
+  EXPECT_EQ(sched_->stats().loads, 0u);
+  EXPECT_EQ(sched_->stats().handoffs, 1u);
+}
+
+TEST_F(MechControllerTest, BurnClaimOfSpeculativeTrayCountsItWasted) {
+  sched_->EnqueueSpeculative({0, 4, 1});
+  sim_.Run();
+  sched_->EnqueueSpeculative({0, 5, 1});
+  sim_.Run();
+  ASSERT_EQ(sched_->stats().speculative_loads, 2u);
+  ASSERT_EQ(mc_->bay_state(0), BayState::kParked);
+  ASSERT_EQ(mc_->bay_state(1), BayState::kParked);
+
+  const int bay = sim_.RunUntilComplete(sched_->AcquireForBurn());
+  EXPECT_EQ(sched_->stats().speculative_wasted, 1u);
+  ASSERT_TRUE(sim_.RunUntilComplete(mc_->UnloadArray(bay)).ok());
+  sched_->ReleaseBay(bay);
+  EXPECT_EQ(sched_->stats().speculative_wasted, 1u);
+  EXPECT_EQ(sched_->stats().speculative_useful, 0u);
 }
 
 }  // namespace

@@ -473,6 +473,31 @@ TEST_F(OlfsTest, NamespaceRebuiltFromDiscScanAfterTotalMvLoss) {
   EXPECT_EQ(*children, (std::vector<std::string>{"data", "notes"}));
 }
 
+// A tray outside the rack is rejected before the MV is wiped: the
+// namespace survives the failed rebuild untouched.
+TEST_F(OlfsTest, RebuildRejectsTrayOutsideRackWithoutWiping) {
+  ASSERT_TRUE(sim_->RunUntilComplete(
+                  olfs_->Create("/keep/f", Bytes("payload"))).ok());
+  ASSERT_TRUE(sim_->RunUntilComplete(olfs_->FlushAndDrain()).ok());
+  const int used = olfs_->da_index().CountState(ArrayState::kUsed);
+
+  const mech::TrayAddress outside{olfs_->da_index().rollers(), 0, 0};
+  for (const mech::TrayAddress& bad :
+       {outside, mech::TrayAddress{0, -1, 0}}) {
+    auto report = sim_->RunUntilComplete(
+        olfs_->RebuildNamespace({mech::TrayAddress{0, 0, 0}, bad}));
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  }
+
+  EXPECT_EQ(olfs_->da_index().CountState(ArrayState::kUsed), used);
+  auto data = sim_->RunUntilComplete(olfs_->Read("/keep/f", 0, 7));
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(*data, Bytes("payload"));
+  auto children = sim_->RunUntilComplete(olfs_->ReadDir("/keep"));
+  ASSERT_TRUE(children.ok());
+  EXPECT_EQ(*children, (std::vector<std::string>{"f"}));
+}
+
 // MV snapshots burned to disc (§4.2) restore the namespace too.
 TEST_F(OlfsTest, MvSnapshotBurnsAndRestores) {
   ASSERT_TRUE(sim_->RunUntilComplete(

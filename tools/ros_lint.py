@@ -46,15 +46,18 @@ leans on but the compiler cannot fully check:
                       transient-vs-permanent is the whole point of
                       src/sim/retry.h.
 
-  acquire-bay         A direct MechController::AcquireBay call outside the
-                      two components allowed to own bay scheduling: the
-                      fetch scheduler (read path) and the burn manager
-                      (write path). Direct acquisition bypasses tray
-                      batching, the demand-aware unload victim policy and
-                      the aging bound, so concurrent readers scramble for
-                      bays FIFO-style again. Route reads through
-                      FetchScheduler::AcquireForRead; a justified direct
-                      call (bulk scans, legacy paths) carries an inline
+  acquire-bay         A bay claim outside the one bay arbiter. The
+                      FetchScheduler picks every bay and unload victim;
+                      MechController::TryClaimBay, the raw claim it
+                      executes them with, is a finding outside
+                      fetch_scheduler.cc and mech_controller.*, and
+                      FetchScheduler::AcquireForBurn (a claim that skips
+                      the read queue and the aging bound) is a finding
+                      outside burn_manager.cc and fetch_scheduler.*. A
+                      claim made elsewhere bypasses tray batching, the
+                      demand-aware victim policy and the aging bound. Route
+                      reads through FetchScheduler::AcquireForRead; a
+                      justified direct claim carries an inline
                       `// ros-lint: allow(acquire-bay): <why>`.
 
   speculative-fetch   A direct FetchScheduler::AcquireForRead call outside
@@ -391,38 +394,44 @@ class FileLint:
 
     # --- rule: acquire-bay ----------------------------------------------
 
-    # Files that legitimately own bay scheduling: the scheduler itself, the
-    # burn manager's write path, and the controller that defines the API.
-    ACQUIRE_BAY_OWNERS = (
-        "fetch_scheduler.cc",
-        "burn_manager.cc",
-        "mech_controller.cc",
-        "mech_controller.h",
+    # (call pattern, files allowed to make it, what the call is): the
+    # scheduler owns every claim; the controller defines the raw one and
+    # the burn manager is the one client of the burn claim.
+    BAY_CLAIMS = (
+        (re.compile(r"(?<![\w:])TryClaimBay\s*\("),
+         ("fetch_scheduler.cc", "mech_controller.cc", "mech_controller.h"),
+         "TryClaimBay is the scheduler's raw claim"),
+        (re.compile(r"(?<![\w:])AcquireForBurn\s*\("),
+         ("burn_manager.cc", "fetch_scheduler.cc", "fetch_scheduler.h"),
+         "AcquireForBurn is the burn manager's claim"),
     )
 
-    ACQUIRE_BAY_RE = re.compile(r"(?<![\w:])AcquireBay\s*\(")
+    def statement_start(self, pos: int) -> int:
+        """Offset of the first token of the statement holding `pos`, so an
+        allow annotation above a wrapped call (ROS_CO_ASSIGN_OR_RETURN
+        split across lines) still covers it."""
+        stmt = max(self.stripped.rfind(";", 0, pos),
+                   self.stripped.rfind("{", 0, pos),
+                   self.stripped.rfind("}", 0, pos))
+        idx = stmt + 1
+        while idx < pos and self.stripped[idx] in " \t\n":
+            idx += 1
+        return idx
 
     def check_acquire_bay(self) -> None:
-        if os.path.basename(self.path) in self.ACQUIRE_BAY_OWNERS:
-            return
-        for m in self.ACQUIRE_BAY_RE.finditer(self.stripped):
-            # Anchor at the start of the enclosing statement so an allow
-            # annotation above a wrapped call (ROS_CO_ASSIGN_OR_RETURN
-            # split across lines) still covers it.
-            stmt = max(self.stripped.rfind(";", 0, m.start()),
-                       self.stripped.rfind("{", 0, m.start()),
-                       self.stripped.rfind("}", 0, m.start()))
-            idx = stmt + 1
-            while idx < m.start() and self.stripped[idx] in " \t\n":
-                idx += 1
-            self.report(
-                idx,
-                "acquire-bay",
-                "direct AcquireBay bypasses the fetch scheduler's tray "
-                "batching, victim policy and aging bound; route reads "
-                "through FetchScheduler::AcquireForRead or annotate with "
-                "ros-lint: allow(acquire-bay)",
-            )
+        base = os.path.basename(self.path)
+        for pattern, owners, what in self.BAY_CLAIMS:
+            if base in owners:
+                continue
+            for m in pattern.finditer(self.stripped):
+                self.report(
+                    self.statement_start(m.start()),
+                    "acquire-bay",
+                    what + "; a claim outside the fetch scheduler bypasses "
+                    "its tray batching, victim policy and aging bound. "
+                    "Route reads through FetchScheduler::AcquireForRead or "
+                    "annotate with ros-lint: allow(acquire-bay)",
+                )
 
     # --- rule: speculative-fetch ----------------------------------------
 
@@ -442,14 +451,8 @@ class FileLint:
         if os.path.basename(self.path) in self.ACQUIRE_FOR_READ_OWNERS:
             return
         for m in self.ACQUIRE_FOR_READ_RE.finditer(self.stripped):
-            stmt = max(self.stripped.rfind(";", 0, m.start()),
-                       self.stripped.rfind("{", 0, m.start()),
-                       self.stripped.rfind("}", 0, m.start()))
-            idx = stmt + 1
-            while idx < m.start() and self.stripped[idx] in " \t\n":
-                idx += 1
             self.report(
-                idx,
+                self.statement_start(m.start()),
                 "speculative-fetch",
                 "direct AcquireForRead competes with demand readers for "
                 "bays; background/speculative loads must go through "

@@ -344,51 +344,72 @@ class RetryUnclassifiedTest(unittest.TestCase):
 
 
 class AcquireBayTest(unittest.TestCase):
-    CALL = ("sim::Task<void> f() {\n"
-            "  auto bay = co_await mech_->AcquireBay(tray, true);\n"
+    CLAIM = ("void f() {\n"
+             "  bool ok = mech_->TryClaimBay(bay);\n"
+             "  (void)ok;\n"
+             "}\n")
+    BURN = ("sim::Task<void> f() {\n"
+            "  int bay = co_await scheduler_->AcquireForBurn();\n"
             "  (void)bay;\n"
             "}\n")
 
-    def test_flags_direct_call(self):
-        self.assertIn(("acquire-bay", 2), lint_source(self.CALL))
+    def rules_in(self, name, src):
+        return [f.rule for f in ros_lint.FileLint(name, src, set()).run()]
+
+    def test_flags_direct_calls(self):
+        self.assertIn(("acquire-bay", 2), lint_source(self.CLAIM))
+        self.assertIn(("acquire-bay", 2), lint_source(self.BURN))
 
     def test_owner_files_exempt(self):
-        # The scheduler, burn manager and the defining controller are the
-        # components allowed to touch bays directly.
+        # The scheduler and the defining controller may make the raw
+        # claim; only the burn manager and the scheduler the burn claim.
         for name in ("src/olfs/fetch_scheduler.cc",
-                     "src/olfs/burn_manager.cc",
                      "src/olfs/mech_controller.cc",
                      "src/olfs/mech_controller.h"):
-            lint = ros_lint.FileLint(name, self.CALL, set())
-            rules = [f.rule for f in lint.run()]
-            self.assertNotIn("acquire-bay", rules, name)
+            self.assertNotIn("acquire-bay", self.rules_in(name, self.CLAIM),
+                             name)
+        for name in ("src/olfs/burn_manager.cc",
+                     "src/olfs/fetch_scheduler.cc",
+                     "src/olfs/fetch_scheduler.h"):
+            self.assertNotIn("acquire-bay", self.rules_in(name, self.BURN),
+                             name)
+
+    def test_owners_are_per_call(self):
+        # Owning one claim does not license the other.
+        self.assertIn("acquire-bay", self.rules_in(
+            "src/olfs/burn_manager.cc", self.CLAIM))
+        self.assertIn("acquire-bay", self.rules_in(
+            "src/olfs/mech_controller.cc", self.BURN))
+        self.assertIn("acquire-bay", self.rules_in(
+            "src/olfs/olfs.cc", self.BURN))
 
     def test_inline_allow_suppresses(self):
         src = ("sim::Task<void> f() {\n"
-               "  // ros-lint: allow(acquire-bay): sequential rebuild scan\n"
-               "  auto bay = co_await mech_->AcquireBay(tray, true);\n"
+               "  // ros-lint: allow(acquire-bay): forces an eviction\n"
+               "  int bay = co_await scheduler_->AcquireForBurn();\n"
                "  (void)bay;\n"
                "}\n")
         rules = [r for r, _ in lint_source(src)]
         self.assertNotIn("acquire-bay", rules)
 
-    def test_allow_above_wrapped_macro_call_suppresses(self):
-        # The call sits on a continuation line of the macro; the finding
-        # must anchor at the statement start so the annotation covers it.
-        src = ("sim::Task<void> f() {\n"
-               "  // ros-lint: allow(acquire-bay): legacy FIFO baseline\n"
-               "  ROS_CO_ASSIGN_OR_RETURN(\n"
-               "      bay, co_await mech_->AcquireBay(tray, true));\n"
+    def test_allow_above_wrapped_call_suppresses(self):
+        # The call sits on a continuation line; the finding must anchor at
+        # the statement start so the annotation covers it.
+        src = ("void f() {\n"
+               "  // ros-lint: allow(acquire-bay): staging bay occupancy\n"
+               "  ROS_CHECK(\n"
+               "      mech_->TryClaimBay(bay));\n"
                "}\n")
         rules = [r for r, _ in lint_source(src)]
         self.assertNotIn("acquire-bay", rules)
 
     def test_similar_names_and_comments_clean(self):
         src = ("sim::Task<void> f() {\n"
-               "  // callers go through AcquireBay(...) eventually\n"
-               "  auto a = mech_->TryAcquireBay(tray);\n"
+               "  // callers go through TryClaimBay(...) eventually\n"
+               "  auto a = mech_->MaybeTryClaimBay(bay);\n"
                "  auto b = co_await sched_->AcquireForRead(address);\n"
-               "  (void)a; (void)b;\n"
+               "  auto c = sched_->AcquireForBurnLater();\n"
+               "  (void)a; (void)b; (void)c;\n"
                "}\n")
         rules = [r for r, _ in lint_source(src)]
         self.assertNotIn("acquire-bay", rules)
