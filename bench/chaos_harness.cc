@@ -3,7 +3,10 @@
 // For every seed the harness builds a fresh rack, installs a FaultInjector
 // mixing scripted one-shots with background fault rates, runs a write /
 // flush / read-back / scrub / rebuild workload and checks the §4.7
-// self-healing invariants:
+// self-healing invariants. The one-shots' kinds and positions are drawn
+// from the seed, and so are the background draws; each seed's telemetry
+// line carries a hash of its scripted schedule, and a sweep in which two
+// seeds share one exits 1 before running. The invariants:
 //
 //   * every acked write reads back byte-identical (degraded reads count
 //     as success — that is the point of the parity path);
@@ -32,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/units.h"
@@ -48,9 +52,11 @@ using sim::Seconds;
 
 struct Options {
   std::vector<std::uint64_t> seeds = {1, 2, 3};
-  int files = 6;
-  double latent_rate = 0.002;
-  double mech_rate = 0.002;
+  // Sized so that background faults fire in most seeds' storms without
+  // routinely exhausting the retry and RAID-5 parity budgets.
+  int files = 12;
+  double latent_rate = 0.01;
+  double mech_rate = 0.015;
   bool replay_check = false;
 };
 
@@ -61,6 +67,46 @@ std::vector<std::uint8_t> RandomBytes(std::size_t n, std::uint64_t seed) {
     b = static_cast<std::uint8_t>(rng.Next());
   }
   return out;
+}
+
+// One scripted one-shot fault: the `nth` operation of `kind` fails.
+struct OneShot {
+  FaultKind kind;
+  std::uint64_t nth;
+};
+
+// The seed's scripted faults, drawn from the seed so that every seed of a
+// sweep runs its own schedule: one mech fault, plus a burn failure and a
+// latent sector error when the seed draws them, each at a seed-drawn
+// operation within the count of its kind that a default-size run
+// performs under the storm. One of each kind at most: the retry budgets
+// (burn, mech_retry) are sized for isolated faults, not back-to-back
+// ones.
+std::vector<OneShot> ScheduleFor(std::uint64_t seed) {
+  Rng rng(seed ^ 0x5CEDu);
+  std::vector<OneShot> shots = {
+      {FaultKind::kMechFault, rng.Between(1, 80)}};
+  if (rng.Chance(0.5)) {
+    shots.push_back({FaultKind::kBurnFailure, rng.Between(1, 4)});
+  }
+  if (rng.Chance(0.5)) {
+    shots.push_back({FaultKind::kLatentSectorError, rng.Between(1, 12)});
+  }
+  return shots;
+}
+
+// FNV-1a over the scripted (kind, nth) pairs, little-endian.
+std::uint64_t ScheduleHash(const std::vector<OneShot>& shots) {
+  std::vector<std::uint8_t> bytes;
+  for (const OneShot& shot : shots) {
+    for (std::uint64_t word : {static_cast<std::uint64_t>(shot.kind),
+                               shot.nth}) {
+      for (int byte = 0; byte < 8; ++byte) {
+        bytes.push_back(static_cast<std::uint8_t>(word >> (8 * byte)));
+      }
+    }
+  }
+  return Fnv1a64(bytes);
 }
 
 OlfsParams ChaosParams() {
@@ -91,9 +137,10 @@ bool RunSeed(std::uint64_t seed, const Options& opt,
 
   sim::FaultInjector faults(seed);
   faults.set_event_hasher(hasher);
-  faults.FailNth(FaultKind::kBurnFailure, "", 2);
-  faults.FailNth(FaultKind::kMechFault, "", 10);
-  faults.FailNth(FaultKind::kLatentSectorError, "", 3);
+  const std::vector<OneShot> schedule = ScheduleFor(seed);
+  for (const OneShot& shot : schedule) {
+    faults.FailNth(shot.kind, "", shot.nth);
+  }
   faults.SetRate(FaultKind::kLatentSectorError, opt.latent_rate);
   faults.SetRate(FaultKind::kMechFault, opt.mech_rate);
   system.InstallFaultInjector(&faults);
@@ -235,7 +282,8 @@ bool RunSeed(std::uint64_t seed, const Options& opt,
   }
   const SummaryStats lat = Summarize(std::move(read_latencies));
   std::printf(
-      "{\"seed\": %llu, \"acked_files\": %zu, \"injected\": "
+      "{\"seed\": %llu, \"schedule\": \"%016llx\", "
+      "\"acked_files\": %zu, \"injected\": "
       "{\"burn\": %llu, \"latent\": %llu, \"mech\": %llu}, "
       "\"degraded_reads\": %llu, \"reconstructions\": %llu, "
       "\"images_repaired\": %llu, \"burn_retries\": %d, "
@@ -245,7 +293,8 @@ bool RunSeed(std::uint64_t seed, const Options& opt,
       "\"loads\": %llu, \"canceled\": %llu, \"useful\": %llu, "
       "\"demand_evictions\": %llu}, "
       "\"rebuild_files\": %d, \"sim_hours\": %.2f}\n",
-      static_cast<unsigned long long>(seed), acked.size(),
+      static_cast<unsigned long long>(seed),
+      static_cast<unsigned long long>(ScheduleHash(schedule)), acked.size(),
       static_cast<unsigned long long>(
           faults.injected(FaultKind::kBurnFailure)),
       static_cast<unsigned long long>(
@@ -291,9 +340,11 @@ bool ReplayCheckSeed(std::uint64_t seed, const Options& opt) {
   if (!replay_ok) {
     return false;
   }
-  std::printf("{\"seed\": %llu, \"replay_events\": %llu, "
-              "\"replay_digest\": \"%016llx\"}\n",
+  std::printf("{\"seed\": %llu, \"schedule\": \"%016llx\", "
+              "\"replay_events\": %llu, \"replay_digest\": \"%016llx\"}\n",
               static_cast<unsigned long long>(seed),
+              static_cast<unsigned long long>(
+                  ScheduleHash(ScheduleFor(seed))),
               static_cast<unsigned long long>(check.event_count()),
               static_cast<unsigned long long>(check.digest()));
   return true;
@@ -334,6 +385,19 @@ int Main(int argc, char** argv) {
                    "[--latent-rate=R] [--mech-rate=R] [--replay-check]\n",
                    argv[0]);
       return 2;
+    }
+  }
+  // A sweep is only worth its seeds if each runs its own fault schedule.
+  std::map<std::uint64_t, std::uint64_t> seed_of_schedule;
+  for (std::uint64_t seed : opt.seeds) {
+    const auto [it, fresh] =
+        seed_of_schedule.emplace(ScheduleHash(ScheduleFor(seed)), seed);
+    if (!fresh) {
+      std::fprintf(stderr, "seeds %llu and %llu share fault schedule %016llx\n",
+                   static_cast<unsigned long long>(it->second),
+                   static_cast<unsigned long long>(seed),
+                   static_cast<unsigned long long>(it->first));
+      return 1;
     }
   }
   int failures = 0;

@@ -95,6 +95,11 @@ struct MechTimingModel {
   sim::Duration CollectArrayTime() const {
     return collect_per_disc * kDiscsPerTray;
   }
+  // One array load from the uppermost layer (the 68.7 s budget above).
+  sim::Duration LoadArrayTime() const {
+    return RotateTime(0, 1) + tray_fan_out + grab_array + tray_fan_in +
+           drive_trays_open + SeparateArrayTime();
+  }
 };
 
 }  // namespace ros::mech

@@ -162,7 +162,7 @@ sim::Task<void> BurnManager::BurnArrayTask(
                        static_cast<std::uint64_t>(job.tray.ToIndex()) + 1);
   int reallocations = 0;
   while (true) {
-    const int bay = co_await scheduler_->AcquireForBurn();
+    const int bay = co_await scheduler_->AcquireForBurn(job.resumed);
     Status status = co_await BurnArrayInBay(job, bay);
     scheduler_->ReleaseBay(bay);
     if (status.ok()) {

@@ -12,7 +12,8 @@ namespace ros::olfs {
 Cluster::Cluster(sim::Simulator& sim, ClusterParams params)
     : sim_(sim), params_(std::move(params)),
       placement_(params_.racks, params_.affinity_headroom_bytes),
-      bucket_cv_(sim) {
+      bucket_cv_(sim),
+      rack_drained_(sim) {
   ROS_CHECK(params_.racks > 0);
   // The namespace head's metadata store: same mirrored-SSD shape as a
   // rack MV, scaled down (routes + tray manifests are small).
@@ -67,6 +68,12 @@ sim::Task<void> Cluster::EnterBucket(std::string bucket) {
     co_await bucket_cv_.Wait();
   }
   ++bucket_inflight_[bucket];
+}
+
+void Cluster::LeaveRack(RackNode& node) {
+  if (--node.inflight == 0) {
+    rack_drained_.NotifyAll();
+  }
 }
 
 void Cluster::LeaveBucket(const std::string& bucket) {
@@ -184,7 +191,7 @@ sim::Task<Status> Cluster::MkdirOnRack(int rack, std::string bucket) {
   ++node.inflight;
   co_await Hop(rack, "mkdir");
   Status status = co_await node.olfs->Mkdir("/b/" + bucket);
-  --node.inflight;
+  LeaveRack(node);
   if (status.code() == StatusCode::kAlreadyExists) {
     status = OkStatus();
   }
@@ -207,7 +214,7 @@ sim::Task<Status> Cluster::PutOnRack(int rack, std::string path,
   } else {
     status = co_await node.olfs->Create(path, std::move(data), size, hint);
   }
-  --node.inflight;
+  LeaveRack(node);
   co_return status;
 }
 
@@ -299,7 +306,7 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> Cluster::Get(
   } else {
     data = co_await node.olfs->Read(path, 0, info->size, hint);
   }
-  --node.inflight;
+  LeaveRack(node);
   if (BucketRoute* r = routes_.FindMutable(bucket)) {
     ++r->ops;
   }
@@ -332,7 +339,7 @@ sim::Task<StatusOr<FileInfo>> Cluster::Stat(std::string bucket,
   ++node.inflight;
   co_await Hop(rack, "stat");
   auto info = co_await node.olfs->Stat(RackPath(bucket, key));
-  --node.inflight;
+  LeaveRack(node);
   LeaveBucket(bucket);
   co_return info;
 }
@@ -360,7 +367,7 @@ sim::Task<StatusOr<std::vector<std::string>>> Cluster::List(
   ++node.inflight;
   co_await Hop(rack, "list");
   auto names = co_await node.olfs->ReadDir("/b/" + bucket);
-  --node.inflight;
+  LeaveRack(node);
   LeaveBucket(bucket);
   co_return names;
 }
@@ -394,7 +401,7 @@ sim::Task<Status> Cluster::UnlinkOnRack(int rack, std::string path) {
   ++node.inflight;
   co_await Hop(rack, "delete");
   Status status = co_await node.olfs->Unlink(path);
-  --node.inflight;
+  LeaveRack(node);
   co_return status;
 }
 
@@ -408,7 +415,7 @@ sim::Task<Status> Cluster::FlushRack(int rack) {
   ++node.inflight;
   co_await Hop(rack, "flush");
   Status status = co_await node.olfs->FlushAndDrain();
-  --node.inflight;
+  LeaveRack(node);
   co_return status;
 }
 
@@ -479,7 +486,7 @@ sim::Task<Status> Cluster::KillRack(int i) {
   node.alive = false;
   placement_.SetAlive(i, false);
   while (node.inflight > 0) {
-    co_await sim_.Delay(sim::Millis(10));
+    co_await rack_drained_.Wait();
   }
   co_await node.olfs->Quiesce();
   node.olfs.reset();

@@ -100,8 +100,7 @@ class Cluster {
 
   // ------------------------------------------------------------------
   // Namespace operations (bucket/key). Keys may contain '/' (nested
-  // directories on the rack); escaping is the frontend's business
-  // (frontend::ClusterStore).
+  // directories on the rack).
   // ------------------------------------------------------------------
 
   sim::Task<Status> CreateBucket(std::string bucket,
@@ -201,6 +200,10 @@ class Cluster {
   sim::Task<void> EnterBucket(std::string bucket);
   void LeaveBucket(const std::string& bucket);
 
+  // Ends one cluster-routed op on `node`; the last one signals
+  // rack_drained_, which KillRack waits on.
+  void LeaveRack(RackNode& node);
+
   // Single-rack legs of the fan-out operations. Each charges one Hop and
   // tracks the rack's in-flight count (KillRack waits it out).
   sim::Task<Status> MkdirOnRack(int rack, std::string bucket);
@@ -239,6 +242,7 @@ class Cluster {
   std::map<std::string, int> bucket_inflight_;
   std::set<std::string> frozen_buckets_;
   sim::ConditionVariable bucket_cv_;
+  sim::ConditionVariable rack_drained_;
 
   std::shared_ptr<bool> bg_alive_ = std::make_shared<bool>(true);
 };

@@ -80,8 +80,9 @@ enum class FetchClass {
   // A client read: FetchScheduler::AcquireForRead.
   kDemand,
   // Scrub, audit and refresh sweeps (DESIGN.md §5j):
-  // FetchScheduler::AcquireForBackground, which parks while foreground
-  // demand is queued or loading, so sweeps never starve readers.
+  // FetchScheduler::AcquireForBackground, admitted only while no demand is
+  // queued or loading and none arrived within one array-load time, so
+  // sweeps never starve readers.
   kBackground,
 };
 

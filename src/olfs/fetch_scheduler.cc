@@ -1,6 +1,7 @@
 #include "src/olfs/fetch_scheduler.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/common/logging.h"
 #include "src/mech/plc.h"
@@ -25,24 +26,23 @@ FetchScheduler::FetchScheduler(sim::Simulator& sim, const OlfsParams& params,
                                MechController* mech)
     : sim_(sim), params_(params), mech_(mech) {
   ROS_CHECK(mech_ != nullptr);
+  background_hold_ = mech_->library().plc().timing().LoadArrayTime();
   last_used_.assign(static_cast<std::size_t>(mech_->num_bays()), 0);
 }
 
 int FetchScheduler::queue_depth() const {
   int depth = 0;
-  for (const auto& [tray, queue] : queues_) {
-    depth += static_cast<int>(queue.size());
+  for (auto it = queues_.lower_bound({ClaimClass::kDemand, kAnyTray});
+       it != queues_.end() && it->first.first == ClaimClass::kDemand; ++it) {
+    depth += static_cast<int>(it->second.size());
   }
   return depth;
 }
 
 bool FetchScheduler::HasDemand(mech::TrayAddress tray) const {
   const int index = tray.ToIndex();
-  auto it = queues_.find(index);
-  if (it != queues_.end() && !it->second.empty()) {
-    return true;
-  }
-  return loading_.count(index) > 0;
+  return queues_.count({ClaimClass::kDemand, index}) > 0 ||
+         loading_.count(index) > 0;
 }
 
 int FetchScheduler::BayHolding(int tray_index) const {
@@ -64,74 +64,118 @@ sim::Duration FetchScheduler::PositioningCost(mech::TrayAddress tray) {
                               /*carrying=*/false);
 }
 
-sim::Task<StatusOr<int>> FetchScheduler::AcquireForRead(
-    mech::DiscAddress address) {
-  EnsureDispatcher();
-  const int tray = address.tray.ToIndex();
-  ++stats_.requests;
+void FetchScheduler::Push(Key key, std::shared_ptr<Request> request) {
+  request->seq = next_seq_++;
+  request->enqueued = sim_.now();
+  queues_[key].push_back(std::move(request));
+}
 
-  // Fast path: the array is already parked in a bay and nobody is queued
-  // ahead of us for it — claim the bay without queueing (Table 1's
-  // "disc in drive" case, zero queueing delay).
-  auto pending = queues_.find(tray);
-  if ((pending == queues_.end() || pending->second.empty()) &&
+sim::Task<StatusOr<int>> FetchScheduler::Claim(Key key, bool after_demand) {
+  EnsureDispatcher();
+  auto request = std::make_shared<Request>(sim_);
+  request->after_demand = after_demand;
+  if (key.first != ClaimClass::kDemand) {
+    Push(key, request);
+    mech_->bay_changed().NotifyAll();  // wake the dispatcher
+  } else if (!AdmitToTray(request, key.second)) {
+    mech_->bay_changed().NotifyAll();
+  }
+  co_await request->done.Wait();
+  co_return request->bay;
+}
+
+std::shared_ptr<FetchScheduler::Request> FetchScheduler::PopFront(
+    Queues::iterator it) {
+  std::shared_ptr<Request> request = std::move(it->second.front());
+  it->second.pop_front();
+  if (it->second.empty()) {
+    queues_.erase(it);
+  }
+  return request;
+}
+
+FetchScheduler::Queues::iterator FetchScheduler::Oldest(ClaimClass cls) {
+  auto oldest = queues_.end();
+  for (auto it = queues_.lower_bound({cls, kAnyTray});
+       it != queues_.end() && it->first.first == cls; ++it) {
+    if (oldest == queues_.end() ||
+        it->second.front()->seq < oldest->second.front()->seq) {
+      oldest = it;
+    }
+  }
+  return oldest;
+}
+
+bool FetchScheduler::AdmitToTray(std::shared_ptr<Request> request, int tray) {
+  ++stats_.requests;
+  if (queues_.count({ClaimClass::kDemand, tray}) == 0 &&
       loading_.count(tray) == 0) {
     const int bay = BayHolding(tray);
     if (bay >= 0 && mech_->bay_state(bay) == BayState::kParked &&
         mech_->TryClaimBay(bay)) {
       ++stats_.parked_hits;
-      ++stats_.completed;
-      ++stats_.delay_hist[0];
       NoteDemand(tray);
-      co_return bay;
+      request->enqueued = sim_.now();
+      Complete(std::move(request), bay);
+      return true;
     }
   }
-
-  auto request =
-      std::make_shared<Request>(sim_, next_seq_++, sim_.now());
-  queues_[tray].push_back(request);
-  if (!spec_pending_.empty()) {
-    // Demand queued: cancel pending speculative work so the background
-    // class can never delay the dispatcher's next demand pass.
-    stats_.speculative_canceled +=
-        static_cast<std::uint64_t>(spec_pending_.size());
-    spec_pending_.clear();
-  }
+  Push({ClaimClass::kDemand, tray}, std::move(request));
+  // Demand queued: cancel every speculative claim (the last class, so the
+  // tail of the map) so speculation never delays the next demand pass.
+  auto spec = queues_.lower_bound({ClaimClass::kSpeculative, kAnyTray});
+  stats_.speculative_canceled +=
+      static_cast<std::uint64_t>(std::distance(spec, queues_.end()));
+  queues_.erase(spec, queues_.end());
   stats_.max_queue_depth = std::max(
       stats_.max_queue_depth, static_cast<std::uint64_t>(queue_depth()));
-  // Wake the dispatcher (and any AcquireForBurn waiters; they re-scan and
-  // go back to sleep, which keeps wakeup order deterministic).
-  mech_->bay_changed().NotifyAll();
-  co_await request->done.Wait();
-  co_return request->bay;
+  return false;
+}
+
+sim::Task<StatusOr<int>> FetchScheduler::AcquireForRead(
+    mech::DiscAddress address) {
+  background_ready_at_ = sim_.now() + background_hold_;
+  co_return co_await Claim({ClaimClass::kDemand, address.tray.ToIndex()});
+}
+
+bool FetchScheduler::DemandIdle() const {
+  return queue_depth() == 0 && loading_.empty();
 }
 
 sim::Task<StatusOr<int>> FetchScheduler::AcquireForBackground(
     mech::DiscAddress address) {
-  // Park (deterministic sim-time poll) until the demand machinery is
-  // idle: no queued foreground requests and no load cycle in flight. A
-  // fresh demand arriving after admission simply queues behind this claim
-  // like behind any single reader, and the aging bound still applies.
-  while (queue_depth() > 0 || !loading_.empty()) {
-    ++stats_.background_yields;
-    co_await sim_.Delay(sim::Seconds(1));
+  const int tray = address.tray.ToIndex();
+  if (DemandIdle() && sim_.now() >= background_ready_at_ &&
+      Oldest(ClaimClass::kBackground) == queues_.end()) {
+    ++stats_.background_acquires;  // admitted on arrival
+    co_return co_await Claim({ClaimClass::kDemand, tray});
   }
-  ++stats_.background_acquires;
-  co_return co_await AcquireForRead(address);
+  co_return co_await Claim({ClaimClass::kBackground, tray});
 }
 
-sim::Task<int> FetchScheduler::AcquireForBurn() {
-  while (true) {
-    const int bay = PickLoadBay(/*allow_demanded=*/true);
-    if (bay >= 0 && mech_->TryClaimBay(bay)) {
-      auto victim = mech_->bay_tray(bay);
-      if (victim.has_value()) {
-        NoteUnload(victim->ToIndex());
-      }
+int FetchScheduler::ClaimForBurn() {
+  const int bay = PickLoadBay(/*allow_demanded=*/true);
+  if (bay < 0 || !mech_->TryClaimBay(bay)) {
+    return -1;
+  }
+  auto victim = mech_->bay_tray(bay);
+  if (victim.has_value()) {
+    NoteUnload(victim->ToIndex());
+  }
+  return bay;
+}
+
+sim::Task<int> FetchScheduler::AcquireForBurn(bool resumed) {
+  if (queues_.count({ClaimClass::kBurn, kAnyTray}) == 0 &&
+      !(resumed && DemandNeedsBay(next_seq_))) {
+    const int bay = ClaimForBurn();
+    if (bay >= 0) {
       co_return bay;
     }
-    co_await mech_->bay_changed().Wait();
   }
+  StatusOr<int> bay =
+      co_await Claim({ClaimClass::kBurn, kAnyTray}, /*after_demand=*/resumed);
+  co_return *bay;
 }
 
 void FetchScheduler::ReleaseBay(int bay) {
@@ -139,9 +183,8 @@ void FetchScheduler::ReleaseBay(int bay) {
   auto tray = mech_->bay_tray(bay);
   if (tray.has_value()) {
     const int index = tray->ToIndex();
-    auto it = queues_.find(index);
     const int aged = AgedTray();
-    if (it != queues_.end() && !it->second.empty() &&
+    if (queues_.count({ClaimClass::kDemand, index}) > 0 &&
         (aged < 0 || aged == index)) {
       // Hand the bay straight to the next waiter of this tray: the array
       // stays in the drives and the bay never leaves kBusy. Suppressed
@@ -158,30 +201,31 @@ void FetchScheduler::ReleaseBay(int bay) {
 void FetchScheduler::EnsureDispatcher() {
   if (!dispatcher_running_) {
     dispatcher_running_ = true;
-    sim_.Spawn(DispatchLoop());
+    sim_.Spawn(DispatchLoop(alive_));
   }
 }
 
-sim::Task<void> FetchScheduler::DispatchLoop() {
+sim::Task<void> FetchScheduler::DispatchLoop(
+    std::shared_ptr<const bool> alive) {
   while (true) {
     if (!TryDispatch()) {
       co_await mech_->bay_changed().Wait();
+      if (!*alive) {
+        co_return;  // woken in the instant the scheduler was destroyed
+      }
     }
   }
 }
 
 void FetchScheduler::EnqueueSpeculative(mech::TrayAddress tray) {
   const int index = tray.ToIndex();
-  if (loading_.count(index) > 0 || BayHolding(index) >= 0) {
-    return;
-  }
-  if (std::find(spec_pending_.begin(), spec_pending_.end(), index) !=
-      spec_pending_.end()) {
+  if (loading_.count(index) > 0 || BayHolding(index) >= 0 ||
+      queues_.count({ClaimClass::kSpeculative, index}) > 0) {
     return;
   }
   ++stats_.speculative_enqueued;
-  spec_pending_.push_back(index);
   EnsureDispatcher();
+  Push({ClaimClass::kSpeculative, index}, std::make_shared<Request>(sim_));
   mech_->bay_changed().NotifyAll();
 }
 
@@ -197,20 +241,64 @@ void FetchScheduler::NoteUnload(int tray_index) {
   }
 }
 
+bool FetchScheduler::DemandNeedsBay(std::uint64_t before_seq) {
+  for (auto it = queues_.lower_bound({ClaimClass::kDemand, kAnyTray});
+       it != queues_.end() && it->first.first == ClaimClass::kDemand; ++it) {
+    const int tray = it->first.second;
+    if (it->second.front()->seq < before_seq && loading_.count(tray) == 0 &&
+        BayHolding(tray) < 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void FetchScheduler::ArmHoldTimer() {
+  if (hold_timer_armed_) {
+    return;  // the armed timer re-checks and re-arms for the remainder
+  }
+  hold_timer_armed_ = true;
+  sim_.ScheduleAt(background_ready_at_, [this, alive = alive_] {
+    if (*alive) {
+      hold_timer_armed_ = false;
+      mech_->bay_changed().NotifyAll();
+    }
+  });
+}
+
 bool FetchScheduler::TryDispatch() {
   bool progressed = false;
-  const int starved = AgedTray();
 
-  // Pass 1: waiters whose array already sits parked in a bay — claim it,
-  // no mechanics. (A busy bay holding the tray hands off on release.)
+  // Burns: FIFO, ahead of every other class, into PickLoadBay(true). A
+  // burn resumed after an interrupt-and-swap (§4.8) waits while a read
+  // queued before it still needs a bay: that read interrupted it.
+  for (auto it = queues_.find({ClaimClass::kBurn, kAnyTray});
+       it != queues_.end();
+       it = queues_.find({ClaimClass::kBurn, kAnyTray})) {
+    const Request& front = *it->second.front();
+    if (front.after_demand && DemandNeedsBay(front.seq)) {
+      break;
+    }
+    const int bay = ClaimForBurn();
+    if (bay < 0) {
+      break;
+    }
+    std::shared_ptr<Request> burn = PopFront(it);
+    burn->bay = bay;
+    burn->done.Set();
+    progressed = true;
+  }
+
+  // Demand pass 1: waiters whose array already sits parked in a bay claim
+  // it, no mechanics. (A busy bay holding the tray hands off on release.)
   // Paused while a non-resident request is past the aging bound: claiming
   // parked bays for younger trays would keep them un-evictable.
-  for (auto it = queues_.begin(); it != queues_.end();) {
-    const int tray = it->first;
-    const bool empty = it->second.empty();
+  const int starved = AgedTray();
+  for (auto it = queues_.lower_bound({ClaimClass::kDemand, kAnyTray});
+       it != queues_.end() && it->first.first == ClaimClass::kDemand;) {
+    const int tray = it->first.second;
     ++it;  // CompleteFront may erase this map entry
-    if (empty || loading_.count(tray) > 0 ||
-        (starved >= 0 && tray != starved)) {
+    if (loading_.count(tray) > 0 || (starved >= 0 && tray != starved)) {
       continue;
     }
     const int bay = BayHolding(tray);
@@ -223,7 +311,8 @@ bool FetchScheduler::TryDispatch() {
     }
   }
 
-  // Pass 2: start load cycles while both work and bays remain.
+  // Demand pass 2: start load cycles while both work and bays remain, in
+  // PickTrayToLoad's positioning-cost order under the aging bound.
   while (true) {
     bool aged = false;
     const int tray = PickTrayToLoad(&aged);
@@ -234,51 +323,49 @@ bool FetchScheduler::TryDispatch() {
     if (bay < 0 || !mech_->TryClaimBay(bay)) {
       break;
     }
-    loading_.insert(tray);
     if (aged) {
       ++stats_.aged_dispatches;
     }
-    const mech::TrayAddress address = mech::TrayAddress::FromIndex(tray);
-    stats_.est_positioning += PositioningCost(address);
-    dispatch_log_.emplace_back(tray, bay);
-    sim_.Spawn(LoadTask(address, bay));
+    StartLoad(tray, bay, /*speculative=*/false);
     progressed = true;
   }
 
-  // Pass 3 (background class): speculative loads, only once demand needs
-  // nothing more from the bays.
-  if (TryDispatchSpeculative()) {
-    progressed = true;
-  }
-  return progressed;
-}
-
-bool FetchScheduler::TryDispatchSpeculative() {
-  bool progressed = false;
-  while (!spec_pending_.empty()) {
-    // Demand has absolute priority: dispatch speculative loads only while
-    // every queued demand request is already resident or in flight (pass
-    // 1, a release handoff, or the in-flight load serves those without a
-    // new bay).
-    bool demand_idle = true;
-    for (const auto& [tray, queue] : queues_) {
-      if (!queue.empty() && loading_.count(tray) == 0 &&
-          BayHolding(tray) < 0) {
-        demand_idle = false;
-        break;
-      }
+  // Background: FIFO, admitted into its tray's demand queue only while no
+  // demand is queued or loading and the hold after the last demand
+  // arrival has passed. The next pass serves what was queued.
+  for (auto it = Oldest(ClaimClass::kBackground); it != queues_.end();
+       it = Oldest(ClaimClass::kBackground)) {
+    if (!DemandIdle()) {
+      break;  // a bay release or load completion wakes the next pass
     }
-    if (!demand_idle) {
+    if (sim_.now() < background_ready_at_) {
+      ArmHoldTimer();
       break;
     }
-    const int tray = spec_pending_.front();
+    const int tray = it->first.second;
+    std::shared_ptr<Request> request = PopFront(it);
+    ++stats_.background_acquires;
+    if (request->enqueued < sim_.now()) {
+      ++stats_.background_yields;
+    }
+    AdmitToTray(std::move(request), tray);
+    progressed = true;
+  }
+
+  // Speculative: FIFO, only once every queued demand tray is resident or
+  // in flight (pass 1, a release handoff or the in-flight load serves
+  // those without a new bay), and never into a bay whose tray has demand.
+  for (auto it = Oldest(ClaimClass::kSpeculative);
+       it != queues_.end() && !DemandNeedsBay(next_seq_);
+       it = Oldest(ClaimClass::kSpeculative)) {
+    const int tray = it->first.second;
     if (loading_.count(tray) > 0 || BayHolding(tray) >= 0) {
-      spec_pending_.pop_front();  // already resident or being loaded
+      PopFront(it);  // already resident or being loaded
       continue;
     }
     const int bay = PickLoadBay(/*allow_demanded=*/false);
     if (bay < 0) {
-      break;  // no undemanded bay free; stays pending for the next wakeup
+      break;  // no undemanded bay free; stays queued for the next wakeup
     }
     auto victim = mech_->bay_tray(bay);
     if (victim.has_value() && HasDemand(*victim)) {
@@ -290,50 +377,41 @@ bool FetchScheduler::TryDispatchSpeculative() {
     if (!mech_->TryClaimBay(bay)) {
       break;
     }
-    spec_pending_.pop_front();
-    loading_.insert(tray);
+    PopFront(it);
     ++stats_.speculative_loads;
-    const mech::TrayAddress address = mech::TrayAddress::FromIndex(tray);
-    stats_.est_positioning += PositioningCost(address);
-    dispatch_log_.emplace_back(tray, bay);
-    sim_.Spawn(LoadTask(address, bay, /*speculative=*/true));
+    StartLoad(tray, bay, /*speculative=*/true);
     progressed = true;
   }
   return progressed;
 }
 
-int FetchScheduler::AgedTray() const {
+void FetchScheduler::StartLoad(int tray, int bay, bool speculative) {
+  loading_.insert(tray);
+  const mech::TrayAddress address = mech::TrayAddress::FromIndex(tray);
+  stats_.est_positioning += PositioningCost(address);
+  dispatch_log_.emplace_back(tray, bay);
+  sim_.Spawn(LoadTask(address, bay, speculative));
+}
+
+int FetchScheduler::AgedTray() {
   // Negative disables aging entirely; a bound of zero means every queued
   // request is immediately "aged", i.e. strict-FIFO dispatch.
   if (params_.fetch_aging_bound < 0) {
     return -1;
   }
-  // Sequence numbers are assigned in arrival order, so the smallest front
-  // seq across all queues is the globally oldest queued request.
-  int oldest = -1;
-  std::uint64_t oldest_seq = 0;
-  sim::TimePoint oldest_enqueued = 0;
-  for (const auto& [tray, queue] : queues_) {
-    if (queue.empty()) {
-      continue;
-    }
-    const Request& front = *queue.front();
-    if (oldest < 0 || front.seq < oldest_seq) {
-      oldest = tray;
-      oldest_seq = front.seq;
-      oldest_enqueued = front.enqueued;
-    }
-  }
-  if (oldest < 0 ||
-      sim_.now() - oldest_enqueued < params_.fetch_aging_bound) {
+  auto oldest = Oldest(ClaimClass::kDemand);
+  if (oldest == queues_.end() ||
+      sim_.now() - oldest->second.front()->enqueued <
+          params_.fetch_aging_bound) {
     return -1;
   }
   // No intervention needed while its array is resident or already being
   // loaded: pass 1, a release handoff, or the in-flight load serves it.
-  if (loading_.count(oldest) > 0 || BayHolding(oldest) >= 0) {
+  const int tray = oldest->first.second;
+  if (loading_.count(tray) > 0 || BayHolding(tray) >= 0) {
     return -1;
   }
-  return oldest;
+  return tray;
 }
 
 int FetchScheduler::PickTrayToLoad(bool* aged) {
@@ -346,20 +424,21 @@ int FetchScheduler::PickTrayToLoad(bool* aged) {
   int best = -1;
   sim::Duration best_cost = 0;
   std::uint64_t best_seq = 0;
-  for (const auto& [tray, queue] : queues_) {
-    if (queue.empty() || loading_.count(tray) > 0 ||
-        BayHolding(tray) >= 0) {
+  for (auto it = queues_.lower_bound({ClaimClass::kDemand, kAnyTray});
+       it != queues_.end() && it->first.first == ClaimClass::kDemand; ++it) {
+    const int tray = it->first.second;
+    if (loading_.count(tray) > 0 || BayHolding(tray) >= 0) {
       // A resident tray is served by pass 1 (parked) or by a release
       // handoff (busy); loading it into a second bay would fork the media.
       continue;
     }
     const sim::Duration cost =
         PositioningCost(mech::TrayAddress::FromIndex(tray));
-    if (best < 0 || cost < best_cost ||
-        (cost == best_cost && queue.front()->seq < best_seq)) {
+    const std::uint64_t seq = it->second.front()->seq;
+    if (best < 0 || cost < best_cost || (cost == best_cost && seq < best_seq)) {
       best = tray;
       best_cost = cost;
-      best_seq = queue.front()->seq;
+      best_seq = seq;
     }
   }
   return best;
@@ -423,7 +502,7 @@ sim::Task<void> FetchScheduler::LoadTask(mech::TrayAddress tray, int bay,
     // Fail the whole batch: every waiter re-enters the queue through its
     // caller's retry policy, with fresh backoff and bay selection.
     ++stats_.failed_batches;
-    auto it = queues_.find(index);
+    auto it = queues_.find({ClaimClass::kDemand, index});
     if (it != queues_.end()) {
       std::deque<std::shared_ptr<Request>> waiters = std::move(it->second);
       queues_.erase(it);
@@ -436,8 +515,8 @@ sim::Task<void> FetchScheduler::LoadTask(mech::TrayAddress tray, int bay,
     mech_->ReleaseBay(bay);
     co_return;
   }
-  auto it = queues_.find(index);
-  if (it == queues_.end() || it->second.empty()) {
+  auto it = queues_.find({ClaimClass::kDemand, index});
+  if (it == queues_.end()) {
     if (speculative) {
       spec_resident_.insert(index);  // parked until demand (or eviction)
     }
@@ -455,14 +534,9 @@ sim::Task<void> FetchScheduler::LoadTask(mech::TrayAddress tray, int bay,
 }
 
 void FetchScheduler::CompleteFront(int tray_index, int bay) {
-  auto it = queues_.find(tray_index);
-  ROS_CHECK(it != queues_.end() && !it->second.empty());
-  std::shared_ptr<Request> request = std::move(it->second.front());
-  it->second.pop_front();
-  if (it->second.empty()) {
-    queues_.erase(it);
-  }
-  Complete(std::move(request), bay);
+  auto it = queues_.find({ClaimClass::kDemand, tray_index});
+  ROS_CHECK(it != queues_.end());
+  Complete(PopFront(it), bay);
 }
 
 void FetchScheduler::Complete(std::shared_ptr<Request> request,

@@ -1,28 +1,43 @@
-// Fetch Scheduler: batched, geometry-aware dispatch of queued fetches, and
-// the rack's one bay arbiter.
+// Fetch Scheduler: the rack's one bay arbiter and its one claim queue.
 //
 // The MC "optimizes the usage of mechanical resources" (§4.1); with 70-155 s
 // load/unload cycles the mechanical queue is the dominant tail-latency term,
-// so the order in which queued fetches are serviced matters more than any
-// other read-path decision. Burns, reads and namespace-rebuild scans share
-// the same bays, so every bay claim and every unload-victim choice is made
-// here (MechController only executes them). Reads go through a real
-// request queue:
+// so the order in which claims are serviced matters more than any other
+// read-path decision. Burns (BTM) and fetches (FTM) share the same bays
+// (§4.8), so every bay claim waits in one queue and one dispatcher grants
+// every bay and picks every unload victim (MechController only executes
+// them). Each claim has a class; each class's rule is one predicate or
+// comparator in TryDispatch, applied in class order:
 //
-//   - Pending fetches are grouped by tray: one load/unload cycle drains
-//     every waiter of that tray, and a bay whose reader finishes is handed
-//     directly to the next same-tray waiter (no unload, no re-load).
-//   - Unload-victim selection is utility-aware: only parked arrays with no
-//     queued demand are evicted, LRU first. An array that readers are
-//     waiting for is never unloaded out from under them.
-//   - Dispatch order minimizes roller rotation + robotic-arm travel from
-//     the PLC's current position (mech::geometry distances), bounded by an
-//     aging rule: a request older than OlfsParams::fetch_aging_bound is
-//     dispatched strict-FIFO, so starvation under hostile locality is
-//     impossible and tail latency is provably bounded.
+//   - kBurn: granted first, FIFO, into PickLoadBay(allow_demanded=true). A
+//     burn does not queue behind reads (except one resumed after an
+//     interrupt-and-swap, which waits for the reads queued before it) and
+//     is not subject to the aging bound.
+//   - kDemand (client reads, the namespace rebuild): queued per tray. One
+//     load/unload cycle drains every waiter of the tray, and a bay whose
+//     reader finishes is handed directly to the next same-tray waiter (no
+//     unload, no re-load). Loads are ordered by positioning cost (roller
+//     rotation + robotic-arm travel from the PLC's current position,
+//     mech::geometry), bounded by an aging rule: a request older than
+//     OlfsParams::fetch_aging_bound is dispatched strict-FIFO, so
+//     starvation under hostile locality is impossible and tail latency is
+//     provably bounded.
+//   - kBackground (scrub, audit and refresh sweeps): admitted FIFO into its
+//     tray's demand queue only while no demand is queued or loading and no
+//     demand has arrived within one array-load time; from then on it is
+//     served like any reader.
+//   - kSpeculative (predictive prefetch, whole-tray readahead): a tray with
+//     no waiter, loaded FIFO only while every queued demand is resident or
+//     in flight, never into a bay whose tray has demand, and canceled the
+//     moment demand queues.
 //
-// Everything is driven by simulated time and iterates ordered containers,
-// so a given workload + seed always produces the same dispatch order.
+// Unload victims are utility-aware: only parked arrays with no queued
+// demand are evicted, LRU first, so an array that readers are waiting for
+// is never unloaded out from under them. Every claim waits on its own
+// completion event; the dispatcher wakes on bay changes, new claims and at
+// most one background hold timer, so nothing polls sim time. Everything is
+// driven by simulated time and iterates ordered containers, so a given
+// workload + seed always produces the same dispatch order.
 #ifndef ROS_SRC_OLFS_FETCH_SCHEDULER_H_
 #define ROS_SRC_OLFS_FETCH_SCHEDULER_H_
 
@@ -60,18 +75,20 @@ struct FetchSchedulerStats {
   std::uint64_t handoffs = 0;         // bay passed to the next same-tray waiter
   std::uint64_t aged_dispatches = 0;  // strict-FIFO promotions (aging bound)
   std::uint64_t failed_batches = 0;   // load failures fanned out to waiters
-  // Background (speculative) class — predictive tray prefetch.
-  std::uint64_t speculative_enqueued = 0;  // accepted into the pending queue
+  // Speculative class — predictive tray prefetch and readahead.
+  std::uint64_t speculative_enqueued = 0;  // accepted into the queue
   std::uint64_t speculative_loads = 0;     // speculative load cycles started
-  std::uint64_t speculative_canceled = 0;  // pending entries dropped by demand
+  std::uint64_t speculative_canceled = 0;  // queued claims dropped by demand
   std::uint64_t speculative_useful = 0;    // demand hit a speculative load
   std::uint64_t speculative_wasted = 0;    // evicted before any demand came
   // Self-check: a speculative dispatch picked a victim bay whose tray has
   // queued demand. Tests and the chaos harness assert this stays zero.
   std::uint64_t speculative_demand_evictions = 0;
-  // Background claim class (scrub / audit sweeps).
-  std::uint64_t background_acquires = 0;   // claims admitted
-  std::uint64_t background_yields = 0;     // idle-waits taken before admit
+  // Background claim class (scrub / audit / refresh sweeps): claims
+  // admitted, and deferred admissions (claims that had to wait for demand
+  // to clear before they were admitted).
+  std::uint64_t background_acquires = 0;
+  std::uint64_t background_yields = 0;
   std::uint64_t max_queue_depth = 0;
   std::uint64_t max_batch = 0;        // most waiters drained by one load
   sim::Duration total_queue_delay = 0;
@@ -94,20 +111,26 @@ class FetchScheduler {
  public:
   FetchScheduler(sim::Simulator& sim, const OlfsParams& params,
                  MechController* mech);
+  FetchScheduler(const FetchScheduler&) = delete;
+  FetchScheduler& operator=(const FetchScheduler&) = delete;
+  ~FetchScheduler() { *alive_ = false; }
 
-  // Claims the bay holding `address.tray` (state kBusy on return), loading
-  // the array first when necessary. Concurrent requests for one tray share
-  // a single load cycle; each gets its own completion. The claimed bay
-  // must be returned through ReleaseBay (FetchLease does this).
+  // Demand claim of the bay holding `address.tray` (state kBusy on return),
+  // loading the array first when necessary. A parked array nobody is
+  // queued for is claimed at once (Table 1's "disc in drive" case);
+  // concurrent requests for one tray share a single load cycle, each with
+  // its own completion. Release through ReleaseBay (FetchLease does this).
   sim::Task<StatusOr<int>> AcquireForRead(mech::DiscAddress address);
 
-  // Claims a bay for a burn, waiting on bay_changed() while every bay is
-  // busy. Order: an empty bay, else the LRU parked bay with no queued
-  // demand, else the LRU parked bay. A burn does not queue behind reads
-  // and is not subject to the aging bound. The caller unloads the
+  // Burn claim of any bay: an empty bay, else the LRU parked bay with no
+  // queued demand, else the LRU parked bay. Claimed at once when a bay is
+  // free and no burn is queued; otherwise queued, and granted ahead of
+  // every read when a bay frees. A `resumed` burn (interrupt-and-swap,
+  // §4.8) instead waits until no read queued before it needs a bay, so the
+  // read that interrupted it is served first. The caller unloads the
   // returned bay's array (if any) before loading its own; a speculatively
   // loaded victim is booked as wasted here.
-  sim::Task<int> AcquireForBurn();
+  sim::Task<int> AcquireForBurn(bool resumed = false);
 
   // Returns a bay claimed through any Acquire* call. If more requests are
   // queued for the tray it holds, ownership passes directly to the next
@@ -115,33 +138,28 @@ class FetchScheduler {
   // left empty) and becomes the most recently used.
   void ReleaseBay(int bay);
 
-  // Background claim class (scrub / audit sweeps, DESIGN.md §5j): like
-  // AcquireForRead, but the claim only joins the demand machinery while it
-  // is idle — the caller parks (sim-time polling) whenever demand is
-  // queued or a load cycle is in flight, so background traffic adds no
-  // queueing delay ahead of a foreground fetch. Once admitted it holds a
-  // bay like any single reader, and the aging bound caps foreground waits
-  // as usual. Release through ReleaseBay (FetchLease does this).
+  // Background claim (scrub / audit / refresh sweeps, DESIGN.md §5j): like
+  // AcquireForRead, but the claim joins the tray's demand queue only once
+  // no demand is queued or loading and no demand has arrived for one
+  // array-load time, so background traffic adds no queueing delay ahead
+  // of a foreground fetch. Once admitted it holds a bay like any single
+  // reader, and the aging bound caps foreground waits as usual.
   sim::Task<StatusOr<int>> AcquireForBackground(mech::DiscAddress address);
 
-  // Background priority class: asks for `tray` to be made resident while
-  // the mechanics would otherwise idle (predictive prefetch, whole-tray
-  // readahead). Speculative loads dispatch only when every queued demand
-  // request is already resident or in flight, never evict a tray with
-  // queued demand, and pending entries are canceled the moment new demand
-  // queues. Dropped when the tray is already resident, loading or
-  // queued.
+  // Speculative claim: asks for `tray` to be made resident while the
+  // mechanics would otherwise idle (predictive prefetch, whole-tray
+  // readahead). Nobody waits on it. Dropped when the tray is already
+  // resident, loading or queued speculatively.
   void EnqueueSpeculative(mech::TrayAddress tray);
 
+  // Demand (and admitted background) requests queued.
   int queue_depth() const;
   const FetchSchedulerStats& stats() const { return stats_; }
 
-  // True when no demand is queued, no load cycle is in flight, and no
-  // speculative work is pending — the quiescence probe Olfs::Quiesce
-  // polls before a controller teardown (rack kill, DESIGN.md §5k).
-  bool Idle() const {
-    return queues_.empty() && loading_.empty() && spec_pending_.empty();
-  }
+  // True when no claim of any class is queued and no load cycle is in
+  // flight: the scheduler half of Olfs::Quiesce's teardown condition
+  // (rack kill, DESIGN.md §5k).
+  bool Idle() const { return queues_.empty() && loading_.empty(); }
 
   // (tray index, bay) pairs in load-dispatch order — the determinism probe
   // used by tests: same workload + seed must reproduce this exactly.
@@ -150,29 +168,62 @@ class FetchScheduler {
   }
 
  private:
+  // Claim classes, in the order TryDispatch grants them.
+  enum class ClaimClass { kBurn, kDemand, kBackground, kSpeculative };
   struct Request {
-    Request(sim::Simulator& sim, std::uint64_t s, sim::TimePoint t)
-        : seq(s), enqueued(t), done(sim),
-          bay(UnavailableError("fetch request still queued")) {}
-    std::uint64_t seq;
-    sim::TimePoint enqueued;
+    explicit Request(sim::Simulator& sim)
+        : done(sim), bay(UnavailableError("bay claim still queued")) {}
+    std::uint64_t seq = 0;  // arrival order across every class
+    sim::TimePoint enqueued = 0;
     sim::Event done;
     StatusOr<int> bay;
+    bool after_demand = false;  // a resumed burn: yields to older reads
   };
+  // (class, tray index); burns claim any bay and key on kAnyTray.
+  using Key = std::pair<ClaimClass, int>;
+  using Queues = std::map<Key, std::deque<std::shared_ptr<Request>>>;
+  static constexpr int kAnyTray = -1;
 
-  // True if any queued or in-dispatch request wants `tray`; the victim
-  // pass keeps such arrays resident.
+  // Stamps `request` with the next arrival seq and queues it under `key`.
+  void Push(Key key, std::shared_ptr<Request> request);
+  // Queues a new claim under `key` (a demand claim through AdmitToTray),
+  // wakes the dispatcher, and waits for the bay.
+  sim::Task<StatusOr<int>> Claim(Key key, bool after_demand = false);
+  // Pops the front request of a queue, erasing the queue once empty.
+  std::shared_ptr<Request> PopFront(Queues::iterator it);
+  // The `cls` queue whose front request arrived first, or queues_.end().
+  Queues::iterator Oldest(ClaimClass cls);
+  // No demand queued and no load cycle in flight.
+  bool DemandIdle() const;
+  // Grants `tray`'s parked bay to `request` at once if no request is
+  // queued or loading for the tray; else queues it on the tray's demand
+  // FIFO. True if granted.
+  bool AdmitToTray(std::shared_ptr<Request> request, int tray);
+  // Claims PickLoadBay(true) for a burn, or -1 if every bay is busy.
+  int ClaimForBurn();
+
+  // True if any queued or in-dispatch demand request wants `tray`; the
+  // victim pass keeps such arrays resident.
   bool HasDemand(mech::TrayAddress tray) const;
+  // True if a demand tray queued before `before_seq` is neither resident
+  // nor loading.
+  bool DemandNeedsBay(std::uint64_t before_seq);
   void EnsureDispatcher();
-  sim::Task<void> DispatchLoop();
+  // Runs TryDispatch on every wakeup. `alive` is alive_: a teardown in the
+  // instant of a bay change leaves the loop's wakeup queued, and the loop
+  // must then touch nothing.
+  sim::Task<void> DispatchLoop(std::shared_ptr<const bool> alive);
   // One synchronous scheduling pass; true if anything was dispatched.
   bool TryDispatch();
+  // Wakes the dispatcher when the background hold ends (one timer at a
+  // time).
+  void ArmHoldTimer();
   // Tray of the globally oldest queued request if it has waited past the
   // aging bound, else -1. While a tray is aged the scheduler serves
   // strict FIFO: handoffs and parked-bay claims for younger trays pause
   // and the victim rule may be relaxed, so the starved request is served
   // within one unload/load cycle of crossing the bound.
-  int AgedTray() const;
+  int AgedTray();
   // Tray (dense index) to load next, or -1; *aged reports whether the
   // aging bound forced a strict-FIFO choice over the geometry-optimal one.
   int PickTrayToLoad(bool* aged);
@@ -182,13 +233,12 @@ class FetchScheduler {
   int PickLoadBay(bool allow_demanded) const;
   int BayHolding(int tray_index) const;
   sim::Duration PositioningCost(mech::TrayAddress tray);
-  sim::Task<void> LoadTask(mech::TrayAddress tray, int bay,
-                           bool speculative = false);
+  // Starts the load cycle of `tray` into the claimed `bay`.
+  void StartLoad(int tray, int bay, bool speculative);
+  sim::Task<void> LoadTask(mech::TrayAddress tray, int bay, bool speculative);
+  // Hands `result` to a demand request and books its queueing delay.
   void Complete(std::shared_ptr<Request> request, StatusOr<int> result);
   void CompleteFront(int tray_index, int bay);
-  // Speculative dispatch pass (after the demand passes found nothing more
-  // to do); true if a background load was started.
-  bool TryDispatchSpeculative();
   // Demand claimed a parked tray / a resident tray left its bay: settle
   // the useful-vs-wasted ledger for speculatively loaded arrays.
   void NoteDemand(int tray_index);
@@ -198,14 +248,20 @@ class FetchScheduler {
   OlfsParams params_;
   MechController* mech_;
 
-  // tray index -> FIFO of waiting requests (std::map: deterministic scan).
-  std::map<int, std::deque<std::shared_ptr<Request>>> queues_;
+  // Every queued claim, by (class, tray): std::map, so each class is one
+  // contiguous, deterministically ordered range. No queue is ever empty.
+  Queues queues_;
   std::set<int> loading_;  // trays with a load cycle in flight
-  // Background class: speculative trays pending dispatch (FIFO), and
-  // speculatively loaded trays still parked without having seen demand.
-  std::deque<int> spec_pending_;
+  // Speculatively loaded trays still parked without having seen demand.
   std::set<int> spec_resident_;
   std::uint64_t next_seq_ = 0;
+  // Background hold: one array-load time after each demand arrival.
+  sim::Duration background_hold_;
+  sim::TimePoint background_ready_at_ = 0;
+  bool hold_timer_armed_ = false;
+  // Cleared on destruction; the dispatcher and the hold timer touch
+  // nothing once it is.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   // Per-bay logical-clock stamp of the last release through ReleaseBay:
   // the rack's one LRU clock (victim ordering that does not depend on
   // wall or sim time).

@@ -119,8 +119,8 @@ json::Value Maintenance::StatusReport() const {
       json::Value(sim::ToSeconds(stats.max_queue_delay));
   sched["est_positioning_s"] =
       json::Value(sim::ToSeconds(stats.est_positioning));
-  // Background (speculative) prefetch class: queued, dispatched, and how
-  // predictions paid off. speculative_demand_evictions is a runtime
+  // Speculative prefetch class: queued, dispatched, and how predictions
+  // paid off. speculative_demand_evictions is a runtime
   // self-check and must stay 0.
   sched["speculative_enqueued"] =
       json::Value(static_cast<std::int64_t>(stats.speculative_enqueued));
@@ -134,6 +134,12 @@ json::Value Maintenance::StatusReport() const {
       json::Value(static_cast<std::int64_t>(stats.speculative_wasted));
   sched["speculative_demand_evictions"] = json::Value(
       static_cast<std::int64_t>(stats.speculative_demand_evictions));
+  // Background claim class (scrub, audit, refresh sweeps): claims
+  // admitted, and how many of them had to wait for demand to clear.
+  sched["background_acquires"] =
+      json::Value(static_cast<std::int64_t>(stats.background_acquires));
+  sched["background_yields"] =
+      json::Value(static_cast<std::int64_t>(stats.background_yields));
   json::Array hist;
   for (int i = 0; i < FetchSchedulerStats::kDelayBuckets; ++i) {
     json::Object bucket;

@@ -36,7 +36,7 @@ ParsedInternalPath ParseInternalPath(const std::string& internal) {
 }  // namespace
 
 Olfs::Olfs(sim::Simulator& sim, RosSystem* system, OlfsParams params)
-    : sim_(sim), system_(system), params_(params) {
+    : sim_(sim), system_(system), params_(params), frames_done_(sim) {
   ROS_CHECK(system != nullptr);
   mv_ = std::make_unique<MetadataVolume>(sim_, system->mv_volume(),
                                          MetadataVolume::Options{});
@@ -528,23 +528,40 @@ sim::Task<Status> Olfs::BurnMvSnapshot() {
 Olfs::~Olfs() { *bg_alive_ = false; }
 
 sim::Task<void> Olfs::TrackDetached(sim::Task<void> task) {
-  ++detached_tasks_;
+  ++live_frames_;
   co_await std::move(task);
-  --detached_tasks_;
+  FrameDone();
+}
+
+void Olfs::FrameDone() {
+  if (--live_frames_ == 0) {
+    frames_done_.NotifyAll();
+  }
 }
 
 sim::Task<void> Olfs::Quiesce() {
   *bg_alive_ = false;
-  // Poll in sim time until every frame that borrows this facade has run
-  // to completion: loop bodies mid-pass, detached prefetch/readahead
-  // tasks, the burn pipeline, and the fetch scheduler's queues/loads.
-  // (Frames parked on never-signaled condition variables — e.g. the
-  // scheduler's dispatcher waiting for bay changes — hold no locks and
-  // never resume, so they are safe to leave suspended; the chaos
-  // controller-replacement path relies on the same property.)
-  while (bg_passes_ > 0 || detached_tasks_ > 0 ||
-         burns_->active_burns() > 0 || !scheduler_->Idle()) {
-    co_await sim_.Delay(sim::Millis(100));
+  // Wait until every frame that borrows this facade has run to
+  // completion: loop bodies mid-pass, detached prefetch/readahead tasks,
+  // the burn pipeline, and the fetch scheduler's queues/loads. Each wait
+  // is on the signal that moves its own counter, so the call returns at
+  // the sim instant the last of them ends. With no frame left, the
+  // scheduler can only be waiting on a load cycle or a bay holder, and
+  // both end in a bay release. (Frames parked on never-signaled condition
+  // variables — e.g. the scheduler's dispatcher waiting for bay changes —
+  // hold no locks and never resume, so they are safe to leave suspended;
+  // the chaos controller-replacement path relies on the same property.)
+  while (true) {
+    if (live_frames_ > 0) {
+      co_await frames_done_.Wait();
+    } else if (burns_->active_burns() > 0) {
+      Status drained = co_await burns_->DrainAll();
+      (void)drained;  // a burn failure is the burn pipeline's to report
+    } else if (!scheduler_->Idle()) {
+      co_await mech_->bay_changed().Wait();
+    } else {
+      co_return;
+    }
   }
 }
 
@@ -578,9 +595,9 @@ sim::Task<void> Olfs::ScrubLoop(sim::Duration interval,
     // Deep scrub (DESIGN.md §5j): walk every burned array at read speed
     // through the scheduler's background class, repair damage from
     // parity, refresh rotting arrays onto fresh media.
-    ++bg_passes_;
+    ++live_frames_;
     auto pass = co_await scrub_->RunPass();
-    --bg_passes_;
+    FrameDone();
     if (!pass.ok()) {
       ROS_LOG(kWarning) << "scheduled scrub failed: "
                         << pass.status().ToString();
@@ -606,9 +623,9 @@ sim::Task<void> Olfs::MvSnapshotLoop(sim::Duration interval,
       continue;  // nothing changed since the last snapshot
     }
     last_snapshot_writes_ = namespace_writes_;
-    ++bg_passes_;
+    ++live_frames_;
     Status status = co_await BurnMvSnapshot();
-    --bg_passes_;
+    FrameDone();
     if (!status.ok()) {
       ROS_LOG(kWarning) << "periodic MV snapshot failed: "
                         << status.ToString();
@@ -632,12 +649,12 @@ sim::Task<void> Olfs::AutoFlushLoop(sim::Duration interval,
     const bool dirty = !images_->UnburnedClosed().empty() ||
                        buckets_->HasOpenBucketWithData();
     if (idle && dirty) {
-      ++bg_passes_;
+      ++live_frames_;
       Status status = co_await buckets_->CloseCurrentBucket();
       if (status.ok()) {
         status = co_await burns_->FlushPartialArray();
       }
-      --bg_passes_;
+      FrameDone();
       if (!status.ok()) {
         ROS_LOG(kWarning) << "auto-flush failed: " << status.ToString();
       }

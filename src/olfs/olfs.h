@@ -241,6 +241,7 @@ class Olfs {
   // Wraps a detached task (prefetch, tray readahead) so Quiesce can wait
   // for every frame that borrows this facade to finish.
   sim::Task<void> TrackDetached(sim::Task<void> task);
+  void FrameDone();
 
   // Ensures every ancestor directory has an MV index entry.
   sim::Task<Status> EnsureAncestors(std::string path);
@@ -355,10 +356,11 @@ class Olfs {
   std::uint64_t last_snapshot_writes_ = 0;
   sim::TimePoint last_write_time_ = 0;
   // Teardown support (Quiesce): liveness flag shared with the background
-  // loops, count of loop bodies mid-pass, and detached task frames alive.
+  // loops, and the frames that borrow this facade (loop bodies mid-pass,
+  // detached tasks); the last FrameDone signals frames_done_.
   std::shared_ptr<bool> bg_alive_ = std::make_shared<bool>(true);
-  int bg_passes_ = 0;
-  int detached_tasks_ = 0;
+  int live_frames_ = 0;
+  sim::ConditionVariable frames_done_;
 };
 
 }  // namespace ros::olfs

@@ -241,6 +241,31 @@ TEST(Cluster, ReplicatedBucketSurvivesRackKill) {
   sim.Shutdown();
 }
 
+// KillRack drains the rack's in-flight ops on a condition wait: it
+// returns at the sim instant the last one ends, not on a polling grid.
+TEST(Cluster, KillRackReturnsWhenItsLastInflightOpEnds) {
+  sim::Simulator sim;
+  Cluster cluster(sim, SmallCluster(2));
+  ASSERT_TRUE(
+      sim.RunUntilComplete(cluster.Put("b", "k", Payload(16 * kKiB, 5)))
+          .ok());
+  const int primary = cluster.routes().Find("b")->primary;
+
+  // The read is in flight on the primary from its first step on.
+  sim::TimePoint read_done = -1;
+  sim.Spawn([](Cluster* c, sim::Simulator* s,
+               sim::TimePoint* done) -> sim::Task<void> {
+    auto data = co_await c->Get("b", "k");
+    ROS_CHECK(data.ok());
+    *done = s->now();
+  }(&cluster, &sim, &read_done));
+  const sim::TimePoint kill_start = sim.now();
+  ASSERT_TRUE(sim.RunUntilComplete(cluster.KillRack(primary)).ok());
+  EXPECT_GT(read_done, kill_start);
+  EXPECT_EQ(sim.now(), read_done);
+  sim.Shutdown();
+}
+
 TEST(Cluster, KilledRackRebuildsFromBurnedTrays) {
   sim::Simulator sim;
   Cluster cluster(sim, SmallCluster(2));

@@ -1,7 +1,8 @@
-// Edge cases of the fetch scheduler's background (speculative) class and
-// the aging bound: strict FIFO at a zero bound, cancellation of pending
-// speculative work when demand queues, demand absorbing an in-flight
-// speculative cycle, and the never-evict-demanded invariant.
+// Edge cases of the fetch scheduler's speculative class and the aging
+// bound: strict FIFO at a zero bound, cancellation of queued speculative
+// claims when demand queues, demand absorbing an in-flight speculative
+// cycle, the never-evict-demanded invariant, and Quiesce draining the
+// burn pipeline and the scheduler without polling.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -230,6 +231,36 @@ TEST_F(FetchSpeculativeTest, SpeculativeNeverEvictsTrayWithQueuedDemand) {
   ASSERT_EQ(log.size(), 4u);
   EXPECT_EQ(log.back().first, tray_b);
   EXPECT_EQ(log[2].first, tray_a);
+}
+
+// Quiesce waits on the counters it drains: it returns at the sim instant
+// the last burn ends, not on a polling grid.
+TEST_F(FetchSpeculativeTest, QuiesceReturnsWhenTheLastBurnEnds) {
+  Init(OlfsParams{});
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(sim_.RunUntilComplete(
+                        olfs_->Create("/q/f" + std::to_string(i),
+                                      RandomBytes(8 * kKiB, 40 + i),
+                                      10 * kMiB))
+                    .ok());
+  }
+  ASSERT_TRUE(
+      sim_.RunUntilComplete(olfs_->buckets().CloseCurrentBucket()).ok());
+  ASSERT_TRUE(
+      sim_.RunUntilComplete(olfs_->burns().FlushPartialArray()).ok());
+  ASSERT_GT(olfs_->burns().active_burns(), 0);
+
+  sim::TimePoint burned = -1;
+  sim_.Spawn([](Olfs* o, sim::Simulator* sim,
+                sim::TimePoint* at) -> sim::Task<void> {
+    Status drained = co_await o->burns().DrainAll();
+    ROS_CHECK(drained.ok());
+    *at = sim->now();
+  }(olfs_.get(), &sim_, &burned));
+  sim_.RunUntilComplete(olfs_->Quiesce());
+  EXPECT_GT(burned, 0);
+  EXPECT_EQ(sim_.now(), burned);
+  EXPECT_TRUE(olfs_->fetch_scheduler()->Idle());
 }
 
 }  // namespace

@@ -86,6 +86,8 @@ TEST_F(MaintenanceTest, StatusReportExposesHintTelemetry) {
   EXPECT_EQ(
       report["fetch_scheduler"]["speculative_demand_evictions"].as_int(),
       0);
+  EXPECT_EQ(report["fetch_scheduler"]["background_acquires"].as_int(), 0);
+  EXPECT_EQ(report["fetch_scheduler"]["background_yields"].as_int(), 0);
   EXPECT_GE(report["caches"]["image_ghost_entries"].as_int(), 0);
   EXPECT_GE(report["caches"]["image_probationary_bytes"].as_int(), 0);
   EXPECT_EQ(report["caches"]["readahead_images"].as_int(), 0);

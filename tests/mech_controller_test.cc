@@ -6,6 +6,8 @@
 
 #include <memory>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "src/olfs/fetch_scheduler.h"
 #include "src/olfs/system.h"
@@ -64,6 +66,22 @@ class MechControllerTest : public ::testing::Test {
     }(sched_.get(), tray));
     sim_.RunFor(sim::Seconds(1));
     ASSERT_EQ(sched_->queue_depth(), depth + 1);
+  }
+
+  // Spawns `claim` and records the bay it is granted; the test releases
+  // the bay.
+  void SpawnClaim(sim::Task<StatusOr<int>> claim, std::optional<int>* bay) {
+    sim_.Spawn([](sim::Task<StatusOr<int>> pending,
+                  std::optional<int>* out) -> sim::Task<void> {
+      auto got = co_await std::move(pending);
+      ROS_CHECK(got.ok());
+      *out = *got;
+    }(std::move(claim), bay));
+  }
+
+  // The background class's hold after each demand arrival.
+  sim::Duration Hold() {
+    return mc_->library().plc().timing().LoadArrayTime();
   }
 
   sim::Simulator sim_;
@@ -269,6 +287,174 @@ TEST_F(MechControllerTest, BurnClaimOfSpeculativeTrayCountsItWasted) {
   sched_->ReleaseBay(bay);
   EXPECT_EQ(sched_->stats().speculative_wasted, 1u);
   EXPECT_EQ(sched_->stats().speculative_useful, 0u);
+}
+
+// A background claim waits out the hold after a demand arrival, even one
+// served without queueing, on one timer: a handful of events, not one
+// per second of the wait.
+TEST_F(MechControllerTest, BackgroundClaimWaitsOutTheHoldOnOneTimer) {
+  const mech::TrayAddress hot{0, 4, 1};
+  Park(hot);
+  const sim::TimePoint arrival = sim_.now();
+  sched_->ReleaseBay(Read(hot));  // a parked hit: no queue, still demand
+
+  std::optional<int> bay;
+  SpawnClaim(sched_->AcquireForBackground({{0, 5, 1}, 0}), &bay);
+  const std::uint64_t events = sim_.events_processed();
+  sim_.RunUntil(arrival + Hold() - 1);
+  EXPECT_EQ(sched_->stats().background_acquires, 0u);
+  EXPECT_LE(sim_.events_processed() - events, 2u);
+  sim_.RunUntil(arrival + Hold());
+  EXPECT_EQ(sched_->stats().background_acquires, 1u);
+  EXPECT_EQ(sched_->stats().background_yields, 1u);
+  sim_.Run();
+  ASSERT_TRUE(bay.has_value());
+  sched_->ReleaseBay(*bay);
+}
+
+// A background claim arriving while the machinery is idle and the hold is
+// over is admitted on arrival and counts no deferral.
+TEST_F(MechControllerTest, BackgroundClaimIsAdmittedAtOnceWhenIdle) {
+  std::optional<int> bay;
+  SpawnClaim(sched_->AcquireForBackground({{0, 5, 1}, 0}), &bay);
+  EXPECT_EQ(sched_->stats().background_acquires, 1u);
+  EXPECT_EQ(sched_->stats().background_yields, 0u);
+  EXPECT_EQ(sched_->queue_depth(), 1);  // queued for its load like a read
+  sim_.Run();
+  ASSERT_TRUE(bay.has_value());
+  sched_->ReleaseBay(*bay);
+}
+
+// A background claim is not admitted while demand is queued or loading,
+// however long ago the hold began; the dispatcher re-checks it on the bay
+// release that ends the demand burst.
+TEST_F(MechControllerTest, BackgroundClaimYieldsToQueuedAndLoadingDemand) {
+  const int a = Read({0, 4, 1});
+  const int b = Read({0, 5, 1});
+  std::optional<int> reader;
+  SpawnClaim(sched_->AcquireForRead({{0, 6, 1}, 0}), &reader);
+  std::optional<int> sweep;
+  SpawnClaim(sched_->AcquireForBackground({{0, 7, 1}, 0}), &sweep);
+
+  sim_.RunFor(Hold() * 2);  // the read is queued: every bay is busy
+  EXPECT_EQ(sched_->queue_depth(), 1);
+  EXPECT_EQ(sched_->stats().background_acquires, 0u);
+  sched_->ReleaseBay(a);  // the read loads into `a`
+  while (!reader.has_value()) {
+    sim_.RunFor(sim::Seconds(1));
+    ASSERT_EQ(sched_->stats().background_acquires, 0u);
+  }
+  EXPECT_EQ(*reader, a);
+  sim_.RunFor(sim::Seconds(5));  // the reader holds its bay
+  EXPECT_EQ(sched_->stats().background_acquires, 0u);
+  sched_->ReleaseBay(*reader);
+  sim_.RunFor(0);
+  EXPECT_EQ(sched_->stats().background_acquires, 1u);
+  sim_.Run();
+  ASSERT_TRUE(sweep.has_value());
+  sched_->ReleaseBay(*sweep);
+  sched_->ReleaseBay(b);
+}
+
+// A queued burn is granted the next freed bay ahead of a read that was
+// queued before it.
+TEST_F(MechControllerTest, BurnTakesFreedBayAheadOfQueuedRead) {
+  const int a = Read({0, 4, 1});
+  const int b = Read({0, 5, 1});
+  std::optional<int> reader;
+  SpawnClaim(sched_->AcquireForRead({{0, 6, 1}, 0}), &reader);
+  std::optional<int> burn_bay;
+  sim_.Spawn([](FetchScheduler* sched,
+                std::optional<int>* out) -> sim::Task<void> {
+    *out = co_await sched->AcquireForBurn();
+  }(sched_.get(), &burn_bay));
+  sim_.RunFor(sim::Seconds(5));
+  ASSERT_FALSE(burn_bay.has_value());
+
+  sched_->ReleaseBay(a);
+  sim_.RunFor(sim::Seconds(5));
+  ASSERT_TRUE(burn_bay.has_value());
+  EXPECT_EQ(*burn_bay, a);
+  EXPECT_FALSE(reader.has_value());
+  EXPECT_EQ(sched_->queue_depth(), 1);
+  EXPECT_EQ(sched_->stats().loads, 2u);
+
+  sched_->ReleaseBay(b);  // the read takes the next bay
+  sim_.Run();
+  ASSERT_TRUE(reader.has_value());
+  EXPECT_EQ(*reader, b);
+  sched_->ReleaseBay(*reader);
+  sched_->ReleaseBay(*burn_bay);
+}
+
+// Every class in the one queue: the burn is granted first, then the
+// demand read, then the background sweep once demand is idle, and a
+// speculative tray last, never into a bay whose tray has demand.
+TEST_F(MechControllerTest, OneQueueGrantsEachClassInTurn) {
+  const mech::TrayAddress read_tray{0, 6, 1};
+  const mech::TrayAddress sweep_tray{0, 7, 1};
+  const mech::TrayAddress spec_tray{0, 8, 1};
+  const int a = Read({0, 4, 1});
+  const int b = Read({0, 5, 1});
+  std::optional<int> reader;
+  SpawnClaim(sched_->AcquireForRead({read_tray, 0}), &reader);
+  sched_->EnqueueSpeculative(spec_tray);
+  std::optional<int> sweep;
+  SpawnClaim(sched_->AcquireForBackground({sweep_tray, 0}), &sweep);
+  std::optional<int> burn_bay;
+  sim_.Spawn([](FetchScheduler* sched,
+                std::optional<int>* out) -> sim::Task<void> {
+    *out = co_await sched->AcquireForBurn();
+  }(sched_.get(), &burn_bay));
+  sim_.RunFor(sim::Seconds(1));
+
+  sched_->ReleaseBay(a);
+  sim_.RunFor(0);
+  ASSERT_TRUE(burn_bay.has_value());
+  EXPECT_EQ(*burn_bay, a);
+  sched_->ReleaseBay(b);
+  while (!reader.has_value()) {
+    sim_.RunFor(sim::Seconds(1));
+  }
+  EXPECT_EQ(*reader, b);
+  EXPECT_EQ(sched_->stats().background_acquires, 0u);
+  EXPECT_EQ(sched_->stats().speculative_loads, 0u);
+  sched_->ReleaseBay(*reader);
+  while (!sweep.has_value()) {
+    sim_.RunFor(sim::Seconds(1));
+  }
+  EXPECT_EQ(*sweep, b);
+  // Admitting the sweep queued demand, which canceled the speculative
+  // claim. A fresh one waits for a bay whose tray has no demand.
+  EXPECT_EQ(sched_->stats().speculative_canceled, 1u);
+  sched_->EnqueueSpeculative(spec_tray);
+  sim_.RunFor(sim::Seconds(5));
+  EXPECT_EQ(sched_->stats().speculative_loads, 0u);
+  sched_->ReleaseBay(*sweep);
+  sim_.Run();
+  EXPECT_EQ(sched_->stats().speculative_loads, 1u);
+  EXPECT_EQ(sched_->stats().speculative_demand_evictions, 0u);
+  EXPECT_EQ(*mc_->bay_tray(b), spec_tray);
+  const std::vector<std::pair<int, int>> want = {
+      {mech::TrayAddress{0, 4, 1}.ToIndex(), a},
+      {mech::TrayAddress{0, 5, 1}.ToIndex(), b},
+      {read_tray.ToIndex(), b},
+      {sweep_tray.ToIndex(), b},
+      {spec_tray.ToIndex(), b}};
+  EXPECT_EQ(sched_->dispatch_log(), want);
+  EXPECT_TRUE(sched_->Idle());
+  sched_->ReleaseBay(*burn_bay);
+}
+
+// Tearing the scheduler down in the instant of a bay change leaves the
+// dispatcher's wakeup queued; the woken loop must touch nothing (the
+// sanitizer build reports any access to the freed scheduler).
+TEST_F(MechControllerTest, DispatcherWokenAfterTeardownTouchesNothing) {
+  const int bay = Read({0, 4, 1});  // starts the dispatcher
+  sched_->ReleaseBay(bay);          // queues its wakeup
+  sched_.reset();
+  sim_.Run();
+  EXPECT_EQ(mc_->bay_state(bay), BayState::kParked);
 }
 
 }  // namespace

@@ -51,9 +51,10 @@ leans on but the compiler cannot fully check:
                       MechController::TryClaimBay, the raw claim it
                       executes them with, is a finding outside
                       fetch_scheduler.cc and mech_controller.*, and
-                      FetchScheduler::AcquireForBurn (a claim that skips
-                      the read queue and the aging bound) is a finding
-                      outside burn_manager.cc and fetch_scheduler.*. A
+                      FetchScheduler::AcquireForBurn (a claim granted
+                      ahead of every read and outside the aging bound) is
+                      a finding outside burn_manager.cc and
+                      fetch_scheduler.*. A
                       claim made elsewhere bypasses tray batching, the
                       demand-aware victim policy and the aging bound. Route
                       reads through FetchScheduler::AcquireForRead; a
@@ -66,8 +67,10 @@ leans on but the compiler cannot fully check:
                       predictive prefetch, whole-tray readahead, scrubs —
                       that enqueues through the demand path competes with
                       real readers for bays and can evict demanded trays;
-                      it must use FetchScheduler::EnqueueSpeculative,
-                      which yields to demand and cancels cleanly. A
+                      it must use FetchScheduler::EnqueueSpeculative, which
+                      yields to demand and cancels cleanly (scrub, audit
+                      and refresh sweeps claim through the background
+                      class, FetchClass::kBackground). A
                       justified demand-priority call carries an inline
                       `// ros-lint: allow(speculative-fetch): <why>`.
 
@@ -457,7 +460,8 @@ class FileLint:
                 "direct AcquireForRead competes with demand readers for "
                 "bays; background/speculative loads must go through "
                 "FetchScheduler::EnqueueSpeculative (yields to demand, "
-                "never evicts demanded trays, cancels cleanly) or "
+                "never evicts demanded trays, cancels cleanly) or the "
+                "background class (FetchClass::kBackground), or "
                 "annotate with ros-lint: allow(speculative-fetch)",
             )
 
