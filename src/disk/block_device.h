@@ -106,17 +106,6 @@ class StorageDevice : public BlockDevice {
   // Fills each segment's pre-sized `data` in place.
   sim::Task<Status> ReadMulti(std::vector<Segment>* segments);
 
-  // Cache-coherent direct access: stores/loads bytes with no timing
-  // charge. Used by the RAID controller's write-back cache, which makes
-  // bytes durable in controller DRAM instantly and destages them to the
-  // spindles in the background.
-  void StoreDirect(std::uint64_t offset, std::span<const std::uint8_t> data) {
-    StoreBytes(offset, data);
-  }
-  void LoadDirect(std::uint64_t offset, std::span<std::uint8_t> out) const {
-    LoadBytes(offset, out);
-  }
-
   // Marks the device failed: all subsequent I/O returns kUnavailable.
   // RAID volumes use this for degraded-mode and rebuild testing.
   void Fail() { failed_ = true; }
@@ -140,27 +129,37 @@ class StorageDevice : public BlockDevice {
   sim::Duration busy_time() const { return busy_time_; }
 
  private:
+  // Untimed StoreDirect/LoadDirect are for the RAID controller's
+  // write-back cache only.
+  friend class RaidVolume;
+
   static constexpr std::uint64_t kChunk = 64 * kKiB;
 
-  void StoreBytes(std::uint64_t offset, std::span<const std::uint8_t> data);
-  void LoadBytes(std::uint64_t offset, std::span<std::uint8_t> out) const;
+  // One device range of a request. `bytes` is stored by a write, or sized
+  // to `length` and filled by a read; a discard has none.
+  struct Range {
+    std::uint64_t offset;
+    std::uint64_t length;
+    std::vector<std::uint8_t>* bytes;
+  };
+
+  // The one request path behind every I/O call: bounds, FIFO lock, fault
+  // checks, one latency plus the total transfer, a mid-flight failure
+  // check, the byte moves and the counters.
+  sim::Task<Status> Serve(bool is_read, std::span<const Range> ranges);
+
+  void StoreDirect(std::uint64_t offset, std::span<const std::uint8_t> data);
+  void LoadDirect(std::uint64_t offset, std::span<std::uint8_t> out) const;
 
   // Consults the fault injector (if any) at the head of a request.
   Status CheckInjectedFault(bool is_read);
-
-  // Positioning cost applies only when the head moves: a request starting
-  // where the previous one of the same kind ended streams for free.
-  sim::Duration ReadLatency(std::uint64_t offset) const {
-    return offset == last_read_end_ ? 0 : perf_.request_latency;
-  }
-  sim::Duration WriteLatency(std::uint64_t offset) const {
-    return offset == last_write_end_ ? 0 : perf_.request_latency;
-  }
 
   sim::Simulator& sim_;
   std::string name_;
   std::uint64_t capacity_;
   DevicePerf perf_;
+  // Positioning cost applies only when the head moves: a request starting
+  // where the previous one of the same kind ended streams for free.
   std::uint64_t last_read_end_ = ~0ull;
   std::uint64_t last_write_end_ = ~0ull;
   sim::Mutex queue_;  // FIFO request serialization

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -52,10 +53,7 @@ class RaidVolume : public BlockDevice {
              std::vector<StorageDevice*> devices,
              std::uint64_t stripe_unit = 64 * kKiB);
 
-  RaidLevel level() const { return level_; }
   int num_devices() const { return static_cast<int>(devices_.size()); }
-  int data_devices() const { return data_n_; }
-  std::uint64_t stripe_unit() const { return stripe_unit_; }
   std::uint64_t capacity() const override { return capacity_; }
 
   sim::Task<Status> Write(std::uint64_t offset,
@@ -109,17 +107,38 @@ class RaidVolume : public BlockDevice {
   std::vector<std::span<const std::uint8_t>> StripeShards(
       const std::uint8_t* base) const;
 
+  // The argument check of every entry point: an error, or OK for an empty
+  // request, to return at once; nothing when there is I/O to do.
+  std::optional<Status> Admit(std::uint64_t offset, std::uint64_t length,
+                              bool is_read) const;
+
+  // Calls fn(pos, loc, n) for each data-chunk piece of the volume range
+  // [offset, offset+length) in address order; `pos` is its volume offset.
+  template <typename Fn>
+  void ForEachChunk(std::uint64_t offset, std::uint64_t length,
+                    Fn&& fn) const;
+
+  // Encodes full stripes [first, last) of `data` and calls
+  // place(device, dev_offset, bytes) for each data chunk and parity row.
+  template <typename Fn>
+  void PlaceStripes(std::uint64_t first, std::uint64_t last,
+                    const std::uint8_t* data, Fn&& place) const;
+
   // Reads a whole stripe's data chunks (reconstructing around failures)
   // into `out` (stripe_unit * data_n_ bytes). `exclude` treats one extra
   // device as unavailable (used while rebuilding onto it).
-  sim::Task<Status> ReadStripeData(std::uint64_t stripe,
-                                   std::vector<std::uint8_t>* out,
+  sim::Task<Status> ReadStripeData(std::uint64_t stripe, std::uint8_t* out,
                                    int exclude = -1);
 
-  // Writes full stripes [first, last) given a contiguous data buffer that
-  // starts at stripe `first`. Computes and writes parity.
-  sim::Task<Status> WriteStripes(std::uint64_t first, std::uint64_t last,
-                                 std::vector<std::uint8_t> data);
+  // The discard cost model of striped volumes: parity compute for a
+  // write, then an even per-device share (data plus rotated-parity
+  // pass-over) that tiles exactly across consecutive calls, so sequential
+  // streams stay sequential. Write charges the real stripes instead.
+  sim::Task<Status> ChargeEvenShare(bool is_read, std::uint64_t offset,
+                                    std::uint64_t length);
+  // A discard of [offset, offset+length) on every live member.
+  sim::Task<Status> DiscardOnLiveDevices(bool is_read, std::uint64_t offset,
+                                         std::uint64_t length);
 
   // Fast path used when no device is failed.
   sim::Task<Status> ReadHealthy(std::uint64_t offset, std::uint64_t length,
@@ -134,9 +153,9 @@ class RaidVolume : public BlockDevice {
   // background destage charging spindle time.
   sim::Task<Status> WriteCached(std::uint64_t offset,
                                 std::vector<std::uint8_t> data);
-  void StoreStripesDirect(std::uint64_t first, std::uint64_t last,
-                          const std::vector<std::uint8_t>& data);
-  sim::Task<void> Destage(std::uint64_t first_stripe, std::uint64_t stripes,
+  // Charges one device range's spindle write on every live member, then
+  // releases `acked_bytes` of the dirty budget.
+  sim::Task<void> Destage(std::uint64_t dev_offset, std::uint64_t dev_length,
                           std::uint64_t acked_bytes);
 
   sim::Simulator& sim_;

@@ -199,12 +199,20 @@ Status Volume::MapRange(
 
 sim::Task<Status> Volume::Write(std::string name, std::uint64_t offset,
                                 std::vector<std::uint8_t> data) {
+  const std::uint64_t length = data.size();
+  co_return co_await WriteRange(std::move(name), offset, length,
+                                std::move(data));
+}
+
+sim::Task<Status> Volume::WriteRange(std::string name, std::uint64_t offset,
+                                     std::uint64_t length,
+                                     std::vector<std::uint8_t> data) {
   FileMeta* found = FindMeta(name);
   if (found == nullptr) {
     co_return NotFoundError("no file " + name);
   }
   FileMeta& meta = *found;
-  const std::uint64_t end = offset + data.size();
+  const std::uint64_t end = offset + length;
 
   // Grow allocation to cover the write.
   std::uint64_t have_blocks = 0;
@@ -223,14 +231,18 @@ sim::Task<Status> Volume::Write(std::string name, std::uint64_t offset,
   }
 
   std::vector<std::pair<std::uint64_t, std::uint64_t>> segs;
-  ROS_CO_RETURN_IF_ERROR(MapRange(meta, offset, data.size(), &segs));
+  ROS_CO_RETURN_IF_ERROR(MapRange(meta, offset, length, &segs));
   Status written = OkStatus();
   std::uint64_t pos = 0;
   for (const auto& [dev_offset, n] : segs) {
-    std::vector<std::uint8_t> piece(
-        data.begin() + static_cast<std::ptrdiff_t>(pos),
-        data.begin() + static_cast<std::ptrdiff_t>(pos + n));
-    written = co_await device_->Write(dev_offset, std::move(piece));
+    if (data.empty()) {
+      written = co_await device_->WriteDiscard(dev_offset, n);
+    } else {
+      std::vector<std::uint8_t> piece(
+          data.begin() + static_cast<std::ptrdiff_t>(pos),
+          data.begin() + static_cast<std::ptrdiff_t>(pos + n));
+      written = co_await device_->Write(dev_offset, std::move(piece));
+    }
     if (!written.ok()) {
       break;
     }
@@ -240,16 +252,21 @@ sim::Task<Status> Volume::Write(std::string name, std::uint64_t offset,
     written = co_await WriteMetadata();
   }
   if (!written.ok() && end > old_size) {
-    // Ordered mode: the size never covers data that was not written, so
-    // blocks this write allocated (and their stale bytes) stay past EOF.
-    // The extents stay with the file and the next append reuses them. A
-    // write that grew the file since keeps its size.
-    FileMeta* now = FindMeta(name);
-    if (now != nullptr && now->size == end) {
-      now->size = old_size;
-    }
+    ShrinkBack(name, end, old_size);
   }
   co_return written;
+}
+
+void Volume::ShrinkBack(const std::string& name, std::uint64_t end,
+                        std::uint64_t old_size) {
+  // Ordered mode: the size never covers data that was not written, so
+  // blocks a failed write allocated (and their stale bytes) stay past EOF.
+  // The extents stay with the file and the next append reuses them. A
+  // write that grew the file since keeps its size.
+  FileMeta* now = FindMeta(name);
+  if (now != nullptr && now->size == end) {
+    now->size = old_size;
+  }
 }
 
 sim::Task<Status> Volume::Append(std::string name,
@@ -259,35 +276,6 @@ sim::Task<Status> Volume::Append(std::string name,
     co_return NotFoundError("no file " + name);
   }
   co_return co_await Write(name, meta->size, std::move(data));
-}
-
-sim::Task<Status> Volume::AppendBatch(
-    std::string name, std::vector<std::vector<std::uint8_t>> pieces) {
-  const FileMeta* meta = FindMeta(name);
-  if (meta == nullptr) {
-    co_return NotFoundError("no file " + name);
-  }
-  std::size_t total = 0;
-  for (const std::vector<std::uint8_t>& piece : pieces) {
-    total += piece.size();
-  }
-  if (total == 0) {
-    co_return OkStatus();
-  }
-  // One concatenated write: the batch lands as a single mutation (one
-  // metadata update) and maps to contiguous device requests, which is what
-  // makes coalescing N records cheaper than N appends.
-  std::vector<std::uint8_t> batch;
-  if (pieces.size() == 1) {
-    batch = std::move(pieces[0]);
-  } else {
-    batch.reserve(total);
-    for (std::vector<std::uint8_t>& piece : pieces) {
-      batch.insert(batch.end(), piece.begin(), piece.end());
-    }
-  }
-  pieces.clear();
-  co_return co_await Write(name, meta->size, std::move(batch));
 }
 
 sim::Task<Status> Volume::Truncate(std::string name, std::uint64_t new_size) {
@@ -329,64 +317,46 @@ sim::Task<Status> Volume::AppendSparse(std::string name,
                                        std::vector<std::uint8_t> data,
                                        std::uint64_t logical_len) {
   ROS_CHECK(logical_len >= data.size());
+  const FileMeta* meta = FindMeta(name);
+  if (meta == nullptr) {
+    co_return NotFoundError("no file " + name);
+  }
+  const std::uint64_t old_size = meta->size;
+  const std::uint64_t data_end = old_size + data.size();
   const std::uint64_t tail = logical_len - data.size();
-  ROS_CO_RETURN_IF_ERROR(co_await Append(name, std::move(data)));
+  ROS_CO_RETURN_IF_ERROR(co_await Write(name, old_size, std::move(data)));
   if (tail == 0) {
     co_return OkStatus();
   }
-  FileMeta* found = FindMeta(name);
-  ROS_CHECK(found != nullptr);
-  FileMeta& meta = *found;
-  // Allocate the covering blocks so space accounting stays honest, then
-  // charge the device for the zero tail without storing it.
-  std::uint64_t have_blocks = 0;
-  for (const Extent& extent : meta.extents) {
-    have_blocks += extent.blocks;
+  // The zero tail is charged at the file's end, as an append, without
+  // storing it. If it fails, the whole append is undone.
+  meta = FindMeta(name);
+  ROS_CHECK(meta != nullptr);
+  Status written = co_await WriteRange(name, meta->size, tail, {});
+  if (!written.ok()) {
+    ShrinkBack(name, data_end, old_size);
   }
-  const std::uint64_t need_blocks =
-      (meta.size + tail + params_.block_size - 1) / params_.block_size;
-  if (need_blocks > have_blocks) {
-    ROS_CO_RETURN_IF_ERROR(Allocate(need_blocks - have_blocks, &meta.extents));
-  }
-  const std::uint64_t tail_start = meta.size;
-  meta.size += tail;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> segs;
-  ROS_CO_RETURN_IF_ERROR(MapRange(meta, tail_start, tail, &segs));
-  for (const auto& [dev_offset, n] : segs) {
-    ROS_CO_RETURN_IF_ERROR(co_await device_->WriteDiscard(dev_offset, n));
-  }
-  co_return co_await WriteMetadata();
+  co_return written;
 }
 
 sim::Task<StatusOr<std::vector<std::uint8_t>>> Volume::Read(
     std::string name, std::uint64_t offset,
     std::uint64_t length) const {
-  const FileMeta* found = FindMeta(name);
-  if (found == nullptr) {
-    co_return NotFoundError("no file " + name);
-  }
-  const FileMeta& meta = *found;
-  if (offset + length > meta.size) {
-    co_return OutOfRangeError("read beyond end of " + name);
-  }
-  std::vector<std::uint8_t> out(length);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> segs;
-  ROS_CO_RETURN_IF_ERROR(MapRange(meta, offset, length, &segs));
-  std::uint64_t pos = 0;
-  for (const auto& [dev_offset, n] : segs) {
-    auto piece = co_await device_->Read(dev_offset, n);
-    if (!piece.ok()) {
-      co_return piece.status();
-    }
-    std::memcpy(out.data() + pos, piece->data(), n);
-    pos += n;
-  }
+  std::vector<std::uint8_t> out;
+  ROS_CO_RETURN_IF_ERROR(
+      co_await ReadRange(std::move(name), offset, length, &out));
   co_return out;
 }
 
 sim::Task<Status> Volume::ReadDiscard(std::string name,
                                       std::uint64_t offset,
                                       std::uint64_t length) const {
+  co_return co_await ReadRange(std::move(name), offset, length, nullptr);
+}
+
+sim::Task<Status> Volume::ReadRange(std::string name, std::uint64_t offset,
+                                    std::uint64_t length,
+                                    std::vector<std::uint8_t>* out) const {
   const FileMeta* meta = FindMeta(name);
   if (meta == nullptr) {
     co_return NotFoundError("no file " + name);
@@ -396,8 +366,21 @@ sim::Task<Status> Volume::ReadDiscard(std::string name,
   }
   std::vector<std::pair<std::uint64_t, std::uint64_t>> segs;
   ROS_CO_RETURN_IF_ERROR(MapRange(*meta, offset, length, &segs));
+  if (out != nullptr) {
+    out->resize(length);
+  }
+  std::uint64_t pos = 0;
   for (const auto& [dev_offset, n] : segs) {
-    ROS_CO_RETURN_IF_ERROR(co_await device_->ReadDiscard(dev_offset, n));
+    if (out == nullptr) {
+      ROS_CO_RETURN_IF_ERROR(co_await device_->ReadDiscard(dev_offset, n));
+    } else {
+      auto piece = co_await device_->Read(dev_offset, n);
+      if (!piece.ok()) {
+        co_return piece.status();
+      }
+      std::memcpy(out->data() + pos, piece->data(), n);
+    }
+    pos += n;
   }
   co_return OkStatus();
 }

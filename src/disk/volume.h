@@ -49,7 +49,6 @@ class Volume {
   Volume(sim::Simulator& sim, BlockDevice* device, VolumeParams params = {});
 
   std::uint64_t block_size() const { return params_.block_size; }
-  std::uint64_t capacity_blocks() const { return total_blocks_; }
   std::uint64_t used_blocks() const { return used_blocks_; }
   std::uint64_t free_bytes() const {
     return (total_blocks_ - used_blocks_) * params_.block_size;
@@ -100,15 +99,10 @@ class Volume {
   sim::Task<Status> Write(std::string name, std::uint64_t offset,
                           std::vector<std::uint8_t> data);
 
+  // One mutation: contiguous device requests and one metadata update (a
+  // group commit of N WAL records lands as one append).
   sim::Task<Status> Append(std::string name,
                            std::vector<std::uint8_t> data);
-
-  // Appends every piece back-to-back as ONE file mutation: one metadata
-  // update and contiguous device requests for the whole batch instead of
-  // per-piece inode churn. This is the group-commit primitive: N coalesced
-  // WAL records cost one append. An empty batch is a no-op.
-  sim::Task<Status> AppendBatch(std::string name,
-                                std::vector<std::vector<std::uint8_t>> pieces);
 
   // Shrinks the file to `new_size` bytes, releasing whole blocks past the
   // boundary (crash recovery uses this to discard a torn log tail).
@@ -117,7 +111,8 @@ class Volume {
 
   // Appends `data` followed by a zero tail up to `logical_len` total bytes.
   // The tail charges full write time but is not stored (sparse payloads of
-  // PB-scale experiments; the tail reads back as zeros).
+  // PB-scale experiments; the tail reads back as zeros). As with Write, a
+  // failed append does not grow the file.
   sim::Task<Status> AppendSparse(std::string name,
                                  std::vector<std::uint8_t> data,
                                  std::uint64_t logical_len);
@@ -184,6 +179,22 @@ class Volume {
                   std::uint64_t length,
                   std::vector<std::pair<std::uint64_t, std::uint64_t>>* segs)
       const;
+
+  // The one write path: allocate, grow the size, write each device run,
+  // charge one metadata update. An empty `data` charges the range without
+  // storing it. A failed write does not grow the file.
+  sim::Task<Status> WriteRange(std::string name, std::uint64_t offset,
+                               std::uint64_t length,
+                               std::vector<std::uint8_t> data);
+  // Puts the size of a file that still ends at `end` back to `old_size`.
+  void ShrinkBack(const std::string& name, std::uint64_t end,
+                  std::uint64_t old_size);
+
+  // The one read path: lookup, bounds check, extent mapping and a device
+  // read per run. Fills `out`, or only charges the time when it is null.
+  sim::Task<Status> ReadRange(std::string name, std::uint64_t offset,
+                              std::uint64_t length,
+                              std::vector<std::uint8_t>* out) const;
 
   sim::Simulator& sim_;
   BlockDevice* device_;

@@ -878,9 +878,7 @@ sim::Task<Status> MetadataVolume::WriteSegments(
       break;
     }
     ++created;
-    std::vector<std::vector<std::uint8_t>> pieces;
-    pieces.push_back(std::move(file.bytes));
-    status = co_await volume_->AppendBatch(file.name, std::move(pieces));
+    status = co_await volume_->Append(file.name, std::move(file.bytes));
     if (!*alive || epoch_ != epoch) {
       co_return AbortedErrorForReset();
     }

@@ -264,13 +264,13 @@ sim::Task<void> MvLog::FlushLoop(std::shared_ptr<const bool> alive) {
       for (const mvlog::Record& record : batch->records) {
         size += mvlog::EncodedSize(record);
       }
-      std::vector<std::vector<std::uint8_t>> pieces(1);
-      pieces[0].reserve(size);
+      std::vector<std::uint8_t> encoded;
+      encoded.reserve(size);
       for (const mvlog::Record& record : batch->records) {
-        mvlog::AppendRecord(record, &pieces[0]);
+        mvlog::AppendRecord(record, &encoded);
       }
-      const std::uint64_t bytes = pieces[0].size();
-      status = co_await volume->AppendBatch(name, std::move(pieces));
+      const std::uint64_t bytes = encoded.size();
+      status = co_await volume->Append(name, std::move(encoded));
       if (!*alive) {
         batch->result = status;
         batch->done.Set();

@@ -12,7 +12,7 @@
 // MvLog batches concurrent appenders: records enqueue into the active
 // batch; a single flusher coroutine wakes after the commit window (or
 // immediately for a sealed batch) and lands the whole batch as ONE
-// disk::Volume::AppendBatch. Every appender co_awaits its batch's
+// disk::Volume::Append. Every appender co_awaits its batch's
 // durability barrier, so a resolved Append() means the record's bytes were
 // issued to the device. A landed batch's records are handed, in log
 // order, to the commit hook before any appender resumes. WAL files are sequence-numbered ("/mvwal.NNNNNNNNN");

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -134,6 +136,101 @@ TEST_F(BlockDeviceTest, TrafficCountersAccumulate) {
   ASSERT_TRUE(sim_.RunUntilComplete(device.Read(0, 400)).ok());
   EXPECT_EQ(device.bytes_written(), 1000u);
   EXPECT_EQ(device.bytes_read(), 400u);
+}
+
+// Write, WriteDiscard and a one-segment WriteMulti are one request kind:
+// over the same ranges they leave the same clock, counters and busy time.
+// The same holds for the three reads.
+TEST_F(BlockDeviceTest, EveryRequestKindChargesTheSame) {
+  struct Range {
+    std::uint64_t offset;
+    std::uint64_t length;
+  };
+  // A seek, a streaming continuation, then a seek back.
+  const std::vector<Range> ranges = {
+      {3 * kMiB, 100 * kKiB}, {3 * kMiB + 100 * kKiB, 7000}, {0, 1}};
+  enum class Kind { kPlain, kDiscard, kMulti };
+  struct Outcome {
+    sim::TimePoint now;
+    std::uint64_t bytes;
+    sim::Duration busy;
+  };
+  auto run = [&](bool is_read, Kind kind) {
+    sim::Simulator sim;
+    StorageDevice device(sim, "hdd0", kGiB, HddPerf());
+    for (const Range& range : ranges) {
+      Status status;
+      if (kind == Kind::kDiscard) {
+        status = sim.RunUntilComplete(
+            is_read ? device.ReadDiscard(range.offset, range.length)
+                    : device.WriteDiscard(range.offset, range.length));
+      } else if (kind == Kind::kMulti) {
+        std::vector<StorageDevice::Segment> segments;
+        segments.push_back(
+            {range.offset, std::vector<std::uint8_t>(range.length, 7)});
+        status = sim.RunUntilComplete(
+            is_read ? device.ReadMulti(&segments)
+                    : device.WriteMulti(std::move(segments)));
+      } else if (is_read) {
+        status = sim.RunUntilComplete(device.Read(range.offset, range.length))
+                     .status();
+      } else {
+        status = sim.RunUntilComplete(device.Write(
+            range.offset, std::vector<std::uint8_t>(range.length, 7)));
+      }
+      EXPECT_TRUE(status.ok()) << status.ToString();
+    }
+    return Outcome{sim.now(),
+                   is_read ? device.bytes_read() : device.bytes_written(),
+                   device.busy_time()};
+  };
+  for (const bool is_read : {false, true}) {
+    const Outcome plain = run(is_read, Kind::kPlain);
+    EXPECT_EQ(plain.bytes, 100 * kKiB + 7001);
+    for (const Kind kind : {Kind::kDiscard, Kind::kMulti}) {
+      const Outcome other = run(is_read, kind);
+      EXPECT_EQ(other.now, plain.now) << is_read;
+      EXPECT_EQ(other.bytes, plain.bytes) << is_read;
+      EXPECT_EQ(other.busy, plain.busy) << is_read;
+    }
+  }
+}
+
+// A device that dies while a request is in flight fails that request,
+// whatever its kind, and counts none of its bytes.
+TEST_F(BlockDeviceTest, EveryRequestKindFailsWhenTheDeviceDiesMidFlight) {
+  StorageDevice device(sim_, "hdd0", kGiB, HddPerf());
+  std::vector<StorageDevice::Segment> reads;
+  reads.push_back({0, std::vector<std::uint8_t>(4 * kKiB)});
+  std::vector<std::pair<const char*, std::function<Status()>>> kinds = {
+      {"Write",
+       [&] {
+         return sim_.RunUntilComplete(
+             device.Write(0, std::vector<std::uint8_t>(4 * kKiB)));
+       }},
+      {"Read",
+       [&] { return sim_.RunUntilComplete(device.Read(0, 4 * kKiB)).status(); }},
+      {"WriteDiscard",
+       [&] { return sim_.RunUntilComplete(device.WriteDiscard(0, 4 * kKiB)); }},
+      {"ReadDiscard",
+       [&] { return sim_.RunUntilComplete(device.ReadDiscard(0, 4 * kKiB)); }},
+      {"WriteMulti",
+       [&] {
+         std::vector<StorageDevice::Segment> writes;
+         writes.push_back({0, std::vector<std::uint8_t>(4 * kKiB)});
+         return sim_.RunUntilComplete(device.WriteMulti(std::move(writes)));
+       }},
+      {"ReadMulti",
+       [&] { return sim_.RunUntilComplete(device.ReadMulti(&reads)); }},
+  };
+  for (auto& [name, request] : kinds) {
+    // The fail lands 1 ms into the request's 8 ms positioning time.
+    sim_.ScheduleAfter(sim::Millis(1), [&device] { device.Fail(); });
+    EXPECT_EQ(request().code(), StatusCode::kUnavailable) << name;
+    device.Revive();
+  }
+  EXPECT_EQ(device.bytes_written(), 0u);
+  EXPECT_EQ(device.bytes_read(), 0u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/common/rng.h"
+#include "src/sim/fault.h"
 #include "src/sim/simulator.h"
 
 namespace ros::disk {
@@ -216,10 +217,11 @@ TEST_F(VolumeTest, FormatQuickResets) {
   EXPECT_EQ(volume_.file_count(), 0u);
 }
 
-TEST_F(VolumeTest, AppendBatchLandsAsOneMutation) {
-  // A twin volume takes the same bytes as one plain Append: the batch must
-  // cost exactly that — one metadata update and one contiguous device
-  // request run — not one per piece.
+TEST_F(VolumeTest, AppendLandsAsOneMutation) {
+  // A twin volume takes the same bytes as one Write at the same offset:
+  // the append must cost exactly that, one metadata update and one
+  // contiguous device request run. A group commit of N WAL records is one
+  // such append (DESIGN.md §5i).
   StorageDevice twin_device(sim_, "ssd-twin", 64 * kMiB, SsdPerf());
   Volume twin(sim_, &twin_device, MetadataVolumeParams());
   for (Volume* volume : {&volume_, &twin}) {
@@ -228,33 +230,26 @@ TEST_F(VolumeTest, AppendBatchLandsAsOneMutation) {
         sim_.RunUntilComplete(volume->Append("/wal", Bytes("head-"))).ok());
   }
 
-  // N pieces, one concatenated write: this is the group-commit primitive
-  // (DESIGN.md §5i).
   const std::uint64_t written_before = device_.bytes_written();
   sim::TimePoint t0 = sim_.now();
   ASSERT_TRUE(sim_.RunUntilComplete(
-                  volume_.AppendBatch(
-                      "/wal", {Bytes("one-"), Bytes("two-"), Bytes("three")}))
+                  volume_.Append("/wal", Bytes("one-two-three")))
                   .ok());
-  const sim::Duration batch_time = sim_.now() - t0;
+  const sim::Duration append_time = sim_.now() - t0;
   t0 = sim_.now();
   ASSERT_TRUE(sim_.RunUntilComplete(
-                  twin.Append("/wal", Bytes("one-two-three")))
+                  twin.Write("/wal", 5, Bytes("one-two-three")))
                   .ok());
-  EXPECT_EQ(batch_time, sim_.now() - t0);
+  EXPECT_EQ(append_time, sim_.now() - t0);
   EXPECT_EQ(device_.bytes_written() - written_before,
             Bytes("one-two-three").size());
+  EXPECT_EQ(twin_device.bytes_written(), device_.bytes_written());
   auto data = sim_.RunUntilComplete(volume_.ReadAll("/wal"));
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(*data, Bytes("head-one-two-three"));
 
-  // Degenerate batches: empty piece list is a free no-op, and a batch
-  // against a missing file is NotFound before any bytes move.
-  t0 = sim_.now();
-  ASSERT_TRUE(sim_.RunUntilComplete(volume_.AppendBatch("/wal", {})).ok());
-  EXPECT_EQ(sim_.now(), t0);
-  auto missing =
-      sim_.RunUntilComplete(volume_.AppendBatch("/nope", {Bytes("x")}));
+  // An append to a missing file is NotFound before any bytes move.
+  auto missing = sim_.RunUntilComplete(volume_.Append("/nope", Bytes("x")));
   EXPECT_EQ(missing.code(), StatusCode::kNotFound);
   EXPECT_EQ(device_.bytes_written() - written_before,
             Bytes("one-two-three").size());
@@ -314,6 +309,41 @@ TEST_F(VolumeTest, FailedAppendDoesNotGrowTheFile) {
   ASSERT_TRUE(data.ok());
   std::vector<std::uint8_t> want(100, 0x11);
   want.insert(want.end(), 50, 0x33);
+  EXPECT_EQ(*data, want);
+}
+
+TEST_F(VolumeTest, FailedSparseTailDoesNotGrowTheFile) {
+  ASSERT_TRUE(sim_.RunUntilComplete(volume_.Create("/img")).ok());
+  ASSERT_TRUE(sim_.RunUntilComplete(
+                  volume_.Append("/img", std::vector<std::uint8_t>(100, 0x11)))
+                  .ok());
+
+  // The stored head lands (device request 1); the device dies on the
+  // zero tail (request 2). The whole append is undone, as a failed Write.
+  sim::FaultInjector faults;
+  faults.FailNth(sim::FaultKind::kHddFailure, "ssd", 2);
+  device_.set_fault_injector(&faults);
+  EXPECT_EQ(sim_.RunUntilComplete(
+                volume_.AppendSparse(
+                    "/img", std::vector<std::uint8_t>(50, 0x22), 5000))
+                .code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(faults.injected(sim::FaultKind::kHddFailure), 1u);
+  EXPECT_EQ(*volume_.FileSize("/img"), 100u);
+
+  // The next append lands at the old end.
+  device_.set_fault_injector(nullptr);
+  device_.Revive();
+  ASSERT_TRUE(sim_.RunUntilComplete(
+                  volume_.AppendSparse(
+                      "/img", std::vector<std::uint8_t>(50, 0x33), 60))
+                  .ok());
+  EXPECT_EQ(*volume_.FileSize("/img"), 160u);
+  auto data = sim_.RunUntilComplete(volume_.ReadAll("/img"));
+  ASSERT_TRUE(data.ok());
+  std::vector<std::uint8_t> want(100, 0x11);
+  want.insert(want.end(), 50, 0x33);
+  want.insert(want.end(), 10, 0);
   EXPECT_EQ(*data, want);
 }
 
