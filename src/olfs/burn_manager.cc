@@ -1,6 +1,7 @@
 #include "src/olfs/burn_manager.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/common/logging.h"
 #include "src/olfs/audit.h"
@@ -152,15 +153,20 @@ sim::Task<void> BurnManager::BurnArrayTask(
 
   // Burn with two-tier retry. Transient failures (a mechanical fault, a
   // momentarily busy drive) leave the media sound: the same array retries
-  // in place under kBurnRetry's backoff. Permanent failures (burn errors:
-  // suspect media) mark the array kFailed in the DAindex and the job moves
-  // to a fresh empty array.
+  // in place under kBurnRetry's backoff, and when that budget runs out the
+  // job backs off and starts a fresh one on the same array. Permanent
+  // failures (burn errors: suspect media) mark the array kFailed in the
+  // DAindex and the job moves to a fresh empty array. Both count against
+  // kMaxArrayRetries.
   constexpr int kMaxArrayRetries = 2;
   constexpr sim::RetryPolicy kBurnRetry{.max_attempts = 3,
                                         .initial_backoff = sim::Seconds(5)};
-  sim::Retrier retrier(sim_, kBurnRetry,
-                       static_cast<std::uint64_t>(job.tray.ToIndex()) + 1);
-  int reallocations = 0;
+  auto retry_seed = [&job] {
+    return static_cast<std::uint64_t>(job.tray.ToIndex()) + 1;
+  };
+  std::optional<sim::Retrier> retrier;
+  retrier.emplace(sim_, kBurnRetry, retry_seed());
+  int array_retries = 0;
   while (true) {
     const int bay = co_await scheduler_->AcquireForBurn(job.resumed);
     Status status = co_await BurnArrayInBay(job, bay);
@@ -172,21 +178,25 @@ sim::Task<void> BurnManager::BurnArrayTask(
     }
     last_error_ = status;
     if (sim::IsTransient(status.code())) {
-      if (co_await retrier.AwaitRetry(status)) {
-        ++burn_retries_;
-        ROS_LOG(kWarning) << "transient burn failure on array "
-                          << job.tray.ToString() << "; retrying in place: "
-                          << status.ToString();
-        continue;
+      bool retry = co_await retrier->AwaitRetry(status);
+      if (!retry && ++array_retries <= kMaxArrayRetries) {
+        retrier.emplace(sim_, kBurnRetry, retry_seed());
+        retry = co_await retrier->AwaitRetry(status);
       }
-      fatal_error_ = status;
-      break;
+      if (!retry) {
+        break;
+      }
+      ++burn_retries_;
+      ROS_LOG(kWarning) << "transient burn failure on array "
+                        << job.tray.ToString() << "; retrying in place: "
+                        << status.ToString();
+      continue;
     }
     da_->set_state(job.tray, ArrayState::kFailed);
     ROS_LOG(kWarning) << "burn of array " << job.tray.ToString()
                       << " failed (" << status.ToString()
                       << "); reallocating";
-    if (++reallocations > kMaxArrayRetries) {
+    if (++array_retries > kMaxArrayRetries) {
       break;
     }
     auto tray = da_->AllocateEmpty();

@@ -335,6 +335,36 @@ TEST_F(ChaosTest, TransientMechFaultRetriedInPlace) {
   ExpectReadsBack("/chaos/retry.bin", payload);
 }
 
+// S3: three transient mechanical faults in a row on one array load spend
+// kBurnRetry's whole budget. The media is sound, so the job backs off and
+// retries the same array under the array cap: the drain succeeds, no
+// array is marked failed, and the file reads back from its disc.
+TEST_F(ChaosTest, TransientFaultsPastTheRetryBudgetRetryTheSameArray) {
+  sim::FaultInjector& faults = InstallInjector(/*seed=*/5);
+  for (std::uint64_t nth = 1; nth <= 3; ++nth) {
+    faults.FailNth(FaultKind::kMechFault, /*site=*/"", nth);
+  }
+
+  auto payload = RandomBytes(20 * kKiB, 31);
+  ASSERT_TRUE(Create("/chaos/stubborn.bin", payload).ok());
+  Status drained = sim_->RunUntilComplete(olfs_->FlushAndDrain());
+  ASSERT_TRUE(drained.ok()) << drained.ToString();
+
+  EXPECT_EQ(faults.injected(FaultKind::kMechFault), 3u);
+  EXPECT_GE(olfs_->burns().burn_retries(), 3);
+  EXPECT_EQ(olfs_->burns().arrays_reallocated(), 0);
+  EXPECT_EQ(olfs_->da_index().CountState(ArrayState::kFailed), 0);
+  EXPECT_TRUE(olfs_->burns().fatal_error().ok());
+
+  auto index = sim_->RunUntilComplete(olfs_->mv().Get("/chaos/stubborn.bin"));
+  ASSERT_TRUE(index.ok());
+  auto record =
+      olfs_->images().Lookup((*index->Latest())->parts[0].image_id);
+  ASSERT_TRUE(record.ok());
+  ASSERT_TRUE((*record)->disc.has_value());
+  ExpectReadsBack("/chaos/stubborn.bin", payload);
+}
+
 // S3: when every burn attempt fails permanently, reallocation gives up
 // after exhausting the spare budget and DrainAll reports the terminal
 // error — but the acked bytes are still served from the disk buffer.
