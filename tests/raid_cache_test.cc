@@ -18,7 +18,8 @@ using sim::ToMillis;
 using sim::ToSeconds;
 
 struct Rig {
-  explicit Rig(int n = 7, std::uint64_t cap = 2 * kGiB) {
+  explicit Rig(int n = 7, std::uint64_t cap = 2 * kGiB,
+               RaidLevel level = RaidLevel::kRaid5) {
     for (int i = 0; i < n; ++i) {
       devices.push_back(std::make_unique<StorageDevice>(
           sim, "hdd" + std::to_string(i), cap, HddPerf()));
@@ -27,7 +28,7 @@ struct Rig {
     for (auto& d : devices) {
       ptrs.push_back(d.get());
     }
-    volume = std::make_unique<RaidVolume>(sim, RaidLevel::kRaid5, ptrs);
+    volume = std::make_unique<RaidVolume>(sim, level, ptrs);
   }
 
   // Destroy suspended background coroutines (destage writes) while the
@@ -130,6 +131,34 @@ TEST(RaidCache, CachedWritesSurviveDeviceFailureAfterDestage) {
   auto read = rig.sim.RunUntilComplete(rig.volume->Read(0, data.size()));
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, data);  // parity was written through the cache path too
+}
+
+// A cached RAID-1 write destages at its own byte offset: two back-to-back
+// writes at consecutive offsets stream on each mirror, paying one
+// positioning latency per device, not one per destage.
+TEST(RaidCache, Raid1DestagesStreamAtTheWriteOffsets) {
+  Rig rig(2, 2 * kGiB, RaidLevel::kRaid1);
+  constexpr std::uint64_t kWrite = 4 * kKiB;
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(rig.sim
+                    .RunUntilComplete(rig.volume->Write(
+                        kMiB + i * kWrite,
+                        std::vector<std::uint8_t>(kWrite, 1 + i)))
+                    .ok());
+  }
+  rig.sim.Run();  // both destages land
+  const DevicePerf perf = HddPerf();
+  for (const auto& device : rig.devices) {
+    EXPECT_EQ(device->busy_time(),
+              perf.request_latency +
+                  2 * sim::TransferTime(kWrite, perf.write_bytes_per_sec))
+        << device->name();
+  }
+  auto read = rig.sim.RunUntilComplete(rig.volume->Read(kMiB, 2 * kWrite));
+  ASSERT_TRUE(read.ok());
+  std::vector<std::uint8_t> want(kWrite, 1);
+  want.insert(want.end(), kWrite, 2);
+  EXPECT_EQ(*read, want);
 }
 
 // --- sparse/discard paths ---
