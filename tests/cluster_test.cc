@@ -230,7 +230,17 @@ TEST(Cluster, ReplicatedBucketSurvivesRackKill) {
     ASSERT_TRUE(data.ok()) << data.status().ToString();
     EXPECT_EQ(*data, Payload(16 * kKiB, 10 + i));
   }
-  EXPECT_GT(cluster.stats().mirror_reads, 0u);
+  EXPECT_EQ(cluster.stats().mirror_reads, 4u);
+
+  // Stat and List fail over by the same replica rule; only Gets count as
+  // mirror reads.
+  auto info = sim.RunUntilComplete(cluster.Stat("safe", "k2"));
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info->size, 16 * kKiB);
+  auto listed = sim.RunUntilComplete(cluster.List("safe"));
+  ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+  EXPECT_EQ(*listed, (std::vector<std::string>{"k0", "k1", "k2", "k3"}));
+  EXPECT_EQ(cluster.stats().mirror_reads, 4u);
 
   // Writes keep failing over nothing: a standard bucket placed now lands
   // on the surviving rack.
@@ -238,6 +248,39 @@ TEST(Cluster, ReplicatedBucketSurvivesRackKill) {
                       cluster.Put("fresh", "k", Payload(4 * kKiB, 99)))
                   .ok());
   EXPECT_NE(cluster.routes().Find("fresh")->primary, primary);
+  sim.Shutdown();
+}
+
+// A replicated write must reach both replicas or neither: with the
+// primary down, Put and Delete fail before the mirror leg runs.
+TEST(Cluster, ReplicatedWriteWithAReplicaDownChangesNothing) {
+  sim::Simulator sim;
+  Cluster cluster(sim, SmallCluster(2));
+  ASSERT_TRUE(sim.RunUntilComplete(
+                      cluster.CreateBucket("safe", BucketClass::kReplicated))
+                  .ok());
+  ASSERT_TRUE(
+      sim.RunUntilComplete(cluster.Put("safe", "k", Payload(8 * kKiB, 1)))
+          .ok());
+  const int primary = cluster.routes().Find("safe")->primary;
+  ASSERT_TRUE(sim.RunUntilComplete(cluster.KillRack(primary)).ok());
+
+  EXPECT_EQ(sim.RunUntilComplete(
+                   cluster.Put("safe", "k", Payload(8 * kKiB, 2)))
+                .code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(sim.RunUntilComplete(
+                   cluster.Put("safe", "new", Payload(8 * kKiB, 3)))
+                .code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(sim.RunUntilComplete(cluster.Delete("safe", "k")).code(),
+            StatusCode::kUnavailable);
+
+  auto data = sim.RunUntilComplete(cluster.Get("safe", "k"));
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(*data, Payload(8 * kKiB, 1));
+  EXPECT_EQ(sim.RunUntilComplete(cluster.Get("safe", "new")).status().code(),
+            StatusCode::kNotFound);
   sim.Shutdown();
 }
 
@@ -336,6 +379,100 @@ TEST(Cluster, RebalancerMigratesColdBucketOffHotRack) {
   auto data = sim.RunUntilComplete(cluster.Get("cold", "k"));
   ASSERT_TRUE(data.ok()) << data.status().ToString();
   EXPECT_EQ(*data, Payload(4 * kKiB, 1));
+  sim.Shutdown();
+}
+
+// --- rack kills during a migration ----------------------------------------
+
+constexpr int kColdObjects = 8;
+
+// Homes "cold" (kColdObjects objects) and "hot" on one rack and makes
+// "hot" the busier bucket, so RebalanceOnce migrates "cold" off that
+// rack. Returns the source rack.
+int SkewTowardOneRack(sim::Simulator& sim, Cluster& cluster) {
+  EXPECT_TRUE(sim.RunUntilComplete(cluster.CreateBucket("cold")).ok());
+  EXPECT_TRUE(sim.RunUntilComplete(cluster.CreateBucket("hot")).ok());
+  for (int i = 0; i < kColdObjects; ++i) {
+    EXPECT_TRUE(sim.RunUntilComplete(
+                        cluster.Put("cold", "k" + std::to_string(i),
+                                    Payload(64 * kKiB, 300 + i)))
+                    .ok());
+  }
+  for (int i = 0; i < 2 * kColdObjects; ++i) {
+    EXPECT_TRUE(sim.RunUntilComplete(
+                        cluster.Put("hot", "k" + std::to_string(i),
+                                    Payload(4 * kKiB, 400 + i)))
+                    .ok());
+  }
+  return cluster.routes().Find("cold")->primary;
+}
+
+sim::Task<void> RebalanceInBackground(Cluster* cluster, sim::Simulator* sim,
+                                      Status* status,
+                                      sim::TimePoint* end) {
+  auto moved = co_await cluster->RebalanceOnce();
+  *status = moved.status();
+  *end = sim->now();
+}
+
+ClusterParams RebalancingCluster() {
+  ClusterParams params = SmallCluster(2);
+  params.rebalance_min_ops = 4;
+  return params;
+}
+
+// A migration counts as in flight on its source: KillRack waits for it to
+// stop instead of destroying the Olfs it is copying from.
+TEST(Cluster, KillRackWaitsOutAMigrationOffIt) {
+  sim::Simulator sim;
+  Cluster cluster(sim, RebalancingCluster());
+  const int source = SkewTowardOneRack(sim, cluster);
+
+  Status migrated = OkStatus();
+  sim::TimePoint migration_end = -1;
+  sim.Spawn(RebalanceInBackground(&cluster, &sim, &migrated, &migration_end));
+  sim.RunFor(sim::Millis(40));
+  ASSERT_LT(migration_end, 0) << "the migration should still be copying";
+
+  ASSERT_TRUE(sim.RunUntilComplete(cluster.KillRack(source)).ok());
+  ASSERT_GE(migration_end, 0) << "KillRack returned mid-migration";
+  EXPECT_GE(sim.now(), migration_end);
+  EXPECT_EQ(migrated.code(), StatusCode::kUnavailable)
+      << migrated.ToString();
+  EXPECT_EQ(cluster.routes().Find("cold")->primary, source);
+  EXPECT_EQ(cluster.stats().buckets_migrated, 0u);
+  // The bucket is not left frozen: an op on it gets past the gate and
+  // finds its only replica down.
+  EXPECT_EQ(sim.RunUntilComplete(cluster.Stat("cold", "k0")).status().code(),
+            StatusCode::kUnavailable);
+  sim.Shutdown();
+}
+
+// A migration counts as in flight on its target too; once the target is
+// killed, the bucket stays on its source with every object intact.
+TEST(Cluster, KillRackOfTheTargetLeavesTheBucketOnItsSource) {
+  sim::Simulator sim;
+  Cluster cluster(sim, RebalancingCluster());
+  const int source = SkewTowardOneRack(sim, cluster);
+  const int target = 1 - source;
+
+  Status migrated = OkStatus();
+  sim::TimePoint migration_end = -1;
+  sim.Spawn(RebalanceInBackground(&cluster, &sim, &migrated, &migration_end));
+  sim.RunFor(sim::Millis(40));
+  ASSERT_LT(migration_end, 0) << "the migration should still be copying";
+
+  ASSERT_TRUE(sim.RunUntilComplete(cluster.KillRack(target)).ok());
+  ASSERT_GE(migration_end, 0) << "KillRack returned mid-migration";
+  EXPECT_EQ(migrated.code(), StatusCode::kUnavailable)
+      << migrated.ToString();
+  EXPECT_EQ(cluster.routes().Find("cold")->primary, source);
+  for (int i = 0; i < kColdObjects; ++i) {
+    auto data =
+        sim.RunUntilComplete(cluster.Get("cold", "k" + std::to_string(i)));
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+    EXPECT_EQ(*data, Payload(64 * kKiB, 300 + i));
+  }
   sim.Shutdown();
 }
 
