@@ -249,11 +249,6 @@ sim::Task<Status> RaidVolume::ReadDiscard(std::uint64_t offset,
     co_return *done;
   }
   bytes_read_ += length;
-  if (write_cache_ && failed_devices() == 0 && RangeInCache(offset, length)) {
-    co_await sim_.Delay(sim::Micros(300) +
-                        sim::TransferTime(length, kCacheAckBytesPerSec));
-    co_return OkStatus();
-  }
   if (level_ == RaidLevel::kRaid1) {
     for (int attempt = 0; attempt < num_devices(); ++attempt) {
       StorageDevice* device = devices_[next_mirror_read_++ % devices_.size()];
@@ -262,6 +257,13 @@ sim::Task<Status> RaidVolume::ReadDiscard(std::uint64_t offset,
       }
     }
     co_return UnavailableError("all mirrors failed");
+  }
+  // Same rule as Read: only striped levels answer from the controller
+  // cache.
+  if (write_cache_ && failed_devices() == 0 && RangeInCache(offset, length)) {
+    co_await sim_.Delay(sim::Micros(300) +
+                        sim::TransferTime(length, kCacheAckBytesPerSec));
+    co_return OkStatus();
   }
   co_return co_await ChargeEvenShare(true, offset, length);
 }

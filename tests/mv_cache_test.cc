@@ -20,6 +20,7 @@
 
 #include "src/common/rng.h"
 #include "src/disk/block_device.h"
+#include "src/disk/raid.h"
 #include "src/olfs/metadata_volume.h"
 #include "src/sim/join.h"
 #include "src/sim/simulator.h"
@@ -39,16 +40,25 @@ MetadataVolume::Options StackOptions(std::size_t cache_capacity,
   return options;
 }
 
+// An MV on one bare SSD, or with `raid1` on a RAID-1 SSD pair with the
+// controller cache on (a rack's MV).
 struct Stack {
   explicit Stack(std::size_t cache_capacity,
-                 std::uint64_t memtable_flush_bytes = 8 * kMiB)
+                 std::uint64_t memtable_flush_bytes = 8 * kMiB,
+                 bool raid1 = false)
       : device(sim, "ssd", 64 * kMiB, disk::SsdPerf()),
-        volume(sim, &device, disk::MetadataVolumeParams()),
+        mirror(sim, "ssd-mirror", 64 * kMiB, disk::SsdPerf()),
+        raid(sim, disk::RaidLevel::kRaid1, {&device, &mirror}),
+        volume(sim,
+               raid1 ? static_cast<disk::BlockDevice*>(&raid) : &device,
+               disk::MetadataVolumeParams()),
         mv(sim, &volume,
            StackOptions(cache_capacity, memtable_flush_bytes)) {}
 
   sim::Simulator sim;
   disk::StorageDevice device;
+  disk::StorageDevice mirror;
+  disk::RaidVolume raid;
   disk::Volume volume;
   MetadataVolume mv;
 };
@@ -207,29 +217,35 @@ TEST(MvCacheTest, RandomizedOpsMatchCacheDisabledStack) {
   EXPECT_GT(store.compactions, 0u);
 }
 
+// A hit on a segment-backed entry replays the miss's device read, on a
+// bare SSD and on a cached RAID-1 pair alike.
 TEST(MvCacheTest, SegmentBackedHitChargesTheMissRead) {
-  Stack stack(kCacheCapacity, /*memtable_flush_bytes=*/1 * kKiB);
-  auto& sim = stack.sim;
-  auto& mv = stack.mv;
-  for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(sim.RunUntilComplete(
-                    mv.Put(MakeIndex("/t/s" + std::to_string(i), 5)))
-                    .ok());
-  }
-  sim.RunFor(sim::Seconds(5));  // flush: the early entries live in segments
-  ASSERT_GT(mv.store_stats().segment_count, 0u);
+  for (const bool raid1 : {false, true}) {
+    SCOPED_TRACE(raid1 ? "RAID-1 pair" : "bare SSD");
+    Stack stack(kCacheCapacity, /*memtable_flush_bytes=*/1 * kKiB, raid1);
+    auto& sim = stack.sim;
+    auto& mv = stack.mv;
+    for (int i = 0; i < 12; ++i) {
+      ASSERT_TRUE(sim.RunUntilComplete(
+                      mv.Put(MakeIndex("/t/s" + std::to_string(i), 5)))
+                      .ok());
+    }
+    sim.RunFor(sim::Seconds(5));  // flush: early entries live in segments
+    ASSERT_GT(mv.store_stats().segment_count, 0u);
 
-  const auto before = mv.cache_stats();
-  sim::TimePoint t0 = sim.now();
-  ASSERT_TRUE(sim.RunUntilComplete(mv.GetRef("/t/s0")).ok());
-  const sim::Duration miss = sim.now() - t0;
-  t0 = sim.now();
-  ASSERT_TRUE(sim.RunUntilComplete(mv.GetRef("/t/s0")).ok());
-  const sim::Duration hit = sim.now() - t0;
-  EXPECT_EQ(mv.cache_stats().misses, before.misses + 1);
-  EXPECT_EQ(mv.cache_stats().hits, before.hits + 1);
-  EXPECT_GT(miss, 0) << "a segment point read charges the SSD";
-  EXPECT_EQ(hit, miss);
+    const auto before = mv.cache_stats();
+    sim::TimePoint t0 = sim.now();
+    ASSERT_TRUE(sim.RunUntilComplete(mv.GetRef("/t/s0")).ok());
+    const sim::Duration miss = sim.now() - t0;
+    t0 = sim.now();
+    ASSERT_TRUE(sim.RunUntilComplete(mv.GetRef("/t/s0")).ok());
+    const sim::Duration hit = sim.now() - t0;
+    EXPECT_EQ(mv.cache_stats().misses, before.misses + 1);
+    EXPECT_EQ(mv.cache_stats().hits, before.hits + 1);
+    EXPECT_GT(miss, 0) << "a segment point read charges the SSD";
+    EXPECT_EQ(hit, miss);
+    sim.Shutdown();
+  }
 }
 
 TEST(MvCacheTest, LruEvictsOldestAndCountsIt) {
