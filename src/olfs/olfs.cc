@@ -569,98 +569,82 @@ void Olfs::StartBackgroundPolicies(sim::Duration mv_snapshot_interval,
                                    sim::Duration auto_flush_interval,
                                    sim::Duration scrub_interval) {
   if (mv_snapshot_interval > 0) {
-    sim_.Spawn(MvSnapshotLoop(mv_snapshot_interval, bg_alive_));
+    // Only when the namespace changed since the last snapshot.
+    auto due = [this] { return namespace_writes_ != last_snapshot_writes_; };
+    auto pass = [this]() -> sim::Task<void> {
+      last_snapshot_writes_ = namespace_writes_;
+      Status status = co_await BurnMvSnapshot();
+      if (!status.ok()) {
+        ROS_LOG(kWarning) << "periodic MV snapshot failed: "
+                          << status.ToString();
+      }
+    };
+    sim_.Spawn(PeriodicLoop(mv_snapshot_interval, bg_alive_, std::move(due),
+                            std::move(pass)));
   }
   if (auto_flush_interval > 0) {
-    sim_.Spawn(AutoFlushLoop(auto_flush_interval, bg_alive_));
-  }
-  if (scrub_interval > 0) {
-    sim_.Spawn(ScrubLoop(scrub_interval, bg_alive_));
-  }
-}
-
-sim::Task<void> Olfs::ScrubLoop(sim::Duration interval,
-                                std::shared_ptr<const bool> alive) {
-  while (true) {
-    co_await sim_.Delay(interval);
-    if (!*alive) {
-      co_return;  // the facade is gone; touch nothing
-    }
-    // Idle check: skip the pass while burns are running or clients are
-    // actively writing ("scheduled at idle times", §4.7).
-    if (burns_->active_burns() > 0 ||
-        sim_.now() - last_write_time_ < interval / 2) {
-      continue;
-    }
-    // Deep scrub (DESIGN.md §5j): walk every burned array at read speed
-    // through the scheduler's background class, repair damage from
-    // parity, refresh rotting arrays onto fresh media.
-    ++live_frames_;
-    auto pass = co_await scrub_->RunPass();
-    FrameDone();
-    if (!pass.ok()) {
-      ROS_LOG(kWarning) << "scheduled scrub failed: "
-                        << pass.status().ToString();
-    } else if (pass->repairs > 0 || pass->arrays_refreshed > 0) {
-      ROS_LOG(kInfo) << "scheduled scrub repaired " << pass->repairs
-                     << " image(s), refreshed " << pass->arrays_refreshed
-                     << " array(s)";
-    }
-    if (!*alive) {
-      co_return;
-    }
-  }
-}
-
-sim::Task<void> Olfs::MvSnapshotLoop(sim::Duration interval,
-                                     std::shared_ptr<const bool> alive) {
-  while (true) {
-    co_await sim_.Delay(interval);
-    if (!*alive) {
-      co_return;  // the facade is gone; touch nothing
-    }
-    if (namespace_writes_ == last_snapshot_writes_) {
-      continue;  // nothing changed since the last snapshot
-    }
-    last_snapshot_writes_ = namespace_writes_;
-    ++live_frames_;
-    Status status = co_await BurnMvSnapshot();
-    FrameDone();
-    if (!status.ok()) {
-      ROS_LOG(kWarning) << "periodic MV snapshot failed: "
-                        << status.ToString();
-    }
-    if (!*alive) {
-      co_return;
-    }
-  }
-}
-
-sim::Task<void> Olfs::AutoFlushLoop(sim::Duration interval,
-                                    std::shared_ptr<const bool> alive) {
-  while (true) {
-    co_await sim_.Delay(interval);
-    if (!*alive) {
-      co_return;  // the facade is gone; touch nothing
-    }
     // Flush when buffered data has been sitting idle for a full interval
     // (don't interrupt an active ingest burst mid-bucket).
-    const bool idle = sim_.now() - last_write_time_ >= interval;
-    const bool dirty = !images_->UnburnedClosed().empty() ||
-                       buckets_->HasOpenBucketWithData();
-    if (idle && dirty) {
-      ++live_frames_;
+    auto due = [this, auto_flush_interval] {
+      return sim_.now() - last_write_time_ >= auto_flush_interval &&
+             (!images_->UnburnedClosed().empty() ||
+              buckets_->HasOpenBucketWithData());
+    };
+    auto pass = [this]() -> sim::Task<void> {
       Status status = co_await buckets_->CloseCurrentBucket();
       if (status.ok()) {
         status = co_await burns_->FlushPartialArray();
       }
-      FrameDone();
       if (!status.ok()) {
         ROS_LOG(kWarning) << "auto-flush failed: " << status.ToString();
       }
-      if (!*alive) {
-        co_return;
+    };
+    sim_.Spawn(PeriodicLoop(auto_flush_interval, bg_alive_, std::move(due),
+                            std::move(pass)));
+  }
+  if (scrub_interval > 0) {
+    // Idle check: skip the pass while burns are running or clients are
+    // actively writing ("scheduled at idle times", §4.7).
+    auto due = [this, scrub_interval] {
+      return burns_->active_burns() == 0 &&
+             sim_.now() - last_write_time_ >= scrub_interval / 2;
+    };
+    // Deep scrub (DESIGN.md §5j): walk every burned array at read speed
+    // through the scheduler's background class, repair damage from
+    // parity, refresh rotting arrays onto fresh media.
+    auto pass = [this]() -> sim::Task<void> {
+      auto scrubbed = co_await scrub_->RunPass();
+      if (!scrubbed.ok()) {
+        ROS_LOG(kWarning) << "scheduled scrub failed: "
+                          << scrubbed.status().ToString();
+      } else if (scrubbed->repairs > 0 || scrubbed->arrays_refreshed > 0) {
+        ROS_LOG(kInfo) << "scheduled scrub repaired " << scrubbed->repairs
+                       << " image(s), refreshed "
+                       << scrubbed->arrays_refreshed << " array(s)";
       }
+    };
+    sim_.Spawn(PeriodicLoop(scrub_interval, bg_alive_, std::move(due),
+                            std::move(pass)));
+  }
+}
+
+sim::Task<void> Olfs::PeriodicLoop(sim::Duration interval,
+                                   std::shared_ptr<const bool> alive,
+                                   std::function<bool()> due,
+                                   std::function<sim::Task<void>()> pass) {
+  while (true) {
+    co_await sim_.Delay(interval);
+    if (!*alive) {
+      co_return;  // the facade is gone; touch nothing
+    }
+    if (!due()) {
+      continue;
+    }
+    ++live_frames_;
+    co_await pass();
+    FrameDone();
+    if (!*alive) {
+      co_return;
     }
   }
 }

@@ -11,6 +11,7 @@
 #ifndef ROS_SRC_OLFS_OLFS_H_
 #define ROS_SRC_OLFS_OLFS_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -231,12 +232,12 @@ class Olfs {
   // it from the previous one) and records it in the trace.
   sim::Task<void> ChargeOp(const char* name, bool first = false);
 
-  sim::Task<void> MvSnapshotLoop(sim::Duration interval,
-                                 std::shared_ptr<const bool> alive);
-  sim::Task<void> AutoFlushLoop(sim::Duration interval,
-                                std::shared_ptr<const bool> alive);
-  sim::Task<void> ScrubLoop(sim::Duration interval,
-                            std::shared_ptr<const bool> alive);
+  // One background policy: every `interval` while the facade is alive,
+  // runs `pass` when `due()` holds, as a frame Quiesce waits out.
+  sim::Task<void> PeriodicLoop(sim::Duration interval,
+                               std::shared_ptr<const bool> alive,
+                               std::function<bool()> due,
+                               std::function<sim::Task<void>()> pass);
 
   // Wraps a detached task (prefetch, tray readahead) so Quiesce can wait
   // for every frame that borrows this facade to finish.
