@@ -27,73 +27,72 @@ void BurnManager::NotifyImageClosed(const std::string&) {
 }
 
 void BurnManager::MaybeStartBurn() {
-  const int quota = params_.data_images_per_array();
-  std::vector<std::string> pending = images_->UnburnedClosed();
-  // Images already claimed by running burn tasks are removed from
-  // UnburnedClosed only at completion; track claims via a skip set.
-  std::vector<std::string> available;
-  for (const std::string& id : pending) {
-    if (std::find(claimed_.begin(), claimed_.end(), id) == claimed_.end()) {
-      available.push_back(id);
-    }
-  }
   // Affinity placement: cluster co-accessed images onto this array. The
   // batch forms over a wider window of closed images so the clusterer has
   // genuine choice of membership (forming at exactly `quota` could only
   // reorder the same prefix). With no tracker or no recorded edges, this
   // is exactly the close-order prefix — and the original fire-at-quota
   // timing — of the pre-hint planner.
-  const bool affinity_active =
-      affinity_ != nullptr && affinity_->edges() > 0;
-  const int form_at =
-      affinity_active ? quota + params_.affinity_window() : quota;
-  if (static_cast<int>(available.size()) < form_at) {
-    return;
+  std::vector<std::string> available = UnclaimedClosed();
+  const int form_at = params_.data_images_per_array() +
+                      (AffinityActive() ? params_.affinity_window() : 0);
+  if (static_cast<int>(available.size()) >= form_at) {
+    StartBurn(PlanBatch(available));
   }
-  std::vector<std::string> batch =
-      affinity_active ? affinity_->PlanBatch(available, quota)
-                      : std::vector<std::string>(available.begin(),
-                                                 available.begin() + quota);
-  claimed_.insert(claimed_.end(), batch.begin(), batch.end());
-  ++active_burns_;
-  sim_.Spawn(BurnArrayTask(std::move(batch), std::nullopt));
 }
 
 sim::Task<Status> BurnManager::FlushPartialArray() {
-  std::vector<std::string> pending = images_->UnburnedClosed();
-  std::vector<std::string> available;
-  for (const std::string& id : pending) {
-    if (std::find(claimed_.begin(), claimed_.end(), id) == claimed_.end()) {
-      available.push_back(id);
-    }
-  }
   // A flush drains everything now: the affinity window no longer applies,
   // but full arrays still go through the clusterer so a pool the window
   // accumulated burns well-placed. (Without affinity the pool can never
   // exceed the quota here — MaybeStartBurn drains it — so this loop
   // degenerates to at most the original single partial array.)
-  const int quota = params_.data_images_per_array();
-  const bool affinity_active =
-      affinity_ != nullptr && affinity_->edges() > 0;
-  while (static_cast<int>(available.size()) >= quota) {
-    std::vector<std::string> batch =
-        affinity_active ? affinity_->PlanBatch(available, quota)
-                        : std::vector<std::string>(available.begin(),
-                                                   available.begin() + quota);
+  std::vector<std::string> available = UnclaimedClosed();
+  while (static_cast<int>(available.size()) >=
+         params_.data_images_per_array()) {
+    std::vector<std::string> batch = PlanBatch(available);
     for (const std::string& id : batch) {
       available.erase(std::find(available.begin(), available.end(), id));
     }
-    claimed_.insert(claimed_.end(), batch.begin(), batch.end());
-    ++active_burns_;
-    sim_.Spawn(BurnArrayTask(std::move(batch), std::nullopt));
+    StartBurn(std::move(batch));
   }
-  if (available.empty()) {
-    co_return OkStatus();
+  if (!available.empty()) {
+    StartBurn(std::move(available));
   }
-  claimed_.insert(claimed_.end(), available.begin(), available.end());
-  ++active_burns_;
-  sim_.Spawn(BurnArrayTask(std::move(available), std::nullopt));
   co_return OkStatus();
+}
+
+bool BurnManager::AffinityActive() const {
+  return affinity_ != nullptr && affinity_->edges() > 0;
+}
+
+std::vector<std::string> BurnManager::UnclaimedClosed() const {
+  // Images claimed by running burn tasks leave UnburnedClosed only at
+  // completion.
+  std::vector<std::string> available;
+  for (const std::string& id : images_->UnburnedClosed()) {
+    if (std::find(claimed_.begin(), claimed_.end(), id) == claimed_.end()) {
+      available.push_back(id);
+    }
+  }
+  return available;
+}
+
+std::vector<std::string> BurnManager::PlanBatch(
+    const std::vector<std::string>& available) const {
+  const int quota = params_.data_images_per_array();
+  if (AffinityActive()) {
+    return affinity_->PlanBatch(available, quota);
+  }
+  return std::vector<std::string>(available.begin(),
+                                  available.begin() + quota);
+}
+
+void BurnManager::StartBurn(std::vector<std::string> batch,
+                            std::optional<BurnJob> resume) {
+  claimed_.insert(claimed_.end(), batch.begin(), batch.end());
+  ++active_burns_;
+  sim_.Spawn(BurnArrayTask(std::move(batch), std::move(resume)));
 }
 
 Status BurnManager::InterruptBay(int bay) {
@@ -250,8 +249,7 @@ sim::Task<Status> BurnManager::BurnArrayInBay(BurnJob& job, int bay) {
     // bay (queueing behind the fetch that interrupted us) and continues
     // the remaining burns in append-burn mode.
     ++interrupts_taken_;
-    ++active_burns_;
-    sim_.Spawn(BurnArrayTask({}, job));
+    StartBurn({}, job);
     ROS_LOG(kInfo) << "burn of array " << job.tray.ToString()
                    << " interrupted; resume queued";
     co_return OkStatus();

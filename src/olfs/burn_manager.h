@@ -106,6 +106,17 @@ class BurnManager {
 
   // Launches BurnArrayTask for the oldest pending full array.
   void MaybeStartBurn();
+  // True when the affinity tracker has edges to cluster batches by.
+  bool AffinityActive() const;
+  // Closed, unburned images no running burn task has claimed.
+  std::vector<std::string> UnclaimedClosed() const;
+  // One full array out of `available`: clustered by affinity when
+  // active, else the close-order prefix.
+  std::vector<std::string> PlanBatch(
+      const std::vector<std::string>& available) const;
+  // Claims `batch` and spawns its BurnArrayTask (or resumes `resume`).
+  void StartBurn(std::vector<std::string> batch,
+                 std::optional<BurnJob> resume = std::nullopt);
   sim::Task<void> BurnArrayTask(std::vector<std::string> data_ids,
                                 std::optional<BurnJob> resume);
   sim::Task<Status> BurnArrayInBay(BurnJob& job, int bay);
