@@ -94,7 +94,6 @@ int main() {
         rig.olfs->mech().DriveHolding(*(*record)->disc);
     ROS_CHECK(drive != nullptr);
     drive->InvalidateVfs();
-    rig.olfs->DropDiscMount(image_id);
     bench::PrintRow("disc in optical drive", 0.223,
                     rig.TimedRead("/t1/cold.bin"), "s");
   }
