@@ -12,6 +12,7 @@
 #include "src/olfs/index_file.h"
 #include "src/olfs/mv_log.h"
 #include "src/olfs/mv_segment.h"
+#include "src/olfs/placement.h"
 #include "src/udf/serializer.h"
 
 namespace ros::fuzz {
@@ -254,6 +255,63 @@ void FuzzAuditManifest(const std::uint8_t* data, std::size_t size) {
   Require(reparsed.ok(), "re-serialized audit manifest does not parse");
   Require(reparsed->version == parsed->version,
           "re-serialized audit manifest changed its version");
+}
+
+void FuzzRouteShard(const std::uint8_t* data, std::size_t size) {
+  const std::string_view text(reinterpret_cast<const char*>(data), size);
+  StatusOr<json::Value> doc = json::Parse(text);
+  if (!doc.ok()) {
+    return;
+  }
+  constexpr int kRacks = 4;
+  for (int shard = 0; shard < olfs::RoutingTable::kShards; ++shard) {
+    // One existing route in the shard, which a rejected load must keep.
+    olfs::RoutingTable table;
+    for (int i = 0;; ++i) {
+      const std::string bucket = "existing" + std::to_string(i);
+      if (olfs::RoutingTable::ShardOf(bucket) == shard) {
+        olfs::BucketRoute route;
+        route.primary = 1;
+        route.bytes = 5;
+        table.Insert(bucket, route);
+        break;
+      }
+    }
+    const json::Value before = table.ShardToJson(shard);
+    Status loaded = table.LoadShard(shard, *doc, kRacks);
+    if (!loaded.ok()) {
+      Require(loaded.code() == StatusCode::kInvalidArgument,
+              "LoadShard failed with a non-parse status");
+      Require(table.ShardToJson(shard) == before,
+              "rejected routing shard changed the table");
+      continue;
+    }
+    olfs::PlacementPolicy policy(kRacks, /*affinity_headroom_bytes=*/0);
+    std::size_t routes = 0;
+    table.ForEach([&](const std::string& bucket,
+                      const olfs::BucketRoute& route) {
+      ++routes;
+      Require(table.Find(bucket) == &route,
+              "accepted route is not reachable through Find");
+      Require(route.primary >= 0 && route.primary < kRacks,
+              "accepted route has a primary outside the racks");
+      Require(route.mirror >= -1 && route.mirror < kRacks,
+              "accepted route has a mirror outside the racks");
+      // ReloadRouting's ledger rebuild.
+      policy.NoteRouted(route.primary, route.bytes);
+      if (route.mirror >= 0) {
+        policy.NoteRouted(route.mirror, route.bytes);
+      }
+    });
+    Require(routes == doc->as_object().size(),
+            "accepted routing shard lost or gained routes");
+    const json::Value saved = table.ShardToJson(shard);
+    olfs::RoutingTable reloaded;
+    Require(reloaded.LoadShard(shard, saved, kRacks).ok(),
+            "saved routing shard does not load");
+    Require(reloaded.ShardToJson(shard) == saved,
+            "routing shard does not round-trip");
+  }
 }
 
 }  // namespace ros::fuzz

@@ -1,4 +1,4 @@
-// Shared fuzz-harness bodies for the three durable-state deserializers.
+// Shared fuzz-harness bodies for the durable-state deserializers.
 //
 // ROS's durability story (§4.4) rests on rebuilding the namespace from
 // whatever bytes survive on media, so the MV JSON parser, the index-file
@@ -43,6 +43,14 @@ void FuzzMvLog(const std::uint8_t* data, std::size_t size);
 // and every accepted manifest (version 1 or 2) re-serializes to the
 // identical blob and re-parses under the same version.
 void FuzzAuditManifest(const std::uint8_t* data, std::size_t size);
+
+// olfs::RoutingTable::LoadShard (DESIGN.md §5k), the cluster's persisted
+// bucket routes: any JSON shard document, loaded into each of the 16
+// shards of a 4-rack table, fails with kInvalidArgument and leaves the
+// shard as it was, or loads routes that Find reaches, that name racks of
+// the table, that feed PlacementPolicy's ledger as ReloadRouting does,
+// and that round-trip through ShardToJson.
+void FuzzRouteShard(const std::uint8_t* data, std::size_t size);
 
 }  // namespace ros::fuzz
 

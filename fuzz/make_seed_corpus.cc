@@ -17,6 +17,7 @@
 #include "src/olfs/index_file.h"
 #include "src/olfs/mv_log.h"
 #include "src/olfs/mv_segment.h"
+#include "src/olfs/placement.h"
 #include "src/udf/serializer.h"
 
 namespace fs = std::filesystem;
@@ -47,6 +48,7 @@ int main(int argc, char** argv) {
   fs::create_directories(root / "udf");
   fs::create_directories(root / "mvlog");
   fs::create_directories(root / "audit");
+  fs::create_directories(root / "routes");
 
   // --- json seeds ---
   WriteText(root / "json" / "seed_scalars.json",
@@ -244,6 +246,38 @@ int main(int argc, char** argv) {
     empty_array.array_root = ros::olfs::AuditArrayRoot(empty_array);
     WriteBytes(dir / (prefix + "empty_member.bin"),
                ros::olfs::SerializeAuditManifest(empty_array));
+  }
+
+  // --- routing-shard seeds (emitted by RoutingTable::ShardToJson) ---
+  // A 4-rack table of standard and replicated buckets; every shard that
+  // holds a route is one seed, plus one empty shard.
+  {
+    ros::olfs::RoutingTable table;
+    for (int i = 0; i < 12; ++i) {
+      ros::olfs::BucketRoute route;
+      route.primary = i % 4;
+      if (i % 3 == 0) {
+        route.mirror = (i + 1) % 4;
+        route.cls = ros::olfs::BucketClass::kReplicated;
+      }
+      route.bytes = static_cast<std::uint64_t>(i) * 65536;
+      route.ops = static_cast<std::uint64_t>(i) * 7;
+      table.Insert("bucket" + std::to_string(i), route);
+    }
+    bool wrote_empty = false;
+    for (int shard = 0; shard < ros::olfs::RoutingTable::kShards; ++shard) {
+      const ros::json::Value doc = table.ShardToJson(shard);
+      if (doc.as_object().empty()) {
+        if (!wrote_empty) {
+          WriteText(root / "routes" / "seed_empty_shard.json", doc.Dump());
+          wrote_empty = true;
+        }
+        continue;
+      }
+      WriteText(root / "routes" /
+                    ("seed_shard_" + std::to_string(shard) + ".json"),
+                doc.Dump());
+    }
   }
 
   std::printf("seed corpus written under %s\n", root.string().c_str());

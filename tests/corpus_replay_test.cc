@@ -72,6 +72,8 @@ TEST(CorpusReplay, AuditManifest) {
   ReplayAll("audit", FuzzAuditManifest);
 }
 
+TEST(CorpusReplay, Routes) { ReplayAll("routes", FuzzRouteShard); }
+
 // The audit corpus holds a valid seed set of each manifest version, so the
 // replay above walks both leaf hashes and both version values.
 TEST(CorpusReplay, AuditManifestSeedsCoverEveryVersion) {
