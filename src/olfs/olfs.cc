@@ -662,7 +662,6 @@ sim::Task<StatusOr<RecoveryReport>> Olfs::RebuildNamespace(
   }
   RecoveryReport report;
   mv_->WipeAll();
-  disc_mounts_.clear();
 
   struct PartInfo {
     std::string image_id;
