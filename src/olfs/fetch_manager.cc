@@ -53,11 +53,16 @@ sim::Task<StatusOr<FetchLease>> FetchManager::FetchDiscOnce(
     co_return FetchLease(scheduler_, bay,
                          &mech_->drive_set(bay).drive(address.index));
   }
+  if (fetch_class == FetchClass::kReadahead) {
+    ROS_CO_ASSIGN_OR_RETURN(int bay, scheduler_->AcquireIfParked(address));
+    co_return FetchLease(scheduler_, bay,
+                         &mech_->drive_set(bay).drive(address.index));
+  }
 
   // Under the interrupt-and-swap policy, nudge a burn before queueing when
   // every bay is busy: the burn in bay 0 is interrupted, unloads at its
   // next chunk boundary, and the scheduler dispatches into the freed bay.
-  // Background sweeps never interrupt a burn.
+  // Background sweeps and readahead never interrupt a burn.
   if (params_.busy_drive_policy == BusyDrivePolicy::kInterruptAndSwap) {
     bool all_busy = true;
     for (int bay = 0; bay < mech_->num_bays(); ++bay) {

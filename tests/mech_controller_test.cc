@@ -289,6 +289,32 @@ TEST_F(MechControllerTest, BurnClaimOfSpeculativeTrayCountsItWasted) {
   EXPECT_EQ(sched_->stats().speculative_useful, 0u);
 }
 
+// A readahead claim takes only a parked, idle bay and never queues: it
+// fails at once for a tray that is not resident, that a reader holds, or
+// that has a reader queued, and leaves no claim and no load behind.
+TEST_F(MechControllerTest, ReadaheadClaimTakesOnlyAnIdleParkedBay) {
+  const mech::TrayAddress tray{0, 4, 1};
+  EXPECT_EQ(sched_->AcquireIfParked({tray, 0}).status().code(),
+            StatusCode::kFailedPrecondition);
+  const int bay = Park(tray);
+  HoldWithQueuedReader(bay);
+  EXPECT_FALSE(sched_->AcquireIfParked({tray, 0}).ok());  // held
+  mc_->ReleaseBay(bay);
+  EXPECT_FALSE(sched_->AcquireIfParked({tray, 0}).ok());  // reader queued
+  sim_.Run();
+  ASSERT_EQ(mc_->bay_state(bay), BayState::kParked);
+  EXPECT_EQ(sched_->queue_depth(), 0);
+
+  auto claimed = sched_->AcquireIfParked({tray, 0});
+  ASSERT_TRUE(claimed.ok()) << claimed.status().ToString();
+  EXPECT_EQ(*claimed, bay);
+  EXPECT_EQ(mc_->bay_state(bay), BayState::kBusy);
+  sched_->ReleaseBay(bay);
+  sim_.Run();
+  EXPECT_EQ(sched_->stats().loads, 1u);
+  EXPECT_EQ(sched_->stats().completed, sched_->stats().requests);
+}
+
 // A background claim waits out the hold after a demand arrival, even one
 // served without queueing, on one timer: a handful of events, not one
 // per second of the wait.
