@@ -63,6 +63,12 @@ sim::Task<Status> OpticalDrive::MountVfs() {
 
 sim::Task<StatusOr<std::vector<std::uint8_t>>> OpticalDrive::Read(
     std::string image_id, std::uint64_t offset, std::uint64_t length) {
+  ROS_CO_RETURN_IF_ERROR(co_await ReadDiscard(image_id, offset, length));
+  co_return disc_->ReadSession(image_id, offset, length);
+}
+
+sim::Task<Status> OpticalDrive::ReadDiscard(
+    std::string image_id, std::uint64_t offset, std::uint64_t length) {
   ROS_CO_RETURN_IF_ERROR(co_await MountVfs());
   if (state_ != DriveState::kReady) {
     co_return UnavailableError("drive busy");
@@ -120,13 +126,13 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> OpticalDrive::Read(
   state_ = DriveState::kReady;
   busy_time_ += sim_.now() - start;
 
-  auto data = disc_->ReadSession(image_id, offset, length);
-  if (data.ok()) {
+  auto checked = disc_->CheckSession(image_id, offset, length);
+  if (checked.ok()) {
     bytes_read_ += length;
     last_read_image_ = image_id;
     last_read_end_ = offset + length;
   }
-  co_return data;
+  co_return checked.status();
 }
 
 sim::Task<StatusOr<std::vector<std::uint8_t>>> OpticalDrive::ReadAll(

@@ -104,6 +104,9 @@ class OpticalDrive {
   sim::Task<StatusOr<std::vector<std::uint8_t>>> Read(std::string image_id,
                                                       std::uint64_t offset,
                                                       std::uint64_t length);
+  // Read's timing, faults and checks without materializing a buffer.
+  sim::Task<Status> ReadDiscard(std::string image_id, std::uint64_t offset,
+                                std::uint64_t length);
 
   // Reads the whole stream of the session holding `image_id`: Read(0, n)
   // with n its payload size, and at least 1 byte, so an empty session is
