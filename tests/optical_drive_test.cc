@@ -117,6 +117,34 @@ TEST_F(OpticalDriveTest, ReadAllReadsTheWholeStreamLikeRead) {
   EXPECT_EQ(rotten.status().code(), StatusCode::kDataLoss);
 }
 
+// ReadDiscard charges what Read charges (time, bytes_read, the head
+// position) and fails the same way on a rotten sector.
+TEST_F(OpticalDriveTest, ReadDiscardChargesLikeRead) {
+  const std::vector<std::uint8_t> stream(3 * kSectorSize + 17, 0x5a);
+  OpticalDrive drive(sim_, nullptr, 0);
+  disc_ = BurnedDisc("img", stream, kMB);
+  ASSERT_TRUE(drive.InsertDisc(disc_.get()).ok());
+  OpticalDrive twin(sim_, nullptr, 1);
+  auto twin_disc = BurnedDisc("img", stream, kMB);
+  ASSERT_TRUE(twin.InsertDisc(twin_disc.get()).ok());
+
+  for (std::uint64_t offset : {std::uint64_t{0}, std::uint64_t{5000}}) {
+    sim::TimePoint t0 = sim_.now();
+    ASSERT_TRUE(sim_.RunUntilComplete(drive.ReadDiscard("img", offset, 4000))
+                    .ok());
+    const sim::Duration discarded = sim_.now() - t0;
+    t0 = sim_.now();
+    ASSERT_TRUE(sim_.RunUntilComplete(twin.Read("img", offset, 4000)).ok());
+    EXPECT_EQ(discarded, sim_.now() - t0);
+  }
+  EXPECT_EQ(drive.bytes_read(), twin.bytes_read());
+
+  disc_->CorruptSector((*disc_->FindSession("img"))->start / kSectorSize + 1);
+  EXPECT_EQ(sim_.RunUntilComplete(drive.ReadDiscard("img", 0, 4000)).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(drive.bytes_read(), twin.bytes_read());
+}
+
 // A session with no stored payload still pays for a 1-byte read.
 TEST_F(OpticalDriveTest, ReadAllOfEmptySessionPaysOneByte) {
   OpticalDrive drive(sim_, nullptr, 0);
