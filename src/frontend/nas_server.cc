@@ -16,11 +16,8 @@ sim::Task<Status> NasServer::Upload(std::string path,
     // the wire transfer inline.
     co_await sim_.Delay(
         sim::TransferTime(logical_size, config_.wire_bytes_per_sec));
-    if (olfs_->mv().Exists(path)) {
-      co_return co_await olfs_->Update(path, std::move(data), logical_size);
-    }
-    co_return co_await olfs_->Create(path, std::move(data), logical_size,
-                                     hint);
+    co_return co_await olfs_->Write(path, std::move(data), logical_size,
+                                    hint);
   }
 
   // Direct-writing mode: stage onto the SSD tier at wire speed.
@@ -51,12 +48,7 @@ sim::Task<void> NasServer::DeliveryTask(std::uint64_t ticket,
   // Replay the staged bytes into OLFS (reads the staging copy back).
   Status status = co_await staging->ReadDiscard(name, 0, logical_size);
   if (status.ok()) {
-    if (olfs_->mv().Exists(path)) {
-      status = co_await olfs_->Update(path, std::move(data), logical_size);
-    } else {
-      status = co_await olfs_->Create(path, std::move(data), logical_size,
-                                      hint);
-    }
+    status = co_await olfs_->Write(path, std::move(data), logical_size, hint);
   }
   if (status.ok()) {
     status = co_await staging->Delete(name);

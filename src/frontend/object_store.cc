@@ -84,10 +84,7 @@ sim::Task<Status> ObjectStore::PutObject(std::string bucket,
                                          olfs::AccessHint hint) {
   ROS_CO_ASSIGN_OR_RETURN(std::string path, ObjectPath(bucket, key));
   const std::uint64_t size = data.size();
-  if (olfs_->mv().Exists(path)) {
-    co_return co_await olfs_->Update(path, std::move(data), size);
-  }
-  co_return co_await olfs_->Create(path, std::move(data), size, hint);
+  co_return co_await olfs_->Write(path, std::move(data), size, hint);
 }
 
 sim::Task<StatusOr<std::vector<std::uint8_t>>> ObjectStore::GetObject(

@@ -74,7 +74,7 @@ class BucketManager {
 
   // Appending update (§4.6) to a version that still lives in an open
   // bucket. Fails with kFailedPrecondition once the bucket has closed
-  // (the caller then writes a regenerated version instead).
+  // (the caller then writes a §4.5 continuation part instead).
   sim::Task<Status> AppendToOpenFile(std::string path, int version,
                                      std::string image_id,
                                      std::vector<std::uint8_t> data,

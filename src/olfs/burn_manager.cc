@@ -350,6 +350,13 @@ sim::Task<Status> BurnManager::FinishJob(BurnJob& job) {
                         << " failed: " << audited.ToString();
     }
   }
+  // The manifest was the last reader of the parity payloads; the parity
+  // discs hold them from here on (repair reads them back off the media).
+  for (const std::string& id : job.image_ids) {
+    if (ParityRowOf(id).has_value()) {
+      parity_->Drop(id);
+    }
+  }
   ROS_CO_RETURN_IF_ERROR(co_await PersistDilIndex());
   ROS_CO_RETURN_IF_ERROR(co_await EvictCacheOverflow());
   ROS_LOG(kInfo) << "burned disc array " << job.tray.ToString();

@@ -10,22 +10,6 @@
 
 namespace ros::olfs {
 
-namespace {
-
-// Writes `path` on one rack: an Update when the rack holds it, else a
-// Create.
-sim::Task<Status> WriteObject(Olfs& olfs, std::string path,
-                              std::vector<std::uint8_t> data,
-                              AccessHint hint) {
-  const std::uint64_t size = data.size();
-  if (olfs.mv().Exists(path)) {
-    return olfs.Update(std::move(path), std::move(data), size);
-  }
-  return olfs.Create(std::move(path), std::move(data), size, hint);
-}
-
-}  // namespace
-
 Cluster::Cluster(sim::Simulator& sim, ClusterParams params)
     : sim_(sim), params_(std::move(params)),
       placement_(params_.racks, params_.affinity_headroom_bytes),
@@ -258,7 +242,8 @@ sim::Task<Status> Cluster::Put(std::string bucket, std::string key,
   const std::uint64_t size = data.size();
   auto put = [path = RackPath(bucket, key), data = std::move(data),
               hint](Olfs& olfs) mutable {
-    return WriteObject(olfs, std::move(path), std::move(data), hint);
+    const std::uint64_t n = data.size();
+    return olfs.Write(std::move(path), std::move(data), n, hint);
   };
   ROS_CO_RETURN_IF_ERROR(co_await OnReplicas(route, "put", std::move(put)));
   if (BucketRoute* r = routes_.FindMutable(bucket)) {
@@ -525,7 +510,7 @@ sim::Task<Status> Cluster::CopyBucket(std::string bucket, int source,
                               co_await src->Read(path, 0, info->size));
       const std::uint64_t size = data.size();
       ROS_CO_RETURN_IF_ERROR(
-          co_await WriteObject(*dst, path, std::move(data), AccessHint{}));
+          co_await dst->Write(path, std::move(data), size));
       moved_bytes += size;
       ++moved_objects;
     }

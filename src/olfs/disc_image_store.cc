@@ -169,12 +169,6 @@ Status DiscImageStore::RestoreRecord(ImageRecord record) {
   return OkStatus();
 }
 
-void DiscImageStore::Clear() {
-  records_.clear();
-  close_order_.clear();
-  buffered_bytes_ = 0;
-}
-
 StatusOr<const ImageRecord*> DiscImageStore::Lookup(
     const std::string& id) const {
   auto it = records_.find(id);

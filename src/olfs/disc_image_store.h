@@ -82,9 +82,6 @@ class DiscImageStore {
                          std::shared_ptr<udf::Image> image, int volume_index,
                          std::string volume_file);
 
-  // Drops all records (simulating controller loss before a rebuild).
-  void Clear();
-
   StatusOr<const ImageRecord*> Lookup(const std::string& id) const;
   StatusOr<ImageRecord*> LookupMutable(const std::string& id);
 

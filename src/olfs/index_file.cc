@@ -65,20 +65,14 @@ void IndexFile::AddVersion(VersionEntry entry, int max_entries) {
   *oldest = std::move(entry);
 }
 
-Status IndexFile::UpdateLatest(const VersionEntry& entry) {
-  if (entries_.empty()) {
-    return NotFoundError("no versions to update for " + path_);
-  }
-  VersionEntry* latest = &entries_[0];
+Status IndexFile::UpdateVersion(const VersionEntry& entry) {
   for (VersionEntry& candidate : entries_) {
-    if (candidate.version > latest->version) {
-      latest = &candidate;
+    if (candidate.version == entry.version) {
+      candidate = entry;
+      return OkStatus();
     }
   }
-  const int keep_version = latest->version;
-  *latest = entry;
-  latest->version = keep_version;
-  return OkStatus();
+  return Version(entry.version).status();
 }
 
 std::string IndexFile::ToJson() const {

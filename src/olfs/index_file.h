@@ -79,8 +79,9 @@ class IndexFile {
   // recorded (the burned MV history still holds the old ones, §4.6).
   void AddVersion(VersionEntry entry, int max_entries);
 
-  // Rewrites the latest entry in place (tier promotions B->I->D).
-  Status UpdateLatest(const VersionEntry& entry);
+  // Rewrites the entry numbered entry.version in place (a version grown
+  // by appends); kNotFound once that version has left the ring.
+  Status UpdateVersion(const VersionEntry& entry);
 
   // Forepart payload (§4.8), stored alongside the locations.
   void set_forepart(std::vector<std::uint8_t> data) {

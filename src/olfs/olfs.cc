@@ -112,136 +112,160 @@ sim::Task<Status> Olfs::EnsureAncestors(std::string path) {
 }
 
 // ---------------------------------------------------------------------------
-// Writes
+// Writes (DESIGN.md §5n): every public write takes LockPath(path) before it
+// looks at the index and holds it until it returns; every index change in
+// between is one CommitIndex.
+
+sim::Task<Status> Olfs::CommitIndex(std::string path, IndexEdit edit,
+                                    std::optional<EntryType> fresh) {
+  IndexFile index(path, fresh.value_or(EntryType::kFile));
+  if (!fresh.has_value()) {
+    ROS_CO_ASSIGN_OR_RETURN(index, co_await mv_->Get(path));
+  }
+  if (edit) {
+    ROS_CO_RETURN_IF_ERROR(co_await edit(index));
+  }
+  ++namespace_writes_;
+  last_write_time_ = sim_.now();
+  if (index.path().empty()) {
+    co_return co_await mv_->Remove(std::move(path));
+  }
+  co_return co_await mv_->Put(std::move(index));
+}
 
 sim::Task<Status> Olfs::Create(std::string path,
                                std::vector<std::uint8_t> data,
                                std::uint64_t logical_size, AccessHint hint) {
-  co_await ChargeOp("stat", /*first=*/true);
-  sim::Mutex::ScopedLock lock = co_await LockPath(path);
-  if (mv_->Exists(path)) {
-    auto existing = co_await mv_->GetRef(path);
-    if (existing.ok() && (*existing)->Latest().ok()) {
-      co_return AlreadyExistsError(path + " exists");
-    }
-  }
-  co_await ChargeOp("mknod");
-  ROS_CO_RETURN_IF_ERROR(co_await EnsureAncestors(path));
-  // Re-creating a tombstoned file must keep its index (and version
-  // history); only a genuinely new path gets a fresh index file.
-  if (!mv_->Exists(path)) {
-    ROS_CO_RETURN_IF_ERROR(
-        co_await mv_->Put(IndexFile(path, EntryType::kFile)));
-  }
-  co_await ChargeOp("stat");
-  co_await ChargeOp("write");
-  ROS_CO_RETURN_IF_ERROR(
-      co_await WriteVersion(path, std::move(data), logical_size,
-                            /*create=*/true, hint));
-  co_await ChargeOp("close");
-  co_return OkStatus();
+  return WriteVersion(std::move(path), std::move(data), logical_size, hint,
+                      WriteMode::kCreate);
 }
 
 sim::Task<Status> Olfs::Create(std::string path,
                                std::vector<std::uint8_t> data) {
   const std::uint64_t n = data.size();
-  co_return co_await Create(path, std::move(data), n);
+  return Create(std::move(path), std::move(data), n);
 }
 
 sim::Task<Status> Olfs::Update(std::string path,
                                std::vector<std::uint8_t> data,
                                std::uint64_t logical_size) {
-  co_await ChargeOp("stat", /*first=*/true);
-  sim::Mutex::ScopedLock lock = co_await LockPath(path);
-  if (!mv_->Exists(path)) {
-    co_return NotFoundError(path + " does not exist");
-  }
-  co_await ChargeOp("write");
-  ROS_CO_RETURN_IF_ERROR(
-      co_await WriteVersion(path, std::move(data), logical_size,
-                            /*create=*/false));
-  co_await ChargeOp("close");
-  co_return OkStatus();
+  return WriteVersion(std::move(path), std::move(data), logical_size,
+                      AccessHint{}, WriteMode::kUpdate);
+}
+
+sim::Task<Status> Olfs::Write(std::string path,
+                              std::vector<std::uint8_t> data,
+                              std::uint64_t logical_size, AccessHint hint) {
+  return WriteVersion(std::move(path), std::move(data), logical_size, hint,
+                      WriteMode::kCreateOrUpdate);
 }
 
 sim::Task<Status> Olfs::WriteVersion(std::string path,
                                      std::vector<std::uint8_t> data,
                                      std::uint64_t logical_size,
-                                     bool create, AccessHint hint) {
-  ROS_CO_ASSIGN_OR_RETURN(IndexFile index, co_await mv_->Get(path));
-  if (index.type() != EntryType::kFile) {
-    co_return InvalidArgumentError(path + " is a directory");
+                                     AccessHint hint, WriteMode mode) {
+  co_await ChargeOp("stat", /*first=*/true);
+  sim::Mutex::ScopedLock lock = co_await LockPath(path);
+  const bool exists = mv_->Exists(path);
+  if (mode == WriteMode::kUpdate && !exists) {
+    co_return NotFoundError(path + " does not exist");
   }
-  const int version = index.latest_version() + 1;
-  ROS_CHECK(create ? version >= 1 : version >= 2);
-
-  // Forepart capture (§4.8) before the payload moves into the bucket.
-  std::vector<std::uint8_t> forepart;
-  if (params_.forepart_enabled) {
-    const std::uint64_t n =
-        std::min<std::uint64_t>(params_.forepart_bytes, data.size());
-    forepart.assign(data.begin(), data.begin() + static_cast<long>(n));
+  if (mode == WriteMode::kCreate && exists) {
+    auto existing = co_await mv_->GetRef(path);
+    if (existing.ok() && (*existing)->Latest().ok()) {
+      co_return AlreadyExistsError(path + " exists");
+    }
   }
+  if (mode == WriteMode::kCreate || !exists) {
+    co_await ChargeOp("mknod");
+    ROS_CO_RETURN_IF_ERROR(co_await EnsureAncestors(path));
+    // Re-creating a tombstoned file must keep its index (and version
+    // history); only a genuinely new path gets a fresh index file.
+    if (!mv_->Exists(path)) {
+      ROS_CO_RETURN_IF_ERROR(
+          co_await CommitIndex(path, nullptr, EntryType::kFile));
+    }
+    co_await ChargeOp("stat");
+  }
+  co_await ChargeOp("write");
+  IndexEdit add_version = [this, path, data = std::move(data), logical_size,
+                           hint](IndexFile& index) mutable
+      -> sim::Task<Status> {
+    if (index.type() != EntryType::kFile) {
+      co_return InvalidArgumentError(path + " is a directory");
+    }
+    if (params_.forepart_enabled) {
+      // Forepart (§4.8), taken before the payload moves into the bucket.
+      const std::uint64_t n =
+          std::min<std::uint64_t>(params_.forepart_bytes, data.size());
+      index.set_forepart({data.begin(), data.begin() + static_cast<long>(n)});
+    }
+    ROS_CO_ASSIGN_OR_RETURN(
+        WriteReceipt receipt,
+        co_await buckets_->WriteFile(path, index.latest_version() + 1,
+                                     std::move(data), logical_size,
+                                     /*first_part=*/0, /*prev_image=*/"",
+                                     hint.stream));
+    index.AddVersion({.location = LocationKind::kBucket,
+                      .total_size = receipt.total_size,
+                      .parts = std::move(receipt.parts)},
+                     kMaxVersionEntries);
+    co_return OkStatus();
+  };
+  ROS_CO_RETURN_IF_ERROR(co_await CommitIndex(path, std::move(add_version)));
+  co_await ChargeOp("close");
+  co_return OkStatus();
+}
 
+sim::Task<StatusOr<VersionEntry>> Olfs::GrowVersion(
+    std::string path, VersionEntry entry, std::vector<std::uint8_t> data,
+    std::uint64_t logical_grow, std::uint64_t stream) {
+  std::string last_image;
+  if (!entry.parts.empty()) {
+    last_image = entry.parts.back().image_id;
+    Status appended = co_await buckets_->AppendToOpenFile(
+        path, entry.version, last_image, data, logical_grow, stream);
+    if (appended.ok()) {
+      entry.parts.back().size += logical_grow;
+      entry.total_size += logical_grow;
+      co_return entry;
+    }
+    if (appended.code() != StatusCode::kFailedPrecondition &&
+        appended.code() != StatusCode::kResourceExhausted) {
+      co_return appended;
+    }
+  }
+  // No part yet, or the last part's bucket closed or filled: write the
+  // bytes into fresh buckets, linked back to the last part (§4.5).
   ROS_CO_ASSIGN_OR_RETURN(
       WriteReceipt receipt,
-      co_await buckets_->WriteFile(path, version, std::move(data),
-                                   logical_size, /*first_part=*/0,
-                                   /*prev_image=*/"", hint.stream));
-  VersionEntry entry;
-  entry.location = LocationKind::kBucket;
-  entry.total_size = receipt.total_size;
-  entry.parts = receipt.parts;
-  index.AddVersion(std::move(entry), kMaxVersionEntries);
-  if (params_.forepart_enabled) {
-    index.set_forepart(std::move(forepart));
-  }
-  ++namespace_writes_;
-  last_write_time_ = sim_.now();
-  co_return co_await mv_->Put(index);
+      co_await buckets_->WriteFile(path, entry.version, std::move(data),
+                                   logical_grow,
+                                   static_cast<int>(entry.parts.size()),
+                                   last_image, stream));
+  entry.parts.insert(entry.parts.end(), receipt.parts.begin(),
+                     receipt.parts.end());
+  entry.total_size += logical_grow;
+  co_return entry;
 }
 
 sim::Task<Status> Olfs::Append(std::string path,
                                std::vector<std::uint8_t> data) {
   co_await ChargeOp("stat", /*first=*/true);
   sim::Mutex::ScopedLock lock = co_await LockPath(path);
-  if (!mv_->Exists(path)) {
-    co_return NotFoundError(path + " does not exist");
-  }
-  ROS_CO_ASSIGN_OR_RETURN(IndexFile index, co_await mv_->Get(path));
-  auto latest = index.Latest();
-  if (!latest.ok()) {
-    co_return latest.status();
-  }
-  const VersionEntry& entry = **latest;
-
-  co_await ChargeOp("write");
-  // In-place append only when the whole version sits in one open bucket.
-  if (entry.parts.size() == 1) {
-    auto record = images_->Lookup(entry.parts[0].image_id);
-    if (record.ok() && (*record)->tier == ImageTier::kOpenBucket) {
-      Status appended = co_await buckets_->AppendToOpenFile(
-          path, entry.version, entry.parts[0].image_id, data, data.size());
-      if (appended.ok()) {
-        VersionEntry updated = entry;
-        updated.total_size += data.size();
-        updated.parts[0].size += data.size();
-        ROS_CO_RETURN_IF_ERROR(index.UpdateLatest(updated));
-        ROS_CO_RETURN_IF_ERROR(co_await mv_->Put(index));
-        co_await ChargeOp("close");
-        co_return OkStatus();
-      }
-    }
-  }
-  // Regenerating update: old content + appended bytes as a new version.
-  ROS_CO_ASSIGN_OR_RETURN(
-      std::vector<std::uint8_t> old_data,
-      co_await ReadEntry(path, entry, 0, entry.total_size));
-  old_data.insert(old_data.end(), data.begin(), data.end());
-  const std::uint64_t total = old_data.size();
-  ROS_CO_RETURN_IF_ERROR(
-      co_await WriteVersion(path, std::move(old_data), total,
-                            /*create=*/false));
+  IndexEdit append = [this, path, data = std::move(data)](
+                         IndexFile& index) mutable -> sim::Task<Status> {
+    ROS_CO_ASSIGN_OR_RETURN(const VersionEntry* latest, index.Latest());
+    VersionEntry entry = *latest;
+    co_await ChargeOp("write");
+    const std::uint64_t n = data.size();
+    ROS_CO_ASSIGN_OR_RETURN(
+        VersionEntry grown,
+        co_await GrowVersion(path, std::move(entry), std::move(data), n,
+                             /*stream=*/0));
+    co_return index.UpdateVersion(grown);
+  };
+  ROS_CO_RETURN_IF_ERROR(co_await CommitIndex(path, std::move(append)));
   co_await ChargeOp("close");
   co_return OkStatus();
 }
@@ -249,82 +273,40 @@ sim::Task<Status> Olfs::Append(std::string path,
 // ---------------------------------------------------------------------------
 // Streaming handles
 
+sim::Task<Status> Olfs::OpenStream(std::string path) {
+  co_await ChargeOp("open", /*first=*/true);
+  ROS_CO_ASSIGN_OR_RETURN(MetadataVolume::IndexPtr index,
+                          co_await mv_->GetRef(path));
+  ROS_CO_ASSIGN_OR_RETURN(const VersionEntry* latest, index->Latest());
+  stream_handles_.try_emplace(path, StreamHandle{*latest});
+  co_return OkStatus();
+}
+
 sim::Task<Status> Olfs::AppendStream(std::string path,
                                      std::vector<std::uint8_t> data,
                                      std::uint64_t logical_grow,
                                      AccessHint hint) {
-  auto handle = stream_handles_.find(path);
-  if (handle == stream_handles_.end()) {
-    // Implicit open(): load the index once.
-    co_await ChargeOp("open", /*first=*/true);
-    ROS_CO_ASSIGN_OR_RETURN(IndexFile index, co_await mv_->Get(path));
-    handle = stream_handles_.emplace(path, std::move(index)).first;
+  // Held to the end: CloseStream cannot take the handle while it grows.
+  sim::Mutex::ScopedLock lock = co_await LockPath(path);
+  if (!stream_handles_.contains(path)) {
+    ROS_CO_RETURN_IF_ERROR(co_await OpenStream(path));
   }
   op_trace_.assign({"write"});
   co_await sim_.Delay(params_.stream_op_cost);
-  // Re-acquire after the suspension: a concurrent CloseStream may have
-  // erased the handle while this coroutine was parked.
-  handle = stream_handles_.find(path);
-  if (handle == stream_handles_.end()) {
-    co_return FailedPreconditionError("stream closed during append: " +
-                                      path);
-  }
-  IndexFile& index = handle->second;
-  auto latest = index.Latest();
-  if (!latest.ok()) {
-    co_return latest.status();
-  }
-  VersionEntry entry = **latest;
-  if (entry.parts.empty()) {
-    // Freshly created empty file: write the first part.
-    ROS_CO_ASSIGN_OR_RETURN(
-        WriteReceipt receipt,
-        co_await buckets_->WriteFile(path, entry.version, std::move(data),
-                                     logical_grow, /*first_part=*/0,
-                                     /*prev_image=*/"", hint.stream));
-    entry.parts = receipt.parts;
-    entry.total_size = receipt.total_size;
-    co_return index.UpdateLatest(entry);
-  }
-
-  const std::string last_image = entry.parts.back().image_id;
-  Status appended = co_await buckets_->AppendToOpenFile(
-      path, entry.version, last_image, data, logical_grow, hint.stream);
-  if (appended.ok()) {
-    entry.parts.back().size += logical_grow;
-    entry.total_size += logical_grow;
-    co_return index.UpdateLatest(entry);
-  }
-  if (appended.code() != StatusCode::kFailedPrecondition &&
-      appended.code() != StatusCode::kResourceExhausted) {
-    co_return appended;
-  }
-  // The part's bucket closed or filled: continue in fresh buckets as a
-  // split-file continuation (§4.5).
   ROS_CO_ASSIGN_OR_RETURN(
-      WriteReceipt receipt,
-      co_await buckets_->WriteFile(path, entry.version, std::move(data),
-                                   logical_grow,
-                                   static_cast<int>(entry.parts.size()),
-                                   last_image, hint.stream));
-  for (const FilePart& part : receipt.parts) {
-    entry.parts.push_back(part);
-  }
-  entry.total_size += logical_grow;
-  co_return index.UpdateLatest(entry);
+      VersionEntry grown,
+      co_await GrowVersion(path, stream_handles_.at(path).entry,
+                           std::move(data), logical_grow, hint.stream));
+  last_write_time_ = sim_.now();
+  stream_handles_.at(path) = StreamHandle{std::move(grown), /*grown=*/true};
+  co_return OkStatus();
 }
 
 sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReadStream(
     std::string path, std::uint64_t offset, std::uint64_t length,
     AccessHint hint) {
-  auto handle = stream_handles_.find(path);
-  if (handle == stream_handles_.end()) {
-    co_await ChargeOp("open", /*first=*/true);
-    auto index = co_await mv_->Get(path);
-    if (!index.ok()) {
-      co_return index.status();
-    }
-    handle = stream_handles_.emplace(path, std::move(*index)).first;
+  if (!stream_handles_.contains(path)) {
+    ROS_CO_RETURN_IF_ERROR(co_await OpenStream(path));
   }
   op_trace_.assign({"read"});
   // Per-request software cost plus OLFS's extra user-space copy of the
@@ -333,33 +315,34 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReadStream(
                       sim::TransferTime(length, 2.5e9));
   // Re-acquire after the suspension: a concurrent CloseStream may have
   // erased the handle while this coroutine was parked.
-  handle = stream_handles_.find(path);
+  auto handle = stream_handles_.find(path);
   if (handle == stream_handles_.end()) {
     co_return FailedPreconditionError("stream closed during read: " + path);
   }
-  auto latest = handle->second.Latest();
-  if (!latest.ok()) {
-    co_return latest.status();
-  }
-  co_return co_await ReadEntry(path, **latest, offset, length, hint);
+  co_return co_await ReadEntry(path, handle->second.entry, offset, length,
+                               hint);
 }
 
 sim::Task<Status> Olfs::CloseStream(std::string path) {
-  auto handle = stream_handles_.find(path);
-  if (handle == stream_handles_.end()) {
+  if (!stream_handles_.contains(path)) {
     co_return OkStatus();
   }
   co_await ChargeOp("close", /*first=*/true);
-  // Re-acquire after the suspension, then detach the index from the map
-  // BEFORE the MV write suspends: nothing may hold a handle iterator (or
-  // a reference into the map) across mv_->Put.
-  handle = stream_handles_.find(path);
+  sim::Mutex::ScopedLock lock = co_await LockPath(path);
+  auto handle = stream_handles_.find(path);
   if (handle == stream_handles_.end()) {
     co_return OkStatus();  // closed concurrently
   }
-  IndexFile index = std::move(handle->second);
+  StreamHandle closed = std::move(handle->second);
   stream_handles_.erase(handle);
-  co_return co_await mv_->Put(std::move(index));
+  if (!closed.grown) {
+    co_return OkStatus();
+  }
+  IndexEdit commit_grown = [entry = std::move(closed.entry)](
+                               IndexFile& index) -> sim::Task<Status> {
+    co_return index.UpdateVersion(entry);
+  };
+  co_return co_await CommitIndex(std::move(path), std::move(commit_grown));
 }
 
 // ---------------------------------------------------------------------------
@@ -465,12 +448,14 @@ sim::Task<StatusOr<FileInfo>> Olfs::Stat(std::string path) {
 
 sim::Task<Status> Olfs::Mkdir(std::string path) {
   co_await ChargeOp("stat", /*first=*/true);
+  sim::Mutex::ScopedLock lock = co_await LockPath(path);
   if (mv_->Exists(path)) {
     co_return AlreadyExistsError(path + " exists");
   }
   co_await ChargeOp("mknod");
   ROS_CO_RETURN_IF_ERROR(co_await EnsureAncestors(path));
-  co_return co_await mv_->Put(IndexFile(path, EntryType::kDirectory));
+  co_return co_await CommitIndex(std::move(path), nullptr,
+                                 EntryType::kDirectory);
 }
 
 sim::Task<StatusOr<std::vector<std::string>>> Olfs::ReadDir(
@@ -486,22 +471,22 @@ sim::Task<StatusOr<std::vector<std::string>>> Olfs::ReadDir(
 sim::Task<Status> Olfs::Unlink(std::string path) {
   co_await ChargeOp("stat", /*first=*/true);
   sim::Mutex::ScopedLock lock = co_await LockPath(path);
-  auto index = co_await mv_->Get(path);
-  if (!index.ok()) {
-    co_return index.status();
-  }
-  if (index->type() == EntryType::kDirectory) {
-    if (mv_->HasChildren(path)) {
+  IndexEdit unlink = [this, path](IndexFile& index) -> sim::Task<Status> {
+    const bool directory = index.type() == EntryType::kDirectory;
+    if (directory && mv_->HasChildren(path)) {
       co_return FailedPreconditionError(path + " is not empty");
     }
     co_await ChargeOp("unlink");
-    co_return co_await mv_->Remove(path);
-  }
-  co_await ChargeOp("unlink");
-  VersionEntry tombstone;
-  tombstone.tombstone = true;
-  index->AddVersion(std::move(tombstone), kMaxVersionEntries);
-  co_return co_await mv_->Put(*index);
+    if (directory) {
+      index = IndexFile();  // an empty directory's entry goes outright
+    } else {
+      VersionEntry tombstone;
+      tombstone.tombstone = true;
+      index.AddVersion(std::move(tombstone), kMaxVersionEntries);
+    }
+    co_return OkStatus();
+  };
+  co_return co_await CommitIndex(std::move(path), std::move(unlink));
 }
 
 // ---------------------------------------------------------------------------

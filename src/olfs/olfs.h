@@ -14,6 +14,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -85,9 +86,14 @@ class Olfs {
                            std::vector<std::uint8_t> data,
                            std::uint64_t logical_size);
 
-  // Appending update: extends the latest version in place while its
-  // bucket is still open, otherwise regenerates a new version with the
-  // combined content.
+  // Create-or-update: decides under the path lock whether `path` exists
+  // and charges what Create or Update would. The hint reaches either.
+  sim::Task<Status> Write(std::string path, std::vector<std::uint8_t> data,
+                          std::uint64_t logical_size, AccessHint hint = {});
+
+  // Appending update: grows the latest version in place. The bytes go
+  // into its last part's bucket while that bucket is open, else into a
+  // §4.5 continuation part in fresh buckets; nothing is read back.
   sim::Task<Status> Append(std::string path,
                            std::vector<std::uint8_t> data);
 
@@ -111,9 +117,12 @@ class Olfs {
 
   // ------------------------------------------------------------------
   // Streaming handles (the FUSE open / write* / release sequence): each
-  // AppendStream/ReadStream charges a single internal operation; the MV
-  // index is written back by CloseStream (release). This is the data path
-  // behind filebench's singlestream workloads (Fig 6).
+  // AppendStream/ReadStream charges a single internal operation. This is
+  // the data path behind filebench's singlestream workloads (Fig 6). A
+  // handle holds the version it opened on; AppendStream grows it like
+  // Append, under the path lock. CloseStream waits on that lock and
+  // commits the grown version onto the current index (later versions
+  // survive); a handle that only read commits nothing.
   // ------------------------------------------------------------------
   sim::Task<Status> AppendStream(std::string path,
                                  std::vector<std::uint8_t> data,
@@ -208,6 +217,7 @@ class Olfs {
   DiscImageStore& images() { return *images_; }
   BucketManager& buckets() { return *buckets_; }
   BurnManager& burns() { return *burns_; }
+  ParityBuilder& parity() { return *parity_; }
   FetchManager& fetches() { return *fetcher_; }
   FetchScheduler* fetch_scheduler() { return scheduler_.get(); }
   ReadCache& cache() { return *cache_; }
@@ -241,11 +251,34 @@ class Olfs {
   // Ensures every ancestor directory has an MV index entry.
   sim::Task<Status> EnsureAncestors(std::string path);
 
-  // Writes one version of `path` and updates its index file.
+  // The one commit step of every index change (DESIGN.md §5n), run under
+  // the caller's LockPath(path): reads the index as it now stands (or a
+  // new one of type `fresh`), runs `edit` on it (which may first write
+  // the data it records; a failed edit commits nothing), marks the
+  // namespace written and writes the index back, or removes the entry if
+  // the edit reset it to IndexFile{}.
+  using IndexEdit = std::function<sim::Task<Status>(IndexFile&)>;
+  sim::Task<Status> CommitIndex(std::string path, IndexEdit edit,
+                                std::optional<EntryType> fresh = {});
+
+  // Create, Update and Write under the path lock: charges Fig 7's ops,
+  // then writes and commits the next version (after the ancestors and a
+  // new path's empty index, on the create branch).
+  enum class WriteMode { kCreate, kUpdate, kCreateOrUpdate };
   sim::Task<Status> WriteVersion(std::string path,
                                  std::vector<std::uint8_t> data,
-                                 std::uint64_t logical_size, bool create,
-                                 AccessHint hint = {});
+                                 std::uint64_t logical_size, AccessHint hint,
+                                 WriteMode mode);
+
+  // Append's and AppendStream's append-or-continue step: `entry` grown
+  // in its last part's bucket while that is open, else by a first or
+  // §4.5 continuation part in fresh buckets.
+  sim::Task<StatusOr<VersionEntry>> GrowVersion(
+      std::string path, VersionEntry entry, std::vector<std::uint8_t> data,
+      std::uint64_t logical_grow, std::uint64_t stream);
+
+  // Implicit open() of a streaming handle on `path`'s latest version.
+  sim::Task<Status> OpenStream(std::string path);
 
   // Reads `length` bytes at `offset` of a resolved version entry.
   sim::Task<StatusOr<std::vector<std::uint8_t>>> ReadEntry(
@@ -344,8 +377,12 @@ class Olfs {
   };
   std::map<std::string, std::shared_ptr<ImageFlight>> image_reads_;
 
-  // Open streaming handles: cached index files, flushed on CloseStream.
-  std::map<std::string, IndexFile> stream_handles_;
+  // Open streaming handles: the version read or grown; only grown commits.
+  struct StreamHandle {
+    VersionEntry entry;
+    bool grown = false;
+  };
+  std::map<std::string, StreamHandle> stream_handles_;
 
   // Per-path write serialization: concurrent mutations of one file are
   // read-modify-write cycles on its index and must not interleave.
@@ -365,7 +402,9 @@ class Olfs {
   std::uint64_t readahead_images_ = 0;
   std::uint64_t readahead_bytes_ = 0;
   int readahead_generation_ = 0;
-  std::uint64_t namespace_writes_ = 0;      // dirtiness since last snapshot
+  // Marked by every CommitIndex; AppendStream's bucket writes also set
+  // last_write_time_ (the auto-flush and scrub idle test).
+  std::uint64_t namespace_writes_ = 0;
   std::uint64_t last_snapshot_writes_ = 0;
   sim::TimePoint last_write_time_ = 0;
   // Teardown support (Quiesce): liveness flag shared with the background

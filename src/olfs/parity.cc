@@ -108,18 +108,17 @@ sim::Task<StatusOr<std::vector<ParityImage>>> ParityBuilder::Build(
     summary.logical_bytes = parity.logical_bytes;
     summary.member_ids = parity.member_ids;
     parities.push_back(std::move(summary));
-    built_index_.emplace(parity.id, built_.size());
-    built_.push_back(std::move(parity));
+    built_[parity.id] = std::move(parity);
   }
   co_return parities;
 }
 
 StatusOr<const ParityImage*> ParityBuilder::Get(const std::string& id) const {
-  auto it = built_index_.find(id);
-  if (it == built_index_.end()) {
+  auto it = built_.find(id);
+  if (it == built_.end()) {
     return NotFoundError("no parity image " + id);
   }
-  return &built_[it->second];
+  return &it->second;
 }
 
 }  // namespace ros::olfs

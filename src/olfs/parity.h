@@ -13,10 +13,10 @@
 #ifndef ROS_SRC_OLFS_PARITY_H_
 #define ROS_SRC_OLFS_PARITY_H_
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/status.h"
@@ -62,8 +62,11 @@ class ParityBuilder {
       std::vector<disk::Volume*> data_volumes, int parity_volume_index);
 
   // Retrieves the cached parity bytes for an id (kept by the builder until
-  // burned; benches use this). O(1) via the id index.
+  // its array is burned and audited; benches use this).
   StatusOr<const ParityImage*> Get(const std::string& id) const;
+
+  // Drops the payload of a burned parity image: its disc is the copy now.
+  void Drop(const std::string& id) { built_.erase(id); }
 
   // Test hook: number of member-stream kernel sweeps ec::Encode reported
   // for the most recent Build(). Stays equal to the member count even when
@@ -76,12 +79,7 @@ class ParityBuilder {
   DiscImageStore* images_;
   int generation_ = 0;  // uniquifies parity ids across re-burns
   int last_build_stream_passes_ = 0;
-  std::vector<ParityImage> built_;
-  // id -> position in built_ (entries are never erased, so indices are
-  // stable even as the vector reallocates).
-  // ros_analyze: allow(unordered-member): point lookups by image id
-  // only; enumeration walks built_ in insertion order.
-  std::unordered_map<std::string, std::size_t> built_index_;
+  std::map<std::string, ParityImage> built_;  // id -> payload until Drop
 };
 
 }  // namespace ros::olfs

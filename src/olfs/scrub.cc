@@ -18,10 +18,17 @@ sim::Task<StatusOr<std::uint64_t>> ScrubManager::ScrubOneImage(
       FetchLease lease,
       co_await olfs_->fetches().FetchDisc(image_id, FetchClass::kBackground));
   // The full-stream optical read is also what advances the media aging
-  // clock on the disc (OpticalDrive::Read).
-  ROS_CO_ASSIGN_OR_RETURN(std::vector<std::uint8_t> stream,
-                          co_await lease.drive()->ReadAll(image_id));
-  co_return stream.size();
+  // clock on the disc (OpticalDrive::ReadDiscard). It is charged the way
+  // ReadAll charges it, without copying a stream nobody looks at.
+  drive::OpticalDrive* drive = lease.drive();
+  if (!drive->has_disc()) {
+    co_return FailedPreconditionError("no disc in drive");
+  }
+  ROS_CO_ASSIGN_OR_RETURN(const drive::Session* session,
+                          drive->disc()->FindSession(image_id));
+  const std::uint64_t n = std::max<std::uint64_t>(1, session->data.size());
+  ROS_CO_RETURN_IF_ERROR(co_await drive->ReadDiscard(image_id, 0, n));
+  co_return n;
 }
 
 sim::Task<StatusOr<ScrubPassReport>> ScrubManager::RunPass() {

@@ -69,6 +69,44 @@ TEST_F(BackgroundPolicyTest, AutoFlushLeavesActiveIngestAlone) {
   EXPECT_EQ(olfs_->burns().arrays_burned(), 0);
 }
 
+// A streaming writer is an active ingest too: each AppendStream's bucket
+// write restarts the idle clock, so the stream keeps its one open part.
+TEST_F(BackgroundPolicyTest, AutoFlushLeavesActiveStreamAlone) {
+  olfs_->StartBackgroundPolicies(0, Seconds(300));
+  ASSERT_TRUE(sim_.RunUntilComplete(olfs_->Create("/busy/s", {}, 0)).ok());
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(sim_.RunUntilComplete(olfs_->AppendStream(
+                                          "/busy/s", RandomBytes(1000, i),
+                                          1000))
+                    .ok());
+    sim_.RunFor(Seconds(100));
+  }
+  EXPECT_EQ(olfs_->burns().arrays_burned(), 0);
+  ASSERT_TRUE(sim_.RunUntilComplete(olfs_->CloseStream("/busy/s")).ok());
+  auto index = sim_.RunUntilComplete(olfs_->mv().Get("/busy/s"));
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ((*index->Latest())->parts.size(), 1u);
+  EXPECT_EQ((*index->Latest())->total_size, 8000u);
+}
+
+// Every index commit dirties the namespace, not only new versions: an
+// Unlink and a Mkdir after a snapshot are in the next one.
+TEST_F(BackgroundPolicyTest, UnlinkAndMkdirDirtyTheSnapshot) {
+  olfs_->StartBackgroundPolicies(/*mv_snapshot_interval=*/Seconds(600),
+                                 /*auto_flush_interval=*/0);
+  ASSERT_TRUE(sim_.RunUntilComplete(
+                  olfs_->Create("/snap/a", RandomBytes(2000, 9), 2000))
+                  .ok());
+  sim_.RunFor(Seconds(700));
+  ASSERT_TRUE(olfs_->images().Lookup("mv-snap-0").ok());
+  ASSERT_FALSE(olfs_->images().Lookup("mv-snap-1").ok());
+
+  ASSERT_TRUE(sim_.RunUntilComplete(olfs_->Unlink("/snap/a")).ok());
+  ASSERT_TRUE(sim_.RunUntilComplete(olfs_->Mkdir("/snap/d")).ok());
+  sim_.RunFor(Seconds(1300));
+  EXPECT_TRUE(olfs_->images().Lookup("mv-snap-1").ok());
+}
+
 TEST_F(BackgroundPolicyTest, PeriodicMvSnapshotsBurnWhenDirty) {
   olfs_->StartBackgroundPolicies(/*mv_snapshot_interval=*/Seconds(600),
                                  /*auto_flush_interval=*/Seconds(200));

@@ -58,17 +58,26 @@ TEST(IndexFile, RingOverwritesOldest) {
   EXPECT_TRUE(index.Version(20).ok());
 }
 
-TEST(IndexFile, UpdateLatestKeepsVersionNumber) {
+TEST(IndexFile, UpdateVersionRewritesOnlyThatVersion) {
   IndexFile index("/a", EntryType::kFile);
   index.AddVersion(MakeEntry(LocationKind::kBucket, "img-1", 100), 15);
   index.AddVersion(MakeEntry(LocationKind::kBucket, "img-2", 200), 15);
-  VersionEntry updated = MakeEntry(LocationKind::kImage, "img-2", 250);
-  ASSERT_TRUE(index.UpdateLatest(updated).ok());
+  VersionEntry grown = MakeEntry(LocationKind::kImage, "img-1", 150);
+  grown.version = 1;
+  ASSERT_TRUE(index.UpdateVersion(grown).ok());
+  auto v1 = index.Version(1);
+  ASSERT_TRUE(v1.ok());
+  EXPECT_EQ((*v1)->total_size, 150u);
+  EXPECT_EQ((*v1)->location, LocationKind::kImage);
+  // The latest version is untouched.
   auto latest = index.Latest();
   ASSERT_TRUE(latest.ok());
   EXPECT_EQ((*latest)->version, 2);
-  EXPECT_EQ((*latest)->total_size, 250u);
-  EXPECT_EQ((*latest)->location, LocationKind::kImage);
+  EXPECT_EQ((*latest)->total_size, 200u);
+  // A version that left the ring (or never existed) is not recreated.
+  grown.version = 7;
+  EXPECT_EQ(index.UpdateVersion(grown).code(), StatusCode::kNotFound);
+  EXPECT_EQ(index.entries().size(), 2u);
 }
 
 TEST(IndexFile, TombstoneHidesLatest) {

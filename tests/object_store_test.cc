@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "src/common/rng.h"
+#include "src/sim/join.h"
 #include "src/sim/time.h"
 
 namespace ros::frontend {
@@ -54,6 +55,22 @@ TEST(ObjectPath, EscapingReservedCharacters) {
   EXPECT_EQ(*path, "/objects/b/weird%23key%25name");
   EXPECT_EQ(ObjectStore::UnescapeComponent("weird%23key%25name"),
             "weird#key%name");
+}
+
+// Two puts of a new key race: the create-or-update choice is made under
+// the path lock, so the second becomes version 2 instead of failing.
+TEST_F(ObjectStoreTest, ConcurrentFirstPutsBothLand) {
+  ASSERT_TRUE(sim_.RunUntilComplete(store_->CreateBucket("b")).ok());
+  std::vector<sim::Task<Status>> puts;
+  puts.push_back(store_->PutObject("b", "k", Bytes("first")));
+  puts.push_back(store_->PutObject("b", "k", Bytes("second")));
+  Status status = sim_.RunUntilComplete(sim::AllOk(sim_, std::move(puts)));
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  auto v1 = sim_.RunUntilComplete(store_->GetObjectVersion("b", "k", 1));
+  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
+  auto v2 = sim_.RunUntilComplete(store_->GetObjectVersion("b", "k", 2));
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  EXPECT_NE(*v1, *v2);
 }
 
 TEST_F(ObjectStoreTest, PutGetHeadRoundTrip) {

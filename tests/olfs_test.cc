@@ -171,15 +171,40 @@ TEST_F(OlfsTest, ReadMissingFails) {
 }
 
 TEST_F(OlfsTest, WriteLatencyMatchesFigure7) {
+  const std::vector<std::string> create_ops = {"stat", "mknod", "stat",
+                                               "write", "close"};
+  const std::vector<std::string> update_ops = {"stat", "write", "close"};
   // ext4+OLFS write: stat, mknod, stat, write, close -> ~16 ms (§5.3).
   sim::TimePoint t0 = sim_->now();
   ASSERT_TRUE(
       sim_->RunUntilComplete(olfs_->Create("/f", Bytes("x"))).ok());
-  double ms = sim::ToMillis(sim_->now() - t0);
-  EXPECT_NEAR(ms, 16.0, 2.5);
-  EXPECT_EQ(olfs_->last_op_trace(),
-            (std::vector<std::string>{"stat", "mknod", "stat", "write",
-                                      "close"}));
+  const double create_ms = sim::ToMillis(sim_->now() - t0);
+  EXPECT_NEAR(create_ms, 16.0, 2.5);
+  EXPECT_EQ(olfs_->last_op_trace(), create_ops);
+
+  // An update of an existing file skips mknod and the second stat.
+  t0 = sim_->now();
+  ASSERT_TRUE(
+      sim_->RunUntilComplete(olfs_->Update("/f", Bytes("y"), 1)).ok());
+  const double update_ms = sim::ToMillis(sim_->now() - t0);
+  EXPECT_NEAR(update_ms, 9.0, 1.5);
+  EXPECT_EQ(olfs_->last_op_trace(), update_ops);
+
+  // Write picks its branch under the path lock and charges what Create
+  // or Update would: a new path first, then the same path again.
+  t0 = sim_->now();
+  ASSERT_TRUE(
+      sim_->RunUntilComplete(olfs_->Write("/g", Bytes("x"), 1)).ok());
+  EXPECT_NEAR(sim::ToMillis(sim_->now() - t0), create_ms, 0.5);
+  EXPECT_EQ(olfs_->last_op_trace(), create_ops);
+  t0 = sim_->now();
+  ASSERT_TRUE(
+      sim_->RunUntilComplete(olfs_->Write("/g", Bytes("y"), 1)).ok());
+  EXPECT_NEAR(sim::ToMillis(sim_->now() - t0), update_ms, 0.5);
+  EXPECT_EQ(olfs_->last_op_trace(), update_ops);
+  auto info = sim_->RunUntilComplete(olfs_->Stat("/g"));
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->version, 2);
 }
 
 TEST_F(OlfsTest, ReadLatencyMatchesFigure7) {
@@ -259,6 +284,42 @@ TEST_F(OlfsTest, AppendExtendsOpenBucketFileInPlace) {
   auto info = sim_->RunUntilComplete(olfs_->Stat("/log"));
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->version, 1);
+}
+
+// Appending to a file whose bucket is long burned writes the new bytes as
+// a §4.5 continuation part: nothing is read back, so no tray is loaded.
+TEST_F(OlfsTest, AppendToBurnedFileAddsAContinuationPart) {
+  OlfsParams params = TestParams();
+  params.read_cache_bytes = 0;  // the burned image leaves the buffer
+  Reset(params);
+  auto head = RandomBytes(3000, 61);
+  ASSERT_TRUE(sim_->RunUntilComplete(
+                  olfs_->Create("/cold", head, head.size()))
+                  .ok());
+  ASSERT_TRUE(sim_->RunUntilComplete(olfs_->FlushAndDrain()).ok());
+  auto record = olfs_->images().Lookup(ImageOf("/cold"));
+  ASSERT_TRUE(record.ok());
+  ASSERT_EQ((*record)->tier, ImageTier::kBurnedOnly);
+
+  const std::uint64_t loads = system_->library()->loads_completed();
+  const sim::TimePoint t0 = sim_->now();
+  auto tail = RandomBytes(10, 62);
+  ASSERT_TRUE(sim_->RunUntilComplete(olfs_->Append("/cold", tail)).ok());
+  EXPECT_EQ(system_->library()->loads_completed(), loads);
+  EXPECT_LT(ToSeconds(sim_->now() - t0), 1.0);
+
+  auto index = sim_->RunUntilComplete(olfs_->mv().Get("/cold"));
+  ASSERT_TRUE(index.ok());
+  const VersionEntry& latest = **index->Latest();
+  EXPECT_EQ(latest.version, 1);
+  EXPECT_EQ(latest.total_size, 3010u);
+  EXPECT_EQ(latest.parts.size(), 2u);
+
+  std::vector<std::uint8_t> expect = head;
+  expect.insert(expect.end(), tail.begin(), tail.end());
+  auto data = sim_->RunUntilComplete(olfs_->Read("/cold", 0, 3010));
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(*data, expect);
 }
 
 TEST_F(OlfsTest, UnlinkTombstonesButKeepsHistory) {
@@ -602,6 +663,47 @@ TEST_F(OlfsTest, ScrubRepairsSilentCorruptionWithoutARead) {
   ASSERT_TRUE(data.ok()) << data.status().ToString();
   EXPECT_TRUE(std::equal(data->begin(), data->end(), payload.begin()));
   EXPECT_EQ(olfs_->degraded_reads(), 0u);
+}
+
+// The parity payloads stay in controller memory only until their array is
+// burned and its audit manifest built; repair and audit read the parity
+// discs.
+TEST_F(OlfsTest, ParityPayloadsLeaveMemoryOnceTheArrayIsBurned) {
+  OlfsParams params = TestParams();
+  params.read_cache_bytes = 0;
+  Reset(params);
+  auto payload = RandomBytes(50 * kKiB, 71);
+  ASSERT_TRUE(sim_->RunUntilComplete(
+                  olfs_->Create("/kept", payload, payload.size()))
+                  .ok());
+  ASSERT_TRUE(sim_->RunUntilComplete(olfs_->FlushAndDrain()).ok());
+
+  int parity_images = 0;
+  for (const std::string& id : olfs_->images().BurnedImages()) {
+    if (ParityRowOf(id).has_value()) {
+      ++parity_images;
+      EXPECT_EQ(olfs_->parity().Get(id).status().code(),
+                StatusCode::kNotFound)
+          << id;
+    }
+  }
+  ASSERT_GT(parity_images, 0);
+
+  auto record = olfs_->images().Lookup(ImageOf("/kept"));
+  ASSERT_TRUE(record.ok() && (*record)->disc.has_value());
+  olfs_->mech().DiscAt(*(*record)->disc)->CorruptSector(1);
+  auto pass = sim_->RunUntilComplete(olfs_->scrub().RunPass());
+  ASSERT_TRUE(pass.ok()) << pass.status().ToString();
+  EXPECT_EQ(pass->repairs, 1);
+
+  auto audit = sim_->RunUntilComplete(olfs_->scrub().RunAudit(1.0, 7));
+  ASSERT_TRUE(audit.ok()) << audit.status().ToString();
+  EXPECT_GT(audit->manifests, 0);
+  EXPECT_EQ(audit->mismatches, 0u);
+  auto data = sim_->RunUntilComplete(
+      olfs_->Read("/kept", 0, payload.size()));
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(*data, payload);
 }
 
 // §4.4: with the MV wiped and even the controller replaced, scanning the

@@ -44,10 +44,11 @@ dataflow awareness:
 
   view-across-suspend  Flow-aware: a local of view type — string_view,
                        span, an iterator (declared or from begin()/find()/
-                       lower_bound()), a reference bound to a call result,
-                       or a raw pointer from .get()/.data()/.c_str() —
-                       that is used after a later co_await in the same
-                       coroutine body. Across a suspension the referent
+                       lower_bound()), a reference bound to a call result
+                       or through such an iterator (`T& r = it->second;`,
+                       `auto& r = *it;`), or a raw pointer from .get()/
+                       .data()/.c_str() — that is used after a later
+                       co_await in the same coroutine body. Across a suspension the referent
                        may be invalidated (container mutated by another
                        task, cache entry evicted, temporary gone); the
                        two ros-lint rules cover parameters and lambda
@@ -327,11 +328,8 @@ class FileAnalyze:
 
     # --- view-across-suspend ---------------------------------------------
 
-    # Declarations of locals with view/iterator/pointer-into semantics.
-    VIEW_DECL_RES = (
-        # std::string_view v = ..., std::span<T> s = ...
-        re.compile(r"(?:\bconst\s+)?(?:std\s*::\s*)?(?:string_view|"
-                   r"span\s*<[^;=]*>)\s+(?P<name>[A-Za-z_]\w*)\s*[=({]"),
+    # Declarations of iterator locals.
+    ITERATOR_DECL_RES = (
         # SomeType::iterator / ::const_iterator it = ...
         re.compile(r"[\w>\s]::\s*(?:const_)?iterator\s+"
                    r"(?P<name>[A-Za-z_]\w*)\s*[=({]"),
@@ -340,6 +338,12 @@ class FileAnalyze:
                    r"[^;]*?(?:\.|->)\s*"
                    r"(?:c?begin|c?end|find|lower_bound|upper_bound)"
                    r"\s*\([^;]*\)\s*;"),
+    )
+    # Declarations of other locals with view/pointer-into semantics.
+    VIEW_DECL_RES = (
+        # std::string_view v = ..., std::span<T> s = ...
+        re.compile(r"(?:\bconst\s+)?(?:std\s*::\s*)?(?:string_view|"
+                   r"span\s*<[^;=]*>)\s+(?P<name>[A-Za-z_]\w*)\s*[=({]"),
         # pointer / auto* / reference from .get() / .data() / .c_str()
         re.compile(r"(?:\bauto\s*\*|[A-Za-z_][\w:<>]*\s*\*)\s*"
                    r"(?:const\s+)?(?P<name>[A-Za-z_]\w*)\s*=\s*"
@@ -358,21 +362,41 @@ class FileAnalyze:
                              re.finditer(r"\bco_await\b", text)]
         if not awaits:
             return
-        for regex in self.VIEW_DECL_RES:
+        for regex in self.ITERATOR_DECL_RES + self.VIEW_DECL_RES:
+            iterator = regex in self.ITERATOR_DECL_RES
             for m in regex.finditer(text):
                 name = m.group("name")
                 if name in ("auto", "const"):
                     continue
                 self._track_view_local(name, m.start(), awaits)
+                if iterator:
+                    self._track_iterator_refs(name, m.start(), awaits)
+
+    def _track_iterator_refs(self, iterator: str, decl_pos: int,
+                             awaits: list[int]) -> None:
+        """A reference bound through an iterator (`T& r = it->second;`,
+        `auto& r = *it;`) borrows the same element, so it is tracked like
+        the iterator from its own declaration on."""
+        fn = self.tree.enclosing_function(decl_pos)
+        if fn is None:
+            return
+        ref_re = re.compile(r"[\w>]\s*&&?\s*(?P<name>[A-Za-z_]\w*)\s*=\s*"
+                            r"\*?\s*" + re.escape(iterator) +
+                            r"\s*(?:->|\.|;)")
+        for m in ref_re.finditer(self.stripped, decl_pos, fn.close):
+            if self.tree.enclosing_function(m.start()) is fn:
+                self._track_view_local(m.group("name"), m.start("name"),
+                                       awaits, rebinds=False)
 
     def _track_view_local(self, name: str, decl_pos: int,
-                          awaits: list[int]) -> None:
+                          awaits: list[int], rebinds: bool = True) -> None:
         """Forward dataflow for one view-typed local: walk its uses in
         order, re-starting liveness at every plain reassignment (the
         re-acquire idiom), and flag the first read that crosses a
         suspension point. A co_await in the *same statement* as the read
         does not count — there the read is (part of) the co_await operand
-        and is evaluated before suspending."""
+        and is evaluated before suspending. A reference (`rebinds` false)
+        is never re-seated: assigning to it writes through it, a use."""
         text = self.stripped
         fn = self.tree.enclosing_function(decl_pos)
         if fn is None:
@@ -396,7 +420,8 @@ class FileAnalyze:
                 continue  # captured by a nested lambda: ros-lint's
                           # coro-ref-lambda territory
             after = text[use.end():].lstrip()
-            if after.startswith("=") and not after.startswith("=="):
+            if (rebinds and after.startswith("=")
+                    and not after.startswith("==")):
                 # Plain reassignment: kills the old value and re-acquires;
                 # liveness restarts at the end of this statement.
                 nxt = text.find(";", pos)

@@ -276,6 +276,43 @@ class ViewAcrossSuspendTest(unittest.TestCase):
         )
         self.assertEqual(rules_of(src), [])
 
+    def test_flags_reference_bound_through_iterator(self):
+        # The shape of a stream handle grown across a bucket write: the
+        # iterator is re-acquired after one suspension, then an element
+        # reference taken through it lives across the next.
+        src = (
+            "sim::Task<Status> F() {\n"
+            "  auto handle = handles_.find(path);\n"
+            "  co_await sim_.Delay(cost);\n"
+            "  handle = handles_.find(path);\n"
+            "  IndexFile& index = handle->second;\n"
+            "  co_await Write();\n"
+            "  co_return index.Update();\n"
+            "}\n"
+            "sim::Task<void> G() {\n"
+            "  std::map<int, int>::iterator it = map_.begin();\n"
+            "  auto& value = *it;\n"
+            "  co_await Work();\n"
+            "  value = 3;\n"
+            "  co_return;\n"
+            "}\n"
+        )
+        findings = analyze_source(src)
+        self.assertIn(("view-across-suspend", 7), findings)
+        self.assertIn(("view-across-suspend", 13), findings)
+
+    def test_reference_through_iterator_used_before_await_not_flagged(self):
+        src = (
+            "sim::Task<int> F() {\n"
+            "  auto it = map_.find(key);\n"
+            "  const Entry& entry = it->second;\n"
+            "  int v = entry.size;\n"
+            "  co_await sim_.Delay(1);\n"
+            "  co_return v;\n"
+            "}\n"
+        )
+        self.assertEqual(rules_of(src), [])
+
     def test_allow_annotation_suppresses(self):
         src = (
             "sim::Task<int> F() {\n"
