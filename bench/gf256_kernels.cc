@@ -1,15 +1,20 @@
-// Throughput of the GF(2^8) parity kernels, scalar reference vs the
-// word-sliced / split-nibble tier, printed as one JSON document so the
-// speedups land in the bench trajectory:
+// Throughput of the GF(2^8) parity kernels and of CRC-32, each baseline
+// tier vs its fast tier, printed as one JSON document so the speedups land
+// in the bench trajectory:
 //
 //   {"buffer_bytes":...,"kernels":[
 //     {"kernel":"mulacc","scalar_mb_s":...,"sliced_mb_s":...,
 //      "speedup":...,"identical":true}, ...]}
 //
-// Each kernel pair also runs a differential check (same inputs through both
-// tiers must produce byte-identical output), so a reported speedup can
-// never come from a wrong kernel; the process exits 1 when any row is not
-// identical. Host wall-clock time, not simulated time.
+// GF(2^8) rows pit the scalar reference against the word-sliced /
+// split-nibble tier. The crc32 row pits slice-by-8 (scalar_mb_s) against
+// Crc32 as callers get it (sliced_mb_s): the carry-less-multiply fold
+// where the CPU has PCLMULQDQ, else slice-by-8 again (speedup ~1).
+//
+// Each row also runs a differential check (same inputs through both tiers
+// must produce identical output), so a reported speedup can never come
+// from a wrong kernel; the process exits 1 when any row is not identical.
+// Host wall-clock time, not simulated time.
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -18,6 +23,7 @@
 
 #include "bench/bench_util.h"
 #include "src/common/gf256.h"
+#include "src/common/hash.h"
 #include "src/common/json.h"
 #include "src/common/rng.h"
 
@@ -135,6 +141,30 @@ int main() {
     Buffer p3 = acc0, q3 = q0;
     r.sliced_mb_s =
         MeasureMbPerSec(kBufferBytes, [&] { gf256::PQAcc(p3, q3, in); });
+    results.push_back(r);
+  }
+
+  {
+    // Whole buffers and an unaligned cut whose length leaves a 16-byte
+    // tail, through the public entry point and, where the CPU has it,
+    // the folding tier called directly.
+    KernelResult r{.kernel = "crc32"};
+    r.identical = true;
+    for (const Buffer* b : {&in, &acc0, &q0}) {
+      const std::span<const std::uint8_t> whole(*b);
+      for (const auto s : {whole, whole.subspan(3, whole.size() - 10)}) {
+        const std::uint32_t want = internal::Crc32SliceBy8(s);
+        r.identical = r.identical && Crc32(s) == want;
+        if (internal::Crc32ClmulAvailable()) {
+          r.identical = r.identical && internal::Crc32Clmul(s, 0) == want;
+        }
+      }
+    }
+    volatile std::uint32_t sink = 0;
+    r.scalar_mb_s = MeasureMbPerSec(
+        kBufferBytes, [&] { sink = sink ^ internal::Crc32SliceBy8(in); });
+    r.sliced_mb_s =
+        MeasureMbPerSec(kBufferBytes, [&] { sink = sink ^ Crc32(in); });
     results.push_back(r);
   }
 

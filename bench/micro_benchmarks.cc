@@ -49,14 +49,14 @@ void BM_GfMulAccQParity(benchmark::State& state) {
 }
 BENCHMARK(BM_GfMulAccQParity)->Arg(64 << 10)->Arg(1 << 20);
 
-void BM_Crc32Scrub(benchmark::State& state) {
+void BM_Crc32(benchmark::State& state) {
   auto data = RandomBuffer(static_cast<std::size_t>(state.range(0)), 5);
   for (auto _ : state) {
     benchmark::DoNotOptimize(Crc32(data));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Crc32Scrub)->Arg(64 << 10)->Arg(1 << 20);
+BENCHMARK(BM_Crc32)->Arg(64 << 10)->Arg(1 << 20);
 
 void BM_IndexFileRoundTrip(benchmark::State& state) {
   olfs::IndexFile index("/archive/2016/records/file.dat",

@@ -1,5 +1,6 @@
-// Non-cryptographic checksums: CRC-32 for the UDF serializer and disc
-// scrubbing, XXH64 for audit-manifest leaves, FNV-1a for short keys.
+// Non-cryptographic checksums: CRC-32 for the UDF image stream, the MV
+// log and segments, and audit manifests; XXH64 for audit-manifest
+// leaves; FNV-1a for short keys.
 #ifndef ROS_SRC_COMMON_HASH_H_
 #define ROS_SRC_COMMON_HASH_H_
 
@@ -74,18 +75,19 @@ inline std::uint64_t XxhMerge(std::uint64_t acc, std::uint64_t lane) {
 }
 }  // namespace internal
 
-// Standard CRC-32 (IEEE 802.3). Suitable for detecting media bit-rot in the
-// simulated disc scrubber; not a cryptographic hash. `seed` chains calls:
-// Crc32(b, Crc32(a)) == Crc32(a followed by b).
-inline std::uint32_t Crc32(std::span<const std::uint8_t> data,
-                           std::uint32_t seed = 0) {
-  const auto& t = internal::kCrc32Tables;
+namespace internal {
+// Portable slice-by-8 CRC-32: eight input bytes per step through
+// kCrc32Tables, then a bytewise loop for the last 0-7. The fallback tier
+// of Crc32 and the oracle its folding tier is tested against.
+inline std::uint32_t Crc32SliceBy8(std::span<const std::uint8_t> data,
+                                   std::uint32_t seed = 0) {
+  const auto& t = kCrc32Tables;
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
   for (; n >= 8; p += 8, n -= 8) {
-    const std::uint32_t lo = c ^ internal::LoadLe32(p);
-    const std::uint32_t hi = internal::LoadLe32(p + 4);
+    const std::uint32_t lo = c ^ LoadLe32(p);
+    const std::uint32_t hi = LoadLe32(p + 4);
     c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
         t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
         t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
@@ -94,6 +96,41 @@ inline std::uint32_t Crc32(std::span<const std::uint8_t> data,
     c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
+}
+
+// Carry-less-multiply tier (crc32_clmul.cc, the only TU built with
+// -mpclmul -msse4.1): folds four 128-bit lanes with PCLMULQDQ, then a
+// Barrett reduction, per Gopal et al., "Fast CRC Computation for Generic
+// Polynomials Using PCLMULQDQ" (Intel, 2009); the last 0-15 bytes run on
+// slice-by-8. Same polynomial, seed chaining and output as
+// Crc32SliceBy8. Crc32ClmulAvailable() checks the compiler and the CPU;
+// Crc32Clmul must only be called when it returns true.
+bool Crc32ClmulAvailable();
+std::uint32_t Crc32Clmul(std::span<const std::uint8_t> data,
+                         std::uint32_t seed);
+
+// Inputs shorter than this stay on the inline slice-by-8 loop: the fold
+// needs four 16-byte lanes to start, and short chained headers then pay
+// no call or dispatch.
+inline constexpr std::size_t kCrc32ClmulMinBytes = 64;
+
+inline bool UseCrc32Clmul() {
+  static const bool use = Crc32ClmulAvailable();
+  return use;
+}
+}  // namespace internal
+
+// Standard CRC-32 (IEEE 802.3): detects corruption of durable bytes; not a
+// cryptographic hash. `seed` chains calls:
+// Crc32(b, Crc32(a)) == Crc32(a followed by b). Every tier returns the
+// same value for the same input.
+inline std::uint32_t Crc32(std::span<const std::uint8_t> data,
+                           std::uint32_t seed = 0) {
+  if (data.size() >= internal::kCrc32ClmulMinBytes &&
+      internal::UseCrc32Clmul()) {
+    return internal::Crc32Clmul(data, seed);
+  }
+  return internal::Crc32SliceBy8(data, seed);
 }
 
 // XXH64 (xxHash, 64-bit) per its public spec: four lanes consume 32-byte

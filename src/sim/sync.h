@@ -123,6 +123,10 @@ class Mutex {
  public:
   explicit Mutex(Simulator& sim) : sem_(sim, 1) {}
 
+  // No task holds the mutex or waits for it. A release hands the mutex
+  // straight to its oldest waiter, so it is idle only when none is left.
+  bool idle() const { return sem_.available() > 0; }
+
   class ScopedLock {
    public:
     explicit ScopedLock(Semaphore* sem) : sem_(sem) {}

@@ -104,6 +104,113 @@ TEST(Crc32, SeedChainingOverSplitBuffersEqualsWholeBuffer) {
   }
 }
 
+// The two CRC-32 tiers, called directly. The folding tier's cases skip
+// where the compiler or the CPU lacks PCLMULQDQ and SSE4.1.
+constexpr char kNoClmul[] =
+    "PCLMULQDQ/SSE4.1 unavailable (compiler or CPU): carry-less-multiply "
+    "CRC-32 tier not tested; Crc32 runs slice-by-8 here";
+
+// The bytewise oracle's register step, for checking every prefix of a
+// buffer in one pass.
+std::uint32_t OracleStep(std::uint32_t reg, std::uint8_t byte) {
+  reg ^= byte;
+  for (int k = 0; k < 8; ++k) {
+    reg = (reg & 1) ? 0xEDB88320u ^ (reg >> 1) : reg >> 1;
+  }
+  return reg;
+}
+
+// Checks `crc` at every length 0-4096 at offsets 0-15, each offset under
+// a random seed: the oracle walks the buffer once and each prefix is
+// compared with it.
+template <typename Crc>
+void SweepLengthsAndOffsets(Crc crc) {
+  constexpr std::size_t kMaxLen = 4096;
+  Rng rng(31);
+  const std::vector<std::uint8_t> buf = RandomBytes(rng, kMaxLen + 16);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    const auto seed = static_cast<std::uint32_t>(rng.Next());
+    std::uint32_t reg = seed ^ 0xFFFFFFFFu;
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      if (len > 0) {
+        reg = OracleStep(reg, buf[offset + len - 1]);
+      }
+      const std::span<const std::uint8_t> s(buf.data() + offset, len);
+      ASSERT_EQ(crc(s, seed), reg ^ 0xFFFFFFFFu)
+          << "offset " << offset << " len " << len << " seed " << seed;
+    }
+  }
+}
+
+TEST(Crc32Tiers, SliceBy8MatchesOracleForEveryLengthTo4KiBAndOffsetTo15) {
+  SweepLengthsAndOffsets(internal::Crc32SliceBy8);
+  SweepLengthsAndOffsets([](std::span<const std::uint8_t> s,
+                            std::uint32_t seed) { return Crc32(s, seed); });
+}
+
+TEST(Crc32Tiers, FoldingTierMatchesOracleForEveryLengthTo4KiBAndOffsetTo15) {
+  if (!internal::Crc32ClmulAvailable()) {
+    GTEST_SKIP() << kNoClmul;
+  }
+  SweepLengthsAndOffsets(internal::Crc32Clmul);
+}
+
+TEST(Crc32Tiers, FoldingTierMatchesOnBuffersOfAMebibyteAndMore) {
+  if (!internal::Crc32ClmulAvailable()) {
+    GTEST_SKIP() << kNoClmul;
+  }
+  Rng rng(32);
+  const std::vector<std::uint8_t> buf = RandomBytes(rng, (2 << 20) + 80);
+  for (const std::size_t len :
+       {std::size_t{1} << 20, (std::size_t{1} << 20) + 13,
+        (std::size_t{3} << 19) + 64, (std::size_t{2} << 20) + 63}) {
+    for (const std::size_t offset : {0, 7}) {
+      const std::span<const std::uint8_t> s(buf.data() + offset, len);
+      const auto seed = static_cast<std::uint32_t>(rng.Next());
+      const std::uint32_t want = OracleCrc32(s, seed);
+      EXPECT_EQ(internal::Crc32SliceBy8(s, seed), want) << "len " << len;
+      EXPECT_EQ(internal::Crc32Clmul(s, seed), want) << "len " << len;
+    }
+  }
+}
+
+// A buffer split in two and chained through the seed equals the whole,
+// whichever tier computes each part: first parts below, at and above the
+// 64-byte threshold, with and without a 16-byte tail, against second
+// parts of the same shapes.
+TEST(Crc32Tiers, ChainedSplitsAcrossThe64ByteThresholdAndTheTail) {
+  if (!internal::Crc32ClmulAvailable()) {
+    GTEST_SKIP() << kNoClmul;
+  }
+  using internal::Crc32Clmul;
+  using internal::Crc32SliceBy8;
+  Rng rng(33);
+  const std::vector<std::uint8_t> buf = RandomBytes(rng, 2 * 300);
+  const std::span<const std::uint8_t> whole(buf);
+  const std::size_t shapes[] = {0,  1,  15, 16, 17,  48,  63,  64, 65,
+                                71, 79, 80, 81, 127, 128, 143, 200, 300};
+  for (const std::size_t a_len : shapes) {
+    for (const std::size_t b_len : shapes) {
+      const auto a = whole.subspan(0, a_len);
+      const auto b = whole.subspan(a_len, b_len);
+      const auto seed = static_cast<std::uint32_t>(rng.Next());
+      const std::uint32_t want =
+          OracleCrc32(whole.subspan(0, a_len + b_len), seed);
+      const std::uint32_t fold_a = Crc32Clmul(a, seed);
+      const std::uint32_t slice_a = Crc32SliceBy8(a, seed);
+      ASSERT_EQ(fold_a, slice_a) << "a " << a_len;
+      ASSERT_EQ(Crc32Clmul(b, fold_a), want) << "a " << a_len << " b "
+                                             << b_len;
+      ASSERT_EQ(Crc32SliceBy8(b, fold_a), want)
+          << "a " << a_len << " b " << b_len;
+      ASSERT_EQ(Crc32Clmul(b, slice_a), want)
+          << "a " << a_len << " b " << b_len;
+      ASSERT_EQ(Crc32(b, Crc32(a, seed)), want)
+          << "a " << a_len << " b " << b_len;
+    }
+  }
+}
+
 // Byte-at-a-time XXH64 written straight from the spec: every word is
 // assembled with a loop and every step indexes the input afresh, so it
 // shares no load or tail logic with the word-at-a-time Xxh64.

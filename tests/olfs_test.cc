@@ -10,6 +10,7 @@
 #include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/sim/fault.h"
+#include "src/sim/join.h"
 #include "src/sim/time.h"
 
 namespace ros::olfs {
@@ -854,6 +855,55 @@ TEST_F(OlfsTest, ForepartServesFirstBytesQuickly) {
   EXPECT_EQ(fore->size(), 4 * kKiB);
   EXPECT_TRUE(std::equal(fore->begin(), fore->end(), payload.begin()));
   EXPECT_EQ(olfs_->fetches().fetches(), 0u);
+}
+
+// A path's write lock lives only while a writer holds or awaits it: the
+// second of two writers of one path queues on the first's lock, so the
+// entry survives the first release and is gone after the second.
+TEST_F(OlfsTest, PathLockLeavesWithItsLastWriter) {
+  struct Seen {
+    bool done = false;
+    std::size_t locked_paths = 0;
+  };
+  auto writer = [](Olfs* olfs, std::vector<std::uint8_t> data,
+                   Seen* seen) -> sim::Task<void> {
+    const std::uint64_t n = data.size();
+    EXPECT_TRUE((co_await olfs->Write("/locks/f", std::move(data), n)).ok());
+    seen->done = true;
+    seen->locked_paths = olfs->locked_paths();
+  };
+  Seen first;
+  Seen second;
+  sim_->Spawn(writer(olfs_.get(), RandomBytes(4000, 1), &first));
+  sim_->Spawn(writer(olfs_.get(), RandomBytes(3000, 2), &second));
+  sim_->RunFor(Seconds(60));
+  ASSERT_TRUE(first.done && second.done);
+  EXPECT_EQ(first.locked_paths, 1u);  // the second writer holds it now
+  EXPECT_EQ(second.locked_paths, 0u);
+  auto data = sim_->RunUntilComplete(olfs_->Read("/locks/f", 0, 3000));
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(*data, RandomBytes(3000, 2));
+}
+
+// A run that writes many distinct paths, some of them at once, leaves no
+// path lock behind once the facade is quiesced.
+TEST_F(OlfsTest, PathLocksDoNotOutliveTheirWrites) {
+  std::vector<sim::Task<Status>> writes;
+  for (int i = 0; i < 40; ++i) {
+    writes.push_back(olfs_->Create("/many/f" + std::to_string(i),
+                                   RandomBytes(2000, i), 2000));
+  }
+  ASSERT_TRUE(
+      sim_->RunUntilComplete(sim::AllOk(*sim_, std::move(writes))).ok());
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(sim_->RunUntilComplete(
+                    olfs_->Update("/many/f" + std::to_string(i),
+                                  RandomBytes(1000, 100 + i), 1000))
+                    .ok());
+  }
+  ASSERT_TRUE(sim_->RunUntilComplete(olfs_->Mkdir("/many/dir")).ok());
+  sim_->RunUntilComplete(olfs_->Quiesce());
+  EXPECT_EQ(olfs_->locked_paths(), 0u);
 }
 
 TEST_F(OlfsTest, DeterministicAcrossRuns) {
