@@ -1,15 +1,10 @@
-// Shared table-printing helpers for the reproduction benches. Every bench
-// prints the paper's reported value next to the value measured in the
-// simulation, plus the ratio, so EXPERIMENTS.md rows can be regenerated by
-// running the binary.
+// Host-cost figures shared by the bench binaries' JSON documents.
 #ifndef ROS_BENCH_BENCH_UTIL_H_
 #define ROS_BENCH_BENCH_UTIL_H_
 
 #include <sys/resource.h>
 
 #include <chrono>
-#include <cstdio>
-#include <string>
 
 #include "src/common/json.h"
 
@@ -31,28 +26,6 @@ inline void AddHostFigures(json::Object* doc) {
           .count());
   (*doc)["peak_rss_mb"] =
       json::Value(static_cast<double>(usage.ru_maxrss) * 1024.0 / 1e6);
-}
-
-inline void PrintHeader(const std::string& title) {
-  std::printf("\n=== %s ===\n", title.c_str());
-}
-
-inline void PrintRow(const std::string& label, double paper, double measured,
-                     const std::string& unit) {
-  const double ratio = paper != 0 ? measured / paper : 0;
-  std::printf("  %-46s paper %10.3f %-6s measured %10.3f %-6s (x%.3f)\n",
-              label.c_str(), paper, unit.c_str(), measured, unit.c_str(),
-              ratio);
-}
-
-inline void PrintNote(const std::string& note) {
-  std::printf("  note: %s\n", note.c_str());
-}
-
-inline void PrintSeries(const std::string& label, double x, double y,
-                        const std::string& unit) {
-  std::printf("  %-24s %8.3f  %10.3f %s\n", label.c_str(), x, y,
-              unit.c_str());
 }
 
 }  // namespace ros::bench

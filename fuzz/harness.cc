@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <span>
 #include <string>
 #include <string_view>
 
 #include "src/common/status.h"
 #include "src/olfs/audit.h"
+#include "src/olfs/cluster.h"
 #include "src/olfs/index_file.h"
 #include "src/olfs/mv_log.h"
 #include "src/olfs/mv_segment.h"
@@ -311,6 +313,37 @@ void FuzzRouteShard(const std::uint8_t* data, std::size_t size) {
             "saved routing shard does not load");
     Require(reloaded.ShardToJson(shard) == saved,
             "routing shard does not round-trip");
+  }
+}
+
+void FuzzTrayManifest(const std::uint8_t* data, std::size_t size) {
+  const std::string_view text(reinterpret_cast<const char*>(data), size);
+  StatusOr<json::Value> doc = json::Parse(text);
+  if (!doc.ok()) {
+    return;
+  }
+  for (int rollers : {1, 2}) {
+    auto trays = olfs::DecodeTrayManifest(*doc, rollers);
+    if (!trays.ok()) {
+      Require(trays.status().code() == StatusCode::kDataLoss,
+              "DecodeTrayManifest failed with a non-data-loss status");
+      continue;
+    }
+    Require(trays->size() == doc->as_array().size(),
+            "decoded tray manifest lost or gained trays");
+    std::set<int> indices;
+    for (const mech::TrayAddress& tray : *trays) {
+      Require(tray.IsValid(rollers), "decoded tray is outside the rack");
+      indices.insert(tray.ToIndex());
+    }
+    const json::Value saved = olfs::EncodeTrayManifest(indices);
+    auto reloaded = olfs::DecodeTrayManifest(saved, rollers);
+    Require(reloaded.ok(), "encoded tray manifest does not decode");
+    std::set<int> reloaded_indices;
+    for (const mech::TrayAddress& tray : *reloaded) {
+      reloaded_indices.insert(tray.ToIndex());
+    }
+    Require(reloaded_indices == indices, "tray manifest does not round-trip");
   }
 }
 

@@ -52,6 +52,13 @@ void FuzzAuditManifest(const std::uint8_t* data, std::size_t size);
 // and that round-trip through ShardToJson.
 void FuzzRouteShard(const std::uint8_t* data, std::size_t size);
 
+// olfs::DecodeTrayManifest, the burned-tray manifest Cluster::RecoverRack
+// rebuilds a rack from: any JSON document, decoded for a rack of 1 and of
+// 2 rollers, fails with kDataLoss, or decodes to exactly one tray per
+// entry, each inside the rack, and round-trips through
+// EncodeTrayManifest.
+void FuzzTrayManifest(const std::uint8_t* data, std::size_t size);
+
 }  // namespace ros::fuzz
 
 #endif  // ROS_FUZZ_HARNESS_H_

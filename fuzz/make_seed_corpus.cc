@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/olfs/audit.h"
+#include "src/olfs/cluster.h"
 #include "src/olfs/index_file.h"
 #include "src/olfs/mv_log.h"
 #include "src/olfs/mv_segment.h"
@@ -49,6 +50,7 @@ int main(int argc, char** argv) {
   fs::create_directories(root / "mvlog");
   fs::create_directories(root / "audit");
   fs::create_directories(root / "routes");
+  fs::create_directories(root / "trays");
 
   // --- json seeds ---
   WriteText(root / "json" / "seed_scalars.json",
@@ -279,6 +281,16 @@ int main(int argc, char** argv) {
                 doc.Dump());
     }
   }
+
+  // --- tray-manifest seeds (emitted by EncodeTrayManifest) ---
+  // An unsynced-looking empty manifest, one roller's first and last trays,
+  // and trays on both rollers of a 2-roller rack.
+  WriteText(root / "trays" / "seed_empty.json",
+            ros::olfs::EncodeTrayManifest({}).Dump());
+  WriteText(root / "trays" / "seed_one_roller.json",
+            ros::olfs::EncodeTrayManifest({0, 1, 7, 509}).Dump());
+  WriteText(root / "trays" / "seed_two_rollers.json",
+            ros::olfs::EncodeTrayManifest({3, 42, 510, 1019}).Dump());
 
   std::printf("seed corpus written under %s\n", root.string().c_str());
   return 0;

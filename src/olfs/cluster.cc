@@ -376,15 +376,41 @@ sim::Task<Status> Cluster::SyncRackState() {
         trays.insert((*record)->disc->tray.ToIndex());
       }
     }
-    json::Array manifest;
-    for (int tray : trays) {
-      manifest.emplace_back(tray);
-    }
     ROS_CO_RETURN_IF_ERROR(co_await mv_->PutState(
         "cluster/rack" + std::to_string(i) + "/trays",
-        json::Value(std::move(manifest))));
+        EncodeTrayManifest(trays)));
   }
   co_return OkStatus();
+}
+
+json::Value EncodeTrayManifest(const std::set<int>& trays) {
+  json::Array manifest;
+  for (int tray : trays) {
+    manifest.emplace_back(tray);
+  }
+  return json::Value(std::move(manifest));
+}
+
+StatusOr<std::vector<mech::TrayAddress>> DecodeTrayManifest(
+    const json::Value& manifest, int rollers) {
+  if (!manifest.is_array()) {
+    return DataLossError("tray manifest is not an array");
+  }
+  std::vector<mech::TrayAddress> trays;
+  for (const json::Value& entry : manifest.as_array()) {
+    if (!entry.is_int()) {
+      return DataLossError("tray manifest entry is not an integer: " +
+                           entry.Dump());
+    }
+    const std::int64_t index = entry.as_int();
+    if (index < 0 || index >= std::int64_t{rollers} * mech::kTraysPerRoller) {
+      return DataLossError("tray manifest names tray " +
+                           std::to_string(index) + " outside a rack of " +
+                           std::to_string(rollers) + " rollers");
+    }
+    trays.push_back(mech::TrayAddress::FromIndex(static_cast<int>(index)));
+  }
+  return trays;
 }
 
 // --- failure domains ----------------------------------------------------
@@ -420,20 +446,24 @@ sim::Task<StatusOr<RecoveryReport>> Cluster::RecoverRack(int i) {
                                      params_.rack_params);
   co_await Hop(i, "recover");
   // Tray manifest persisted by the last SyncRackState: which disc arrays
-  // the dead controller had burned. A rack that never synced rebuilds
-  // from nothing (correct: nothing burned was recorded as durable).
-  std::vector<mech::TrayAddress> trays;
+  // the dead controller had burned. Only a rack that never synced
+  // rebuilds from nothing (correct: nothing burned was recorded as
+  // durable); rebuilding from a damaged manifest would bring the rack
+  // back with part of its namespace missing.
+  StatusOr<std::vector<mech::TrayAddress>> trays =
+      std::vector<mech::TrayAddress>{};
   auto manifest = co_await mv_->GetState("cluster/rack" + std::to_string(i) +
                                          "/trays");
-  if (manifest.ok() && manifest->is_array()) {
-    for (const json::Value& entry : manifest->as_array()) {
-      if (entry.is_int()) {
-        trays.push_back(
-            mech::TrayAddress::FromIndex(static_cast<int>(entry.as_int())));
-      }
-    }
+  if (manifest.ok()) {
+    trays = DecodeTrayManifest(*manifest, params_.rack_config.rollers);
+  } else if (manifest.status().code() != StatusCode::kNotFound) {
+    trays = manifest.status();
   }
-  auto report = co_await node.olfs->RebuildNamespace(trays);
+  if (!trays.ok()) {
+    node.olfs.reset();
+    co_return trays.status();
+  }
+  auto report = co_await node.olfs->RebuildNamespace(std::move(*trays));
   if (!report.ok()) {
     node.olfs.reset();
     co_return report.status();

@@ -85,6 +85,15 @@ struct ClusterStats {
   std::uint64_t rack_recoveries = 0;
 };
 
+// The burned-tray manifest SyncRackState persists per rack, and
+// RecoverRack feeds to RebuildNamespace: a JSON array of tray indices.
+json::Value EncodeTrayManifest(const std::set<int>& trays);
+// Decodes a manifest for a rack with `rollers` rollers. A value that is
+// not an array, an entry that is not an integer and a tray outside the
+// rack are kDataLoss.
+StatusOr<std::vector<mech::TrayAddress>> DecodeTrayManifest(
+    const json::Value& manifest, int rollers);
+
 class Cluster {
  public:
   Cluster(sim::Simulator& sim, ClusterParams params);
@@ -149,7 +158,9 @@ class Cluster {
 
   // Rebuilds rack `i`: a fresh Olfs over the surviving hardware, then
   // RebuildNamespace from the burned-tray manifest persisted by
-  // SyncRackState. The rack rejoins placement afterwards.
+  // SyncRackState. The rack rejoins placement afterwards. A rack with no
+  // manifest never synced and rebuilds from nothing; a manifest that
+  // cannot be read or decoded fails the call and the rack stays down.
   sim::Task<StatusOr<RecoveryReport>> RecoverRack(int i);
 
   // Namespace-head restart: drops the in-memory routing table and the

@@ -437,6 +437,61 @@ TEST(Cluster, KilledRackRebuildsFromBurnedTrays) {
   sim.Shutdown();
 }
 
+// Only a missing manifest means "never synced". One that cannot be
+// decoded fails the recovery with kDataLoss and the rack stays down,
+// rather than rejoining with part of its namespace missing.
+TEST(Cluster, DamagedTrayManifestLeavesRackDown) {
+  sim::Simulator sim;
+  Cluster cluster(sim, SmallCluster(2));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(sim.RunUntilComplete(cluster.Put(
+                        "archive", "k" + std::to_string(i),
+                        Payload(24 * kKiB, 40 + i)))
+                    .ok());
+  }
+  const int primary = cluster.routes().Find("archive")->primary;
+  ASSERT_TRUE(sim.RunUntilComplete(cluster.FlushAndDrain()).ok());
+  ASSERT_TRUE(sim.RunUntilComplete(cluster.SyncRackState()).ok());
+  const std::string key = "cluster/rack" + std::to_string(primary) + "/trays";
+  auto intact = sim.RunUntilComplete(cluster.cluster_mv().GetState(key));
+  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+  ASSERT_FALSE(intact->as_array().empty());
+  ASSERT_TRUE(sim.RunUntilComplete(cluster.KillRack(primary)).ok());
+
+  const int trays = cluster.params().rack_config.rollers * mech::kTraysPerRoller;
+  const json::Value damaged[] = {
+      json::Value("trays"),
+      json::Value(json::Array{intact->as_array()[0], json::Value("7")}),
+      json::Value(json::Array{intact->as_array()[0], json::Value(-1)}),
+      json::Value(json::Array{json::Value(trays)}),
+  };
+  for (const json::Value& manifest : damaged) {
+    ASSERT_TRUE(
+        sim.RunUntilComplete(cluster.cluster_mv().PutState(key, manifest))
+            .ok());
+    auto report = sim.RunUntilComplete(cluster.RecoverRack(primary));
+    EXPECT_EQ(report.status().code(), StatusCode::kDataLoss)
+        << manifest.Dump();
+    EXPECT_FALSE(cluster.rack_alive(primary));
+    EXPECT_EQ(cluster.rack(primary), nullptr);
+  }
+  EXPECT_EQ(cluster.stats().rack_recoveries, 0u);
+
+  // The intact manifest still brings the whole namespace back.
+  ASSERT_TRUE(
+      sim.RunUntilComplete(cluster.cluster_mv().PutState(key, *intact)).ok());
+  auto report = sim.RunUntilComplete(cluster.RecoverRack(primary));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(cluster.rack_alive(primary));
+  for (int i = 0; i < 3; ++i) {
+    auto data = sim.RunUntilComplete(
+        cluster.Get("archive", "k" + std::to_string(i)));
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+    EXPECT_EQ(*data, Payload(24 * kKiB, 40 + i));
+  }
+  sim.Shutdown();
+}
+
 TEST(Cluster, RebalancerMigratesColdBucketOffHotRack) {
   sim::Simulator sim;
   ClusterParams params = SmallCluster(2);

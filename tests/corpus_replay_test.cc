@@ -74,6 +74,8 @@ TEST(CorpusReplay, AuditManifest) {
 
 TEST(CorpusReplay, Routes) { ReplayAll("routes", FuzzRouteShard); }
 
+TEST(CorpusReplay, TrayManifests) { ReplayAll("trays", FuzzTrayManifest); }
+
 // The audit corpus holds a valid seed set of each manifest version, so the
 // replay above walks both leaf hashes and both version values.
 TEST(CorpusReplay, AuditManifestSeedsCoverEveryVersion) {
