@@ -14,10 +14,10 @@ BurnManager::BurnManager(sim::Simulator& sim, const OlfsParams& params,
                          BucketManager* buckets, DiscImageStore* images,
                          ParityBuilder* parity, MechController* mech,
                          FetchScheduler* scheduler, DaIndex* da,
-                         ReadCache* cache, MetadataVolume* mv)
+                         ReadCache* cache)
     : sim_(sim), params_(params), buckets_(buckets), images_(images),
       parity_(parity), mech_(mech), scheduler_(scheduler), da_(da),
-      cache_(cache), mv_(mv), burns_changed_(sim) {
+      cache_(cache), burns_changed_(sim) {
   interrupt_requested_.assign(
       static_cast<std::size_t>(mech_->num_bays()), false);
 }
@@ -357,24 +357,9 @@ sim::Task<Status> BurnManager::FinishJob(BurnJob& job) {
       parity_->Drop(id);
     }
   }
-  ROS_CO_RETURN_IF_ERROR(co_await PersistDilIndex());
   ROS_CO_RETURN_IF_ERROR(co_await EvictCacheOverflow());
   ROS_LOG(kInfo) << "burned disc array " << job.tray.ToString();
   co_return OkStatus();
-}
-
-sim::Task<Status> BurnManager::PersistDilIndex() {
-  json::Object dil;
-  for (const std::string& id : images_->BurnedImages()) {
-    auto record = images_->Lookup(id);
-    if (record.ok() && (*record)->disc.has_value()) {
-      json::Object entry;
-      entry["slot"] = json::Value((*record)->disc->ToIndex());
-      entry["parity"] = json::Value((*record)->parity);
-      dil[id] = json::Value(std::move(entry));
-    }
-  }
-  co_return co_await mv_->PutState("dilindex", json::Value(std::move(dil)));
 }
 
 sim::Task<Status> BurnManager::EvictCacheOverflow() {

@@ -27,7 +27,6 @@
 #include "src/olfs/disc_image_store.h"
 #include "src/olfs/fetch_scheduler.h"
 #include "src/olfs/mech_controller.h"
-#include "src/olfs/metadata_volume.h"
 #include "src/olfs/parity.h"
 #include "src/olfs/read_cache.h"
 #include "src/sim/simulator.h"
@@ -43,8 +42,7 @@ class BurnManager {
   BurnManager(sim::Simulator& sim, const OlfsParams& params,
               BucketManager* buckets, DiscImageStore* images,
               ParityBuilder* parity, MechController* mech,
-              FetchScheduler* scheduler, DaIndex* da, ReadCache* cache,
-              MetadataVolume* mv);
+              FetchScheduler* scheduler, DaIndex* da, ReadCache* cache);
 
   // Interval between successive burn starts within one array (the
   // controller paces burn initiation while staging images; Fig 9).
@@ -124,7 +122,6 @@ class BurnManager {
                                 std::string image_id,
                                 sim::Duration start_delay);
   sim::Task<Status> FinishJob(BurnJob& job);
-  sim::Task<Status> PersistDilIndex();
 
   sim::Simulator& sim_;
   OlfsParams params_;
@@ -135,7 +132,6 @@ class BurnManager {
   FetchScheduler* scheduler_;  // the bay arbiter
   DaIndex* da_;
   ReadCache* cache_;
-  MetadataVolume* mv_;
   const AffinityTracker* affinity_ = nullptr;
   AuditRegistry* audit_ = nullptr;
 

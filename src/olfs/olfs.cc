@@ -57,7 +57,7 @@ Olfs::Olfs(sim::Simulator& sim, RosSystem* system, OlfsParams params)
   scheduler_ = std::make_unique<FetchScheduler>(sim_, params_, mech_.get());
   burns_ = std::make_unique<BurnManager>(
       sim_, params_, buckets_.get(), images_.get(), parity_.get(), mech_.get(),
-      scheduler_.get(), da_.get(), cache_.get(), mv_.get());
+      scheduler_.get(), da_.get(), cache_.get());
   burns_->set_affinity_tracker(affinity_.get());
   fetcher_ = std::make_unique<FetchManager>(sim_, params_, images_.get(),
                                             mech_.get(), burns_.get(),
