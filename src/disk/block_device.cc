@@ -57,15 +57,12 @@ Status StorageDevice::CheckInjectedFault(bool is_read) {
   return OkStatus();
 }
 
-sim::Task<Status> StorageDevice::Serve(bool is_read,
-                                       std::span<const Range> ranges) {
-  std::uint64_t total = 0;
-  for (const Range& range : ranges) {
-    if (range.offset + range.length > capacity_) {
-      co_return OutOfRangeError(std::string(is_read ? "read" : "write") +
-                                " beyond device " + name_);
-    }
-    total += range.length;
+sim::Task<Status> StorageDevice::Serve(bool is_read, std::uint64_t offset,
+                                       std::uint64_t length,
+                                       std::vector<std::uint8_t>* bytes) {
+  if (offset + length > capacity_) {
+    co_return OutOfRangeError(std::string(is_read ? "read" : "write") +
+                              " beyond device " + name_);
   }
   sim::Mutex::ScopedLock lock = co_await queue_.Lock();
   if (failed_) {
@@ -75,69 +72,45 @@ sim::Task<Status> StorageDevice::Serve(bool is_read,
   std::uint64_t& last_end = is_read ? last_read_end_ : last_write_end_;
   const sim::TimePoint start = sim_.now();
   co_await sim_.Delay(
-      (ranges.front().offset == last_end ? 0 : perf_.request_latency) +
-      sim::TransferTime(total, is_read ? perf_.read_bytes_per_sec
-                                       : perf_.write_bytes_per_sec));
+      (offset == last_end ? 0 : perf_.request_latency) +
+      sim::TransferTime(length, is_read ? perf_.read_bytes_per_sec
+                                        : perf_.write_bytes_per_sec));
   if (failed_) {  // failure injected mid-flight
     co_return UnavailableError("device " + name_ + " failed");
   }
-  for (const Range& range : ranges) {
-    if (range.bytes == nullptr) {
-      continue;  // a discard moves no bytes
-    }
-    if (is_read) {
-      range.bytes->resize(range.length);
-      LoadDirect(range.offset, *range.bytes);
-    } else {
-      StoreDirect(range.offset, *range.bytes);
-    }
+  if (bytes != nullptr && is_read) {
+    bytes->resize(length);
+    LoadDirect(offset, *bytes);
+  } else if (bytes != nullptr) {
+    StoreDirect(offset, *bytes);
   }
-  last_end = ranges.back().offset + ranges.back().length;
-  (is_read ? bytes_read_ : bytes_written_) += total;
+  last_end = offset + length;
+  (is_read ? bytes_read_ : bytes_written_) += length;
   busy_time_ += sim_.now() - start;
   co_return OkStatus();
 }
 
 sim::Task<Status> StorageDevice::Write(std::uint64_t offset,
                                        std::vector<std::uint8_t> data) {
-  const Range range{offset, data.size(), &data};
-  co_return co_await Serve(/*is_read=*/false, {&range, 1});
+  co_return co_await Serve(/*is_read=*/false, offset, data.size(), &data);
 }
 
 sim::Task<StatusOr<std::vector<std::uint8_t>>> StorageDevice::Read(
     std::uint64_t offset, std::uint64_t length) {
   std::vector<std::uint8_t> out;
-  const Range range{offset, length, &out};
-  ROS_CO_RETURN_IF_ERROR(co_await Serve(/*is_read=*/true, {&range, 1}));
+  ROS_CO_RETURN_IF_ERROR(co_await Serve(/*is_read=*/true, offset, length,
+                                        &out));
   co_return out;
 }
 
 sim::Task<Status> StorageDevice::WriteDiscard(std::uint64_t offset,
                                               std::uint64_t length) {
-  const Range range{offset, length, nullptr};
-  co_return co_await Serve(/*is_read=*/false, {&range, 1});
+  co_return co_await Serve(/*is_read=*/false, offset, length, nullptr);
 }
 
 sim::Task<Status> StorageDevice::ReadDiscard(std::uint64_t offset,
                                              std::uint64_t length) {
-  const Range range{offset, length, nullptr};
-  co_return co_await Serve(/*is_read=*/true, {&range, 1});
-}
-
-sim::Task<Status> StorageDevice::WriteMulti(std::vector<Segment> segments) {
-  std::vector<Range> ranges;
-  for (Segment& segment : segments) {
-    ranges.push_back({segment.offset, segment.data.size(), &segment.data});
-  }
-  co_return co_await Serve(/*is_read=*/false, ranges);
-}
-
-sim::Task<Status> StorageDevice::ReadMulti(std::vector<Segment>* segments) {
-  std::vector<Range> ranges;
-  for (Segment& segment : *segments) {
-    ranges.push_back({segment.offset, segment.data.size(), &segment.data});
-  }
-  co_return co_await Serve(/*is_read=*/true, ranges);
+  co_return co_await Serve(/*is_read=*/true, offset, length, nullptr);
 }
 
 void StorageDevice::Replace() {

@@ -95,17 +95,6 @@ class StorageDevice : public BlockDevice {
   sim::Task<Status> ReadDiscard(std::uint64_t offset,
                                 std::uint64_t length) override;
 
-  // Vectored I/O: one request latency charge for the whole batch plus the
-  // total transfer time. RAID volumes use these so striped sequential
-  // streams do not pay a positioning cost per 64 KiB chunk.
-  struct Segment {
-    std::uint64_t offset;
-    std::vector<std::uint8_t> data;  // for reads: sized, filled on return
-  };
-  sim::Task<Status> WriteMulti(std::vector<Segment> segments);
-  // Fills each segment's pre-sized `data` in place.
-  sim::Task<Status> ReadMulti(std::vector<Segment>* segments);
-
   // Marks the device failed: all subsequent I/O returns kUnavailable.
   // RAID volumes use this for degraded-mode and rebuild testing.
   void Fail() { failed_ = true; }
@@ -127,26 +116,23 @@ class StorageDevice : public BlockDevice {
   std::uint64_t bytes_written() const override { return bytes_written_; }
   std::uint64_t bytes_read() const override { return bytes_read_; }
   sim::Duration busy_time() const { return busy_time_; }
+  // Bytes of backing storage allocated: whole chunks, on first store.
+  std::uint64_t resident_bytes() const { return chunks_.size() * kChunk; }
 
  private:
-  // Untimed StoreDirect/LoadDirect are for the RAID controller's
-  // write-back cache only.
+  // Untimed StoreDirect/LoadDirect are for the RAID controller, which
+  // moves a request's bytes after charging it.
   friend class RaidVolume;
 
   static constexpr std::uint64_t kChunk = 64 * kKiB;
 
-  // One device range of a request. `bytes` is stored by a write, or sized
-  // to `length` and filled by a read; a discard has none.
-  struct Range {
-    std::uint64_t offset;
-    std::uint64_t length;
-    std::vector<std::uint8_t>* bytes;
-  };
-
   // The one request path behind every I/O call: bounds, FIFO lock, fault
-  // checks, one latency plus the total transfer, a mid-flight failure
-  // check, the byte moves and the counters.
-  sim::Task<Status> Serve(bool is_read, std::span<const Range> ranges);
+  // checks, one latency plus the transfer, a mid-flight failure check,
+  // the byte move and the counters. `bytes` is stored by a write, or
+  // sized to `length` and filled by a read; a discard has none.
+  sim::Task<Status> Serve(bool is_read, std::uint64_t offset,
+                          std::uint64_t length,
+                          std::vector<std::uint8_t>* bytes);
 
   void StoreDirect(std::uint64_t offset, std::span<const std::uint8_t> data);
   void LoadDirect(std::uint64_t offset, std::span<std::uint8_t> out) const;

@@ -2,19 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 #include <optional>
 
 #include "src/common/erasure.h"
 #include "src/sim/join.h"
 
 namespace ros::disk {
-
-namespace {
-
-constexpr std::uint64_t kDiscard = ~0ull;
-
-}  // namespace
 
 RaidVolume::RaidVolume(sim::Simulator& sim, RaidLevel level,
                        std::vector<StorageDevice*> devices,
@@ -141,137 +134,42 @@ void RaidVolume::ForEachChunk(std::uint64_t offset, std::uint64_t length,
   }
 }
 
-template <typename Fn>
-void RaidVolume::PlaceStripes(std::uint64_t first, std::uint64_t last,
-                              const std::uint8_t* data, Fn&& place) const {
-  for (std::uint64_t stripe = first; stripe < last; ++stripe) {
-    const auto chunks = StripeShards(data + (stripe - first) * stripe_bytes_);
-    for (int k = 0; k < data_n_; ++k) {
-      const ChunkLoc loc = DataChunk(stripe, k);
-      place(loc.device, loc.dev_offset, chunks[k]);
-    }
-    if (parity_count() == 0) {
-      continue;
-    }
-    const ec::Encoded parity = ec::Encode(chunks, parity_count());
-    for (int r = 0; r < parity_count(); ++r) {
-      place(ParityDevice(stripe, r), stripe * stripe_unit_,
-            std::span<const std::uint8_t>(parity.rows[r]));
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Writes
 
 sim::Task<Status> RaidVolume::Write(std::uint64_t offset,
                                     std::vector<std::uint8_t> data) {
-  if (std::optional<Status> done = Admit(offset, data.size(), false)) {
-    co_return *done;
-  }
-
-  // Controller write-back cache path: small writes on a healthy volume
-  // acknowledge from controller DRAM and destage in the background.
-  if (write_cache_ && data.size() <= kCacheMaxWrite &&
-      failed_devices() == 0) {
-    co_return co_await WriteCached(offset, std::move(data));
-  }
-
-  if (level_ == RaidLevel::kRaid1) {
-    std::vector<sim::Task<Status>> writes;
-    for (StorageDevice* device : devices_) {
-      if (!device->failed()) {
-        writes.push_back(device->Write(offset, data));
-      }
-    }
-    bytes_written_ += data.size();
-    co_return co_await sim::AllOk(sim_, std::move(writes));
-  }
-
-  // Align the request to whole stripes, merging with existing data at the
-  // partially-covered head/tail stripes (read-modify-write).
-  const std::uint64_t first = offset / stripe_bytes_;
-  const std::uint64_t last = (offset + data.size() + stripe_bytes_ - 1) /
-                             stripe_bytes_;
-  std::vector<std::uint8_t> buffer((last - first) * stripe_bytes_, 0);
-  const bool head_partial = offset % stripe_bytes_ != 0;
-  const bool tail_partial = (offset + data.size()) % stripe_bytes_ != 0;
-  if (head_partial) {
-    ROS_CO_RETURN_IF_ERROR(co_await ReadStripeData(first, buffer.data()));
-  }
-  if (tail_partial && (last - 1 != first || !head_partial)) {
-    ROS_CO_RETURN_IF_ERROR(co_await ReadStripeData(
-        last - 1, buffer.data() + (last - 1 - first) * stripe_bytes_));
-  }
-  std::memcpy(buffer.data() + (offset - first * stripe_bytes_), data.data(),
-              data.size());
-  bytes_written_ += data.size();
-
-  // Parity at memory bandwidth, then one vectored write per device across
-  // all stripes in the request.
-  std::map<int, std::vector<StorageDevice::Segment>> segments;
-  PlaceStripes(first, last, buffer.data(),
-               [&](int device, std::uint64_t dev_offset,
-                   std::span<const std::uint8_t> bytes) {
-                 segments[device].push_back(
-                     {dev_offset, {bytes.begin(), bytes.end()}});
-               });
-  const std::uint64_t parity_bytes =
-      (last - first) * stripe_bytes_ * parity_count();
-  if (parity_bytes > 0) {
-    co_await sim_.Delay(
-        sim::TransferTime(parity_bytes, kParityComputeBytesPerSec));
-  }
-  std::vector<sim::Task<Status>> ops;
-  for (auto& [device, segs] : segments) {
-    if (!devices_[device]->failed()) {
-      ops.push_back(devices_[device]->WriteMulti(std::move(segs)));
-    }
-  }
-  co_return co_await sim::AllOk(sim_, std::move(ops));
+  co_return co_await WriteRange(offset, data.size(), data.data());
 }
 
 sim::Task<Status> RaidVolume::WriteDiscard(std::uint64_t offset,
                                            std::uint64_t length) {
+  co_return co_await WriteRange(offset, length, nullptr);
+}
+
+sim::Task<Status> RaidVolume::WriteRange(std::uint64_t offset,
+                                         std::uint64_t length,
+                                         const std::uint8_t* data) {
   if (std::optional<Status> done = Admit(offset, length, false)) {
     co_return *done;
   }
+  // Controller write-back cache path: small writes on a healthy volume
+  // acknowledge from controller DRAM and destage in the background.
+  if (write_cache_ && length <= kCacheMaxWrite && failed_devices() == 0) {
+    co_return co_await WriteCached(offset, length, data);
+  }
   bytes_written_ += length;
-  if (level_ == RaidLevel::kRaid1) {
-    co_return co_await DiscardOnLiveDevices(false, offset, length);
+  ROS_CO_RETURN_IF_ERROR(co_await ChargeEvenShare(false, offset, length));
+  if (data != nullptr) {
+    ROS_CO_RETURN_IF_ERROR(StoreStripes(offset, length, data));
   }
-  co_return co_await ChargeEvenShare(false, offset, length);
-}
-
-sim::Task<Status> RaidVolume::ReadDiscard(std::uint64_t offset,
-                                          std::uint64_t length) {
-  if (std::optional<Status> done = Admit(offset, length, true)) {
-    co_return *done;
-  }
-  bytes_read_ += length;
-  if (level_ == RaidLevel::kRaid1) {
-    for (int attempt = 0; attempt < num_devices(); ++attempt) {
-      StorageDevice* device = devices_[next_mirror_read_++ % devices_.size()];
-      if (!device->failed()) {
-        co_return co_await device->ReadDiscard(offset, length);
-      }
-    }
-    co_return UnavailableError("all mirrors failed");
-  }
-  // Same rule as Read: only striped levels answer from the controller
-  // cache.
-  if (write_cache_ && failed_devices() == 0 && RangeInCache(offset, length)) {
-    co_await sim_.Delay(sim::Micros(300) +
-                        sim::TransferTime(length, kCacheAckBytesPerSec));
-    co_return OkStatus();
-  }
-  co_return co_await ChargeEvenShare(true, offset, length);
+  co_return OkStatus();
 }
 
 sim::Task<Status> RaidVolume::ChargeEvenShare(bool is_read,
                                               std::uint64_t offset,
                                               std::uint64_t length) {
-  if (!is_read) {
+  if (!is_read && parity_count() > 0) {
     co_await sim_.Delay(sim::TransferTime(
         length * static_cast<std::uint64_t>(parity_count()),
         kParityComputeBytesPerSec));
@@ -295,6 +193,56 @@ sim::Task<Status> RaidVolume::DiscardOnLiveDevices(bool is_read,
   co_return co_await sim::AllOk(sim_, std::move(ops));
 }
 
+Status RaidVolume::StoreStripes(std::uint64_t offset, std::uint64_t length,
+                                const std::uint8_t* data) {
+  if (level_ == RaidLevel::kRaid1) {
+    for (StorageDevice* device : devices_) {
+      if (!device->failed()) {
+        device->StoreDirect(offset, {data, length});
+      }
+    }
+    return OkStatus();
+  }
+  const std::uint64_t end = offset + length;
+  std::vector<std::uint8_t> merged;
+  for (std::uint64_t stripe = offset / stripe_bytes_;
+       stripe * stripe_bytes_ < end; ++stripe) {
+    const std::uint64_t start = stripe * stripe_bytes_;
+    const std::uint64_t lo = std::max(offset, start);
+    const std::uint64_t hi = std::min(end, start + stripe_bytes_);
+    if (parity_count() > 0) {
+      // Parity covers the whole stripe: merge a partly written stripe
+      // over its current contents before encoding.
+      const std::uint8_t* stripe_data = data + (lo - offset);
+      if (hi - lo < stripe_bytes_) {
+        merged.resize(stripe_bytes_);
+        ROS_RETURN_IF_ERROR(LoadStripe(stripe, merged.data()));
+        std::memcpy(merged.data() + (lo - start), data + (lo - offset),
+                    hi - lo);
+        stripe_data = merged.data();
+      }
+      const ec::Encoded parity =
+          ec::Encode(StripeShards(stripe_data), parity_count());
+      for (int r = 0; r < parity_count(); ++r) {
+        StorageDevice* device = devices_[ParityDevice(stripe, r)];
+        if (!device->failed()) {
+          device->StoreDirect(stripe * stripe_unit_, parity.rows[r]);
+        }
+      }
+    }
+    // Only the data chunks the write covers change.
+    ForEachChunk(lo, hi - lo,
+                 [&](std::uint64_t pos, ChunkLoc loc, std::uint64_t n) {
+                   StorageDevice* device = devices_[loc.device];
+                   if (!device->failed()) {
+                     device->StoreDirect(loc.dev_offset,
+                                         {data + (pos - offset), n});
+                   }
+                 });
+  }
+  return OkStatus();
+}
+
 bool RaidVolume::RangeInCache(std::uint64_t offset,
                               std::uint64_t length) const {
   for (const auto& [start, len] : cache_ranges_) {
@@ -316,50 +264,35 @@ void RaidVolume::RememberRange(std::uint64_t offset, std::uint64_t length) {
 }
 
 sim::Task<Status> RaidVolume::WriteCached(std::uint64_t offset,
-                                          std::vector<std::uint8_t> data) {
+                                          std::uint64_t length,
+                                          const std::uint8_t* data) {
   // Honour the dirty limit: writers stall while destaging catches up,
   // which converges sustained throughput to the spindle rate.
-  while (dirty_ + data.size() > kCacheDirtyLimit) {
+  while (dirty_ + length > kCacheDirtyLimit) {
     co_await drained_->Wait();
   }
-  const std::uint64_t size = data.size();
-  bytes_written_ += size;
-  dirty_ += size;
+  // Parity and store happen in controller DRAM.
+  if (data != nullptr) {
+    ROS_CO_RETURN_IF_ERROR(StoreStripes(offset, length, data));
+  }
+  bytes_written_ += length;
+  dirty_ += length;
 
-  // The device range each member destages.
+  // The device range each member destages: the write's own byte range on
+  // RAID-1, whole stripe units on striped levels.
   std::uint64_t dev_offset = offset;
-  std::uint64_t dev_length = size;
-  if (level_ == RaidLevel::kRaid1) {
-    for (StorageDevice* device : devices_) {
-      device->StoreDirect(offset, data);
-    }
-  } else {
+  std::uint64_t dev_length = length;
+  if (level_ != RaidLevel::kRaid1) {
     const std::uint64_t first = offset / stripe_bytes_;
     const std::uint64_t last =
-        (offset + size + stripe_bytes_ - 1) / stripe_bytes_;
+        (offset + length + stripe_bytes_ - 1) / stripe_bytes_;
     dev_offset = first * stripe_unit_;
     dev_length = (last - first) * stripe_unit_;
-    // Read-merge partial head/tail stripes from the cache-coherent view,
-    // overlay, recompute parity, store — all in controller DRAM.
-    const std::uint64_t base = first * stripe_bytes_;
-    std::vector<std::uint8_t> buffer((last - first) * stripe_bytes_, 0);
-    ForEachChunk(base, buffer.size(),
-                 [&](std::uint64_t pos, ChunkLoc loc, std::uint64_t n) {
-                   devices_[loc.device]->LoadDirect(
-                       loc.dev_offset, {buffer.data() + (pos - base), n});
-                 });
-    std::memcpy(buffer.data() + (offset - base), data.data(), size);
-    PlaceStripes(first, last, buffer.data(),
-                 [&](int device, std::uint64_t at,
-                     std::span<const std::uint8_t> bytes) {
-                   devices_[device]->StoreDirect(at, bytes);
-                 });
   }
-
-  RememberRange(offset, size);
-  sim_.Spawn(Destage(dev_offset, dev_length, size));
+  RememberRange(offset, length);
+  sim_.Spawn(Destage(dev_offset, dev_length, length));
   co_await sim_.Delay(sim::Micros(300) +
-                      sim::TransferTime(size, kCacheAckBytesPerSec));
+                      sim::TransferTime(length, kCacheAckBytesPerSec));
   co_return OkStatus();
 }
 
@@ -381,13 +314,25 @@ sim::Task<void> RaidVolume::Destage(std::uint64_t dev_offset,
 
 sim::Task<StatusOr<std::vector<std::uint8_t>>> RaidVolume::Read(
     std::uint64_t offset, std::uint64_t length) {
+  std::vector<std::uint8_t> out;
+  ROS_CO_RETURN_IF_ERROR(co_await ReadRange(offset, length, &out));
+  co_return out;
+}
+
+sim::Task<Status> RaidVolume::ReadDiscard(std::uint64_t offset,
+                                          std::uint64_t length) {
+  co_return co_await ReadRange(offset, length, nullptr);
+}
+
+sim::Task<Status> RaidVolume::ReadRange(std::uint64_t offset,
+                                        std::uint64_t length,
+                                        std::vector<std::uint8_t>* out) {
   if (std::optional<Status> done = Admit(offset, length, true)) {
-    if (!done->ok()) {
-      co_return *done;
-    }
-    co_return std::vector<std::uint8_t>();
+    co_return *done;
   }
-  std::vector<std::uint8_t> out(length);
+  if (out != nullptr) {
+    out->resize(length);
+  }
 
   if (level_ == RaidLevel::kRaid1) {
     // Round-robin across live mirrors.
@@ -400,142 +345,115 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> RaidVolume::Read(
       if (device->failed()) {
         continue;
       }
-      auto result = co_await device->Read(offset, length);
-      if (result.ok()) {
+      if ((co_await device->ReadDiscard(offset, length)).ok()) {
+        if (out != nullptr) {
+          device->LoadDirect(offset, *out);
+        }
         bytes_read_ += length;
-        co_return std::move(result).value();
+        co_return OkStatus();
       }
     }
     co_return UnavailableError("all mirrors failed");
   }
 
-  if (write_cache_ && failed_devices() == 0 && RangeInCache(offset, length)) {
-    // Controller cache hit: no spindle involvement.
-    co_await sim_.Delay(sim::Micros(300) +
-                        sim::TransferTime(length, kCacheAckBytesPerSec));
-    ForEachChunk(offset, length,
-                 [&](std::uint64_t pos, ChunkLoc loc, std::uint64_t n) {
-                   devices_[loc.device]->LoadDirect(
-                       loc.dev_offset, {out.data() + (pos - offset), n});
-                 });
-  } else if (failed_devices() == 0) {
-    ROS_CO_RETURN_IF_ERROR(co_await ReadHealthy(offset, length, &out));
+  if (failed_devices() == 0) {
+    if (write_cache_ && RangeInCache(offset, length)) {
+      // Controller cache hit: no spindle involvement.
+      co_await sim_.Delay(sim::Micros(300) +
+                          sim::TransferTime(length, kCacheAckBytesPerSec));
+    } else {
+      ROS_CO_RETURN_IF_ERROR(co_await ChargeEvenShare(true, offset, length));
+    }
+    if (out != nullptr) {
+      ForEachChunk(offset, length,
+                   [&](std::uint64_t pos, ChunkLoc loc, std::uint64_t n) {
+                     devices_[loc.device]->LoadDirect(
+                         loc.dev_offset, {out->data() + (pos - offset), n});
+                   });
+    }
   } else {
     // Degraded path: stripe-granular reconstruct.
-    const std::uint64_t first = offset / stripe_bytes_;
-    const std::uint64_t last =
-        (offset + length + stripe_bytes_ - 1) / stripe_bytes_;
-    for (std::uint64_t stripe = first; stripe < last; ++stripe) {
-      std::vector<std::uint8_t> stripe_data(stripe_bytes_);
+    std::vector<std::uint8_t> stripe_data(stripe_bytes_);
+    const std::uint64_t end = offset + length;
+    for (std::uint64_t stripe = offset / stripe_bytes_;
+         stripe * stripe_bytes_ < end; ++stripe) {
       ROS_CO_RETURN_IF_ERROR(
           co_await ReadStripeData(stripe, stripe_data.data()));
-      const std::uint64_t stripe_start = stripe * stripe_bytes_;
-      const std::uint64_t copy_from = std::max(offset, stripe_start);
-      const std::uint64_t copy_to =
-          std::min(offset + length, stripe_start + stripe_bytes_);
-      std::memcpy(out.data() + (copy_from - offset),
-                  stripe_data.data() + (copy_from - stripe_start),
-                  copy_to - copy_from);
+      const std::uint64_t start = stripe * stripe_bytes_;
+      const std::uint64_t lo = std::max(offset, start);
+      const std::uint64_t hi = std::min(end, start + stripe_bytes_);
+      if (out != nullptr) {
+        std::memcpy(out->data() + (lo - offset),
+                    stripe_data.data() + (lo - start), hi - lo);
+      }
     }
   }
   bytes_read_ += length;
-  co_return out;
+  co_return OkStatus();
 }
 
-sim::Task<Status> RaidVolume::ReadHealthy(std::uint64_t offset,
-                                          std::uint64_t length,
-                                          std::vector<std::uint8_t>* out) {
-  // Map every touched chunk to its device; one vectored read per device.
-  std::map<int, std::vector<StorageDevice::Segment>> segments;
-  std::map<int, std::vector<std::uint64_t>> out_offsets;
-
-  ForEachChunk(offset, length, [&](std::uint64_t pos, ChunkLoc loc,
-                                   std::uint64_t n) {
-    segments[loc.device].push_back(
-        {loc.dev_offset, std::vector<std::uint8_t>(n)});
-    out_offsets[loc.device].push_back(pos - offset);
-
-    // Sequential streams pass over the rotated parity chunks on every
-    // device; charge that rotational transfer on fully-covered stripes so
-    // a 7-HDD RAID-5 reads at 6x — not 7x — one device's rate (§3.3).
-    if (pos % stripe_bytes_ == 0 && pos + stripe_bytes_ <= offset + length) {
-      const std::uint64_t stripe = pos / stripe_bytes_;
-      for (int r = 0; r < parity_count(); ++r) {
-        const int device = ParityDevice(stripe, r);
-        segments[device].push_back(
-            {stripe * stripe_unit_, std::vector<std::uint8_t>(stripe_unit_)});
-        out_offsets[device].push_back(kDiscard);
-      }
-    }
-  });
-
-  std::vector<sim::Task<Status>> ops;
-  for (auto& [device, segs] : segments) {
-    ops.push_back(devices_[device]->ReadMulti(&segs));
-  }
-  ROS_CO_RETURN_IF_ERROR(co_await sim::AllOk(sim_, std::move(ops)));
-
-  for (auto& [device, segs] : segments) {
-    const auto& offsets = out_offsets[device];
-    for (std::size_t i = 0; i < segs.size(); ++i) {
-      if (offsets[i] == kDiscard) {
-        continue;  // parity pass-over, timing only
-      }
-      std::memcpy(out->data() + offsets[i], segs[i].data.data(),
-                  segs[i].data.size());
+std::vector<int> RaidVolume::ErasedShards(std::uint64_t stripe,
+                                          int exclude) const {
+  std::vector<int> erased;
+  for (int s = 0; s < data_n_ + parity_count(); ++s) {
+    const int device = ShardDevice(stripe, s);
+    if (devices_[device]->failed() || device == exclude) {
+      erased.push_back(s);
     }
   }
-  co_return OkStatus();
+  return erased;
 }
 
 sim::Task<Status> RaidVolume::ReadStripeData(std::uint64_t stripe,
                                              std::uint8_t* out,
                                              int exclude) {
-  // Shards 0..data_n_-1 are the data chunks, then the parity rows.
-  const int num_shards = data_n_ + parity_count();
-  std::vector<std::vector<std::uint8_t>> shards(num_shards);
-  std::vector<int> erased;
-  std::vector<int> readable;
-  int erased_data = 0;
-  for (int s = 0; s < num_shards; ++s) {
-    const int device = ShardDevice(stripe, s);
-    if (devices_[device]->failed() || device == exclude) {
-      erased.push_back(s);
-      erased_data += s < data_n_ ? 1 : 0;
-    } else {
-      readable.push_back(s);
-    }
-  }
-  const int readable_parity =
-      parity_count() - (static_cast<int>(erased.size()) - erased_data);
-  if (erased_data > readable_parity) {
+  const std::vector<int> erased = ErasedShards(stripe, exclude);
+  if (static_cast<int>(erased.size()) > parity_count()) {
     co_return DataLossError("stripe unrecoverable: too many failures");
   }
-
   // Read all surviving chunks of the stripe in parallel.
-  std::vector<std::vector<StorageDevice::Segment>> reads(num_shards);
   std::vector<sim::Task<Status>> ops;
-  for (const int s : readable) {
-    reads[s].push_back(
-        {stripe * stripe_unit_, std::vector<std::uint8_t>(stripe_unit_)});
-    ops.push_back(devices_[ShardDevice(stripe, s)]->ReadMulti(&reads[s]));
+  for (int s = 0; s < data_n_ + parity_count(); ++s) {
+    if (std::find(erased.begin(), erased.end(), s) == erased.end()) {
+      ops.push_back(devices_[ShardDevice(stripe, s)]->ReadDiscard(
+          stripe * stripe_unit_, stripe_unit_));
+    }
   }
   ROS_CO_RETURN_IF_ERROR(co_await sim::AllOk(sim_, std::move(ops)));
-  for (const int s : readable) {
-    shards[s] = std::move(reads[s][0].data);
-  }
-
+  const auto erased_data = static_cast<std::uint64_t>(std::count_if(
+      erased.begin(), erased.end(), [&](int s) { return s < data_n_; }));
   if (erased_data > 0) {
     // Reconstruction. Charge GF/XOR math at memory bandwidth.
-    co_await sim_.Delay(sim::TransferTime(
-        stripe_bytes_ * static_cast<std::uint64_t>(erased_data),
-        kParityComputeBytesPerSec));
-    ROS_CO_RETURN_IF_ERROR(ec::Decode(data_n_, shards, erased));
+    co_await sim_.Delay(sim::TransferTime(stripe_bytes_ * erased_data,
+                                          kParityComputeBytesPerSec));
   }
+  co_return LoadStripe(stripe, out, exclude);
+}
+
+Status RaidVolume::LoadStripe(std::uint64_t stripe, std::uint8_t* out,
+                              int exclude) const {
+  const std::vector<int> erased = ErasedShards(stripe, exclude);
+  if (erased.empty() || erased.front() >= data_n_) {
+    for (int k = 0; k < data_n_; ++k) {
+      const ChunkLoc loc = DataChunk(stripe, k);
+      devices_[loc.device]->LoadDirect(
+          loc.dev_offset, {out + k * stripe_unit_, stripe_unit_});
+    }
+    return OkStatus();
+  }
+  std::vector<std::vector<std::uint8_t>> shards(data_n_ + parity_count());
+  for (int s = 0; s < static_cast<int>(shards.size()); ++s) {
+    if (std::find(erased.begin(), erased.end(), s) == erased.end()) {
+      shards[s].resize(stripe_unit_);
+      devices_[ShardDevice(stripe, s)]->LoadDirect(stripe * stripe_unit_,
+                                                   shards[s]);
+    }
+  }
+  ROS_RETURN_IF_ERROR(ec::Decode(data_n_, shards, erased));
   for (int k = 0; k < data_n_; ++k) {
     std::memcpy(out + k * stripe_unit_, shards[k].data(), stripe_unit_);
   }
-  co_return OkStatus();
+  return OkStatus();
 }
 
 // ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@
 //
 // Layout is left-symmetric: for stripe s over n devices, the P chunk lives
 // on device (n-1) - (s mod n) (Q, when present, on the next device), and
-// data chunks follow round-robin. Large requests are batched into one
-// vectored I/O per device, so sequential throughput scales with the number
-// of data devices (7-HDD RAID-5 reads at ~1.2 GB/s, matching the paper's
-// baseline volume).
+// data chunks follow round-robin. A request is charged the same whether or
+// not it carries bytes: a small healthy write acks from the controller
+// cache, any other healthy request takes an even share of every member,
+// so sequential throughput scales with the number of data devices (7-HDD
+// RAID-5 reads at ~1.2 GB/s, matching the paper's baseline volume), and a
+// degraded read pays stripe by stripe.
 #ifndef ROS_SRC_DISK_RAID_H_
 #define ROS_SRC_DISK_RAID_H_
 
@@ -44,9 +46,11 @@ class RaidVolume : public BlockDevice {
   // kCacheMaxWrite acknowledge at controller speed and destage to the
   // spindles in the background, up to kCacheDirtyLimit of dirty data.
   // This is why the paper's 1 KiB direct-I/O operations complete in
-  // ~2.5 ms on a 7-HDD RAID-5 (§5.3).
+  // ~2.5 ms on a 7-HDD RAID-5 (§5.3). The limit is small enough that the
+  // buffer's large sequential writes stream at the spindle rate (Fig 6's
+  // ext4 baseline) instead of acking at controller speed.
   static constexpr double kCacheAckBytesPerSec = 2.5e9;
-  static constexpr std::uint64_t kCacheMaxWrite = 8 * kMiB;
+  static constexpr std::uint64_t kCacheMaxWrite = 256 * kKiB;
   static constexpr std::uint64_t kCacheDirtyLimit = 256 * kMiB;
 
   RaidVolume(sim::Simulator& sim, RaidLevel level,
@@ -65,8 +69,8 @@ class RaidVolume : public BlockDevice {
   sim::Task<Status> ReadDiscard(std::uint64_t offset,
                                 std::uint64_t length) override;
 
-  // Disables the controller write-back cache (every write takes the
-  // synchronous spindle path). Used by write-through ablations.
+  // Disables the controller write-back cache (every write is charged to
+  // the spindles before it acks). Used by write-through ablations.
   void set_write_cache(bool enabled) { write_cache_ = enabled; }
   std::uint64_t dirty_bytes() const { return dirty_; }
 
@@ -118,31 +122,42 @@ class RaidVolume : public BlockDevice {
   void ForEachChunk(std::uint64_t offset, std::uint64_t length,
                     Fn&& fn) const;
 
-  // Encodes full stripes [first, last) of `data` and calls
-  // place(device, dev_offset, bytes) for each data chunk and parity row.
-  template <typename Fn>
-  void PlaceStripes(std::uint64_t first, std::uint64_t last,
-                    const std::uint8_t* data, Fn&& place) const;
+  // The one write and the one read of the volume; `data` / `out` is null
+  // for a discard. Both kinds take the same charge, and bytes move
+  // untimed only after it succeeds.
+  sim::Task<Status> WriteRange(std::uint64_t offset, std::uint64_t length,
+                               const std::uint8_t* data);
+  sim::Task<Status> ReadRange(std::uint64_t offset, std::uint64_t length,
+                              std::vector<std::uint8_t>* out);
 
-  // Reads a whole stripe's data chunks (reconstructing around failures)
-  // into `out` (stripe_unit * data_n_ bytes). `exclude` treats one extra
-  // device as unavailable (used while rebuilding onto it).
-  sim::Task<Status> ReadStripeData(std::uint64_t stripe, std::uint8_t* out,
-                                   int exclude = -1);
-
-  // The discard cost model of striped volumes: parity compute for a
-  // write, then an even per-device share (data plus rotated-parity
-  // pass-over) that tiles exactly across consecutive calls, so sequential
-  // streams stay sequential. Write charges the real stripes instead.
+  // The cost model of a request that misses the controller cache: parity
+  // compute for a write, then an even per-device share (data plus
+  // rotated-parity pass-over) that tiles exactly across consecutive
+  // calls, so sequential streams stay sequential.
   sim::Task<Status> ChargeEvenShare(bool is_read, std::uint64_t offset,
                                     std::uint64_t length);
   // A discard of [offset, offset+length) on every live member.
   sim::Task<Status> DiscardOnLiveDevices(bool is_read, std::uint64_t offset,
                                          std::uint64_t length);
 
-  // Fast path used when no device is failed.
-  sim::Task<Status> ReadHealthy(std::uint64_t offset, std::uint64_t length,
-                                std::vector<std::uint8_t>* out);
+  // Untimed: stores a write's bytes on the live members. Each touched
+  // stripe's parity is re-encoded over its merged contents; only the
+  // data chunks the write covers are stored.
+  Status StoreStripes(std::uint64_t offset, std::uint64_t length,
+                      const std::uint8_t* data);
+
+  // Shards of a stripe (data chunks 0..data_n_-1, then the parity rows)
+  // on a failed member or on `exclude`.
+  std::vector<int> ErasedShards(std::uint64_t stripe, int exclude) const;
+  // Reads a whole stripe's data chunks (reconstructing around failures)
+  // into `out` (stripe_unit * data_n_ bytes), charging one chunk read per
+  // surviving member. `exclude` treats one extra device as unavailable
+  // (used while rebuilding onto it).
+  sim::Task<Status> ReadStripeData(std::uint64_t stripe, std::uint8_t* out,
+                                   int exclude = -1);
+  // The untimed load and decode behind ReadStripeData.
+  Status LoadStripe(std::uint64_t stripe, std::uint8_t* out,
+                    int exclude = -1) const;
 
   // Controller cache contents: recently written ranges served to readers
   // at controller speed (bounded FIFO approximation of the cache).
@@ -151,8 +166,8 @@ class RaidVolume : public BlockDevice {
 
   // Write-back cache: instant parity+store into controller DRAM, then a
   // background destage charging spindle time.
-  sim::Task<Status> WriteCached(std::uint64_t offset,
-                                std::vector<std::uint8_t> data);
+  sim::Task<Status> WriteCached(std::uint64_t offset, std::uint64_t length,
+                                const std::uint8_t* data);
   // Charges one device range's spindle write on every live member, then
   // releases `acked_bytes` of the dirty budget.
   sim::Task<void> Destage(std::uint64_t dev_offset, std::uint64_t dev_length,

@@ -108,26 +108,6 @@ TEST_F(BlockDeviceTest, ReplaceClearsContents) {
   EXPECT_EQ(*read, std::vector<std::uint8_t>(3, 0));
 }
 
-TEST_F(BlockDeviceTest, VectoredIoChargesOneLatency) {
-  StorageDevice device(sim_, "hdd0", 10 * kGiB, HddPerf());
-  std::vector<StorageDevice::Segment> segs;
-  for (int i = 0; i < 10; ++i) {
-    segs.push_back({static_cast<std::uint64_t>(i) * 10 * kMB,
-                    std::vector<std::uint8_t>(10 * kMB, 1)});
-  }
-  sim::TimePoint t0 = sim_.now();
-  ASSERT_TRUE(sim_.RunUntilComplete(device.WriteMulti(std::move(segs))).ok());
-  // 100 MB at 200 MB/s + one 8 ms latency = 0.508 s.
-  EXPECT_NEAR(ToSeconds(sim_.now() - t0), 0.508, 1e-6);
-
-  std::vector<StorageDevice::Segment> reads;
-  reads.push_back({0, std::vector<std::uint8_t>(4)});
-  reads.push_back({10 * kMB, std::vector<std::uint8_t>(4)});
-  ASSERT_TRUE(sim_.RunUntilComplete(device.ReadMulti(&reads)).ok());
-  EXPECT_EQ(reads[0].data, std::vector<std::uint8_t>(4, 1));
-  EXPECT_EQ(reads[1].data, std::vector<std::uint8_t>(4, 1));
-}
-
 TEST_F(BlockDeviceTest, TrafficCountersAccumulate) {
   StorageDevice device(sim_, "ssd0", kGiB, SsdPerf());
   ASSERT_TRUE(sim_.RunUntilComplete(
@@ -138,9 +118,9 @@ TEST_F(BlockDeviceTest, TrafficCountersAccumulate) {
   EXPECT_EQ(device.bytes_read(), 400u);
 }
 
-// Write, WriteDiscard and a one-segment WriteMulti are one request kind:
-// over the same ranges they leave the same clock, counters and busy time.
-// The same holds for the three reads.
+// Write and WriteDiscard are one request kind: over the same ranges they
+// leave the same clock, counters and busy time. The same holds for Read
+// and ReadDiscard.
 TEST_F(BlockDeviceTest, EveryRequestKindChargesTheSame) {
   struct Range {
     std::uint64_t offset;
@@ -149,28 +129,20 @@ TEST_F(BlockDeviceTest, EveryRequestKindChargesTheSame) {
   // A seek, a streaming continuation, then a seek back.
   const std::vector<Range> ranges = {
       {3 * kMiB, 100 * kKiB}, {3 * kMiB + 100 * kKiB, 7000}, {0, 1}};
-  enum class Kind { kPlain, kDiscard, kMulti };
   struct Outcome {
     sim::TimePoint now;
     std::uint64_t bytes;
     sim::Duration busy;
   };
-  auto run = [&](bool is_read, Kind kind) {
+  auto run = [&](bool is_read, bool discard) {
     sim::Simulator sim;
     StorageDevice device(sim, "hdd0", kGiB, HddPerf());
     for (const Range& range : ranges) {
       Status status;
-      if (kind == Kind::kDiscard) {
+      if (discard) {
         status = sim.RunUntilComplete(
             is_read ? device.ReadDiscard(range.offset, range.length)
                     : device.WriteDiscard(range.offset, range.length));
-      } else if (kind == Kind::kMulti) {
-        std::vector<StorageDevice::Segment> segments;
-        segments.push_back(
-            {range.offset, std::vector<std::uint8_t>(range.length, 7)});
-        status = sim.RunUntilComplete(
-            is_read ? device.ReadMulti(&segments)
-                    : device.WriteMulti(std::move(segments)));
       } else if (is_read) {
         status = sim.RunUntilComplete(device.Read(range.offset, range.length))
                      .status();
@@ -185,14 +157,12 @@ TEST_F(BlockDeviceTest, EveryRequestKindChargesTheSame) {
                    device.busy_time()};
   };
   for (const bool is_read : {false, true}) {
-    const Outcome plain = run(is_read, Kind::kPlain);
+    const Outcome plain = run(is_read, /*discard=*/false);
     EXPECT_EQ(plain.bytes, 100 * kKiB + 7001);
-    for (const Kind kind : {Kind::kDiscard, Kind::kMulti}) {
-      const Outcome other = run(is_read, kind);
-      EXPECT_EQ(other.now, plain.now) << is_read;
-      EXPECT_EQ(other.bytes, plain.bytes) << is_read;
-      EXPECT_EQ(other.busy, plain.busy) << is_read;
-    }
+    const Outcome discard = run(is_read, /*discard=*/true);
+    EXPECT_EQ(discard.now, plain.now) << is_read;
+    EXPECT_EQ(discard.bytes, plain.bytes) << is_read;
+    EXPECT_EQ(discard.busy, plain.busy) << is_read;
   }
 }
 
@@ -200,8 +170,6 @@ TEST_F(BlockDeviceTest, EveryRequestKindChargesTheSame) {
 // whatever its kind, and counts none of its bytes.
 TEST_F(BlockDeviceTest, EveryRequestKindFailsWhenTheDeviceDiesMidFlight) {
   StorageDevice device(sim_, "hdd0", kGiB, HddPerf());
-  std::vector<StorageDevice::Segment> reads;
-  reads.push_back({0, std::vector<std::uint8_t>(4 * kKiB)});
   std::vector<std::pair<const char*, std::function<Status()>>> kinds = {
       {"Write",
        [&] {
@@ -214,14 +182,6 @@ TEST_F(BlockDeviceTest, EveryRequestKindFailsWhenTheDeviceDiesMidFlight) {
        [&] { return sim_.RunUntilComplete(device.WriteDiscard(0, 4 * kKiB)); }},
       {"ReadDiscard",
        [&] { return sim_.RunUntilComplete(device.ReadDiscard(0, 4 * kKiB)); }},
-      {"WriteMulti",
-       [&] {
-         std::vector<StorageDevice::Segment> writes;
-         writes.push_back({0, std::vector<std::uint8_t>(4 * kKiB)});
-         return sim_.RunUntilComplete(device.WriteMulti(std::move(writes)));
-       }},
-      {"ReadMulti",
-       [&] { return sim_.RunUntilComplete(device.ReadMulti(&reads)); }},
   };
   for (auto& [name, request] : kinds) {
     // The fail lands 1 ms into the request's 8 ms positioning time.

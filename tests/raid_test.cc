@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -85,6 +86,87 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{RaidLevel::kRaid5, 7},
                       std::tuple{RaidLevel::kRaid6, 4},
                       std::tuple{RaidLevel::kRaid6, 12}));
+
+// One cost model: a request is charged the same whether or not it carries
+// bytes. Write and WriteDiscard, then Read and ReadDiscard, over the same
+// ranges leave the same clock after every request and the same busy time
+// on every member; the ranges are stripe-aligned and unaligned, small
+// enough for the controller cache and larger than it.
+class RaidChargeModel
+    : public ::testing::TestWithParam<
+          std::tuple<std::tuple<RaidLevel, int>, bool, bool>> {};
+
+TEST_P(RaidChargeModel, BytesDoNotChangeTheCharge) {
+  const auto [shape, cache, degraded] = GetParam();
+  const auto [level, n] = shape;
+  struct Range {
+    std::uint64_t offset;
+    std::uint64_t length;
+  };
+  const std::vector<Range> ranges = {
+      {0, 2 * kMiB},                  // stripe-aligned, uncached
+      {10 * kMiB + 1000, 70000},      // unaligned, cacheable
+      {20 * kMiB + 100, 512},         // one partial chunk
+      {30 * kMiB + 4097, kMiB + 123},  // unaligned, uncached
+      {10 * kMiB + 1000, 70000},      // a cache hit for the read
+  };
+  struct Outcome {
+    std::vector<sim::TimePoint> clocks;
+    std::vector<sim::Duration> busy;
+  };
+  auto run = [&](bool bytes) {
+    Rig rig(level, n);
+    rig.volume->set_write_cache(cache);
+    if (degraded) {
+      rig.devices[1]->Fail();
+    }
+    Outcome outcome;
+    for (const bool is_read : {false, true}) {
+      for (const Range& r : ranges) {
+        Status status;
+        if (is_read) {
+          status = bytes ? rig.sim.RunUntilComplete(
+                               rig.volume->Read(r.offset, r.length))
+                               .status()
+                         : rig.sim.RunUntilComplete(
+                               rig.volume->ReadDiscard(r.offset, r.length));
+        } else {
+          status = bytes ? rig.sim.RunUntilComplete(rig.volume->Write(
+                               r.offset, rig.MakeData(r.length, r.offset)))
+                         : rig.sim.RunUntilComplete(
+                               rig.volume->WriteDiscard(r.offset, r.length));
+        }
+        EXPECT_TRUE(status.ok()) << status.ToString();
+        outcome.clocks.push_back(rig.sim.now());
+      }
+      rig.sim.Run();  // destages land
+      outcome.clocks.push_back(rig.sim.now());
+    }
+    for (const auto& device : rig.devices) {
+      outcome.busy.push_back(device->busy_time());
+    }
+    return outcome;
+  };
+  const Outcome with_bytes = run(true);
+  const Outcome discard = run(false);
+  EXPECT_EQ(with_bytes.clocks, discard.clocks);
+  EXPECT_EQ(with_bytes.busy, discard.busy);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LevelsCacheHealth, RaidChargeModel,
+    ::testing::Combine(::testing::Values(std::tuple{RaidLevel::kRaid1, 2},
+                                         std::tuple{RaidLevel::kRaid5, 7},
+                                         std::tuple{RaidLevel::kRaid6, 8}),
+                       ::testing::Bool(), ::testing::Bool()),
+    [](const auto& info) {
+      const RaidLevel level = std::get<0>(std::get<0>(info.param));
+      return std::string(level == RaidLevel::kRaid1   ? "Raid1"
+                         : level == RaidLevel::kRaid5 ? "Raid5"
+                                                      : "Raid6") +
+             (std::get<1>(info.param) ? "Cached" : "Uncached") +
+             (std::get<2>(info.param) ? "Degraded" : "Healthy");
+    });
 
 TEST(Raid5, DegradedReadReconstructs) {
   Rig rig(RaidLevel::kRaid5, 7);
