@@ -12,6 +12,7 @@
 #include "src/olfs/audit.h"
 #include "src/olfs/cluster.h"
 #include "src/olfs/index_file.h"
+#include "src/olfs/maintenance.h"
 #include "src/olfs/mv_log.h"
 #include "src/olfs/mv_segment.h"
 #include "src/olfs/placement.h"
@@ -344,6 +345,48 @@ void FuzzTrayManifest(const std::uint8_t* data, std::size_t size) {
       reloaded_indices.insert(tray.ToIndex());
     }
     Require(reloaded_indices == indices, "tray manifest does not round-trip");
+  }
+}
+
+void FuzzControllerCheckpoint(const std::uint8_t* data, std::size_t size) {
+  const std::string_view text(reinterpret_cast<const char*>(data), size);
+  StatusOr<json::Value> doc = json::Parse(text);
+  if (!doc.ok()) {
+    return;
+  }
+  // A rack's two RAID-5 buffer volumes (§3.3).
+  constexpr int kVolumes = 2;
+  for (int rollers : {1, 2}) {
+    auto decoded = olfs::DecodeCheckpoint(*doc, rollers, kVolumes);
+    if (!decoded.ok()) {
+      Require(decoded.status().code() == StatusCode::kDataLoss,
+              "DecodeCheckpoint failed with a non-data-loss status");
+      continue;
+    }
+    Require(decoded->da_used.size() == (*doc)["da_used"].as_array().size() &&
+                decoded->da_failed.size() ==
+                    (*doc)["da_failed"].as_array().size() &&
+                decoded->images.size() == (*doc)["images"].as_array().size(),
+            "decoded checkpoint lost or gained trays or images");
+    for (const auto* trays : {&decoded->da_used, &decoded->da_failed}) {
+      for (const mech::TrayAddress& tray : *trays) {
+        Require(tray.IsValid(rollers), "decoded tray is outside the rack");
+      }
+    }
+    Require(decoded->bucket_counter >= 0, "decoded a negative counter");
+    for (const olfs::ImageRecord& record : decoded->images) {
+      Require(record.volume_index >= 0 && record.volume_index < kVolumes,
+              "decoded image names a missing buffer volume");
+      Require(!record.disc.has_value() || record.disc->IsValid(rollers),
+              "decoded image disc is outside the rack");
+      Require(record.tier != olfs::ImageTier::kOpenBucket,
+              "decoded an open bucket");
+    }
+    const json::Value saved = olfs::EncodeCheckpoint(*decoded);
+    auto reloaded = olfs::DecodeCheckpoint(saved, rollers, kVolumes);
+    Require(reloaded.ok(), "encoded checkpoint does not decode");
+    Require(olfs::EncodeCheckpoint(*reloaded) == saved,
+            "controller checkpoint does not round-trip");
   }
 }
 

@@ -59,6 +59,13 @@ void FuzzRouteShard(const std::uint8_t* data, std::size_t size);
 // EncodeTrayManifest.
 void FuzzTrayManifest(const std::uint8_t* data, std::size_t size);
 
+// olfs::DecodeCheckpoint, the controller checkpoint
+// Maintenance::RestoreFromCheckpoint applies: any JSON document, decoded
+// for a rack of 1 and of 2 rollers with two buffer volumes, fails with
+// kDataLoss, or decodes every tray, image and member of its arrays, each
+// inside the rack, and round-trips through EncodeCheckpoint.
+void FuzzControllerCheckpoint(const std::uint8_t* data, std::size_t size);
+
 }  // namespace ros::fuzz
 
 #endif  // ROS_FUZZ_HARNESS_H_

@@ -10,12 +10,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/olfs/audit.h"
 #include "src/olfs/cluster.h"
 #include "src/olfs/index_file.h"
+#include "src/olfs/maintenance.h"
 #include "src/olfs/mv_log.h"
 #include "src/olfs/mv_segment.h"
 #include "src/olfs/placement.h"
@@ -51,6 +53,7 @@ int main(int argc, char** argv) {
   fs::create_directories(root / "audit");
   fs::create_directories(root / "routes");
   fs::create_directories(root / "trays");
+  fs::create_directories(root / "checkpoint");
 
   // --- json seeds ---
   WriteText(root / "json" / "seed_scalars.json",
@@ -291,6 +294,60 @@ int main(int argc, char** argv) {
             ros::olfs::EncodeTrayManifest({0, 1, 7, 509}).Dump());
   WriteText(root / "trays" / "seed_two_rollers.json",
             ros::olfs::EncodeTrayManifest({3, 42, 510, 1019}).Dump());
+
+  // --- controller-checkpoint seeds ---
+  // The state Maintenance::Checkpoint writes for a small rack with one
+  // burned array and one open bucket, and an encoded state that sets every
+  // field, with trays and discs on a second roller.
+  {
+    ros::sim::Simulator sim;
+    auto system = std::make_unique<ros::olfs::RosSystem>(
+        sim, ros::olfs::TestSystemConfig());
+    ros::olfs::OlfsParams params;
+    params.disc_capacity_override = 16 * ros::kMiB;
+    auto olfs = std::make_unique<ros::olfs::Olfs>(sim, system.get(), params);
+    olfs->burns().burn_start_interval = ros::sim::Seconds(1);
+    ros::olfs::Maintenance mi(olfs.get());
+    const std::vector<std::uint8_t> burned(30 * ros::kKiB, 0x5a);
+    const std::vector<std::uint8_t> buffered(12 * ros::kKiB, 0xa5);
+    bool ok = sim.RunUntilComplete(
+                     olfs->Create("/seed/burned", burned, burned.size()))
+                  .ok() &&
+              sim.RunUntilComplete(olfs->FlushAndDrain()).ok() &&
+              sim.RunUntilComplete(olfs->Create("/seed/buffered", buffered,
+                                                buffered.size()))
+                  .ok() &&
+              sim.RunUntilComplete(mi.Checkpoint()).ok();
+    auto state = sim.RunUntilComplete(
+        olfs->mv().GetState(ros::olfs::Maintenance::kCheckpointKey));
+    sim.Shutdown();
+    if (!ok || !state.ok()) {
+      std::fprintf(stderr, "checkpoint seed: the rack run failed\n");
+      return 1;
+    }
+    WriteText(root / "checkpoint" / "seed_checkpoint.json", state->Dump());
+
+    ros::olfs::ControllerCheckpoint every_field;
+    every_field.da_used = {ros::mech::TrayAddress::FromIndex(0),
+                           ros::mech::TrayAddress::FromIndex(600)};
+    every_field.da_failed = {ros::mech::TrayAddress::FromIndex(1)};
+    every_field.bucket_counter = 7;
+    for (int i = 0; i < 3; ++i) {
+      ros::olfs::ImageRecord record;
+      record.id = "img-" + std::to_string(i);
+      record.parity = i == 2;
+      record.tier = static_cast<ros::olfs::ImageTier>(i + 1);
+      record.disc = ros::mech::DiscAddress::FromIndex(
+          600 * ros::mech::kDiscsPerTray + i);
+      record.volume_index = i % 2;
+      record.volume_file = "/buckets/img-" + std::to_string(i);
+      record.logical_bytes = 4096u * static_cast<std::uint64_t>(i + 1);
+      record.array_members = {"img-0", "img-1", "img-2"};
+      every_field.images.push_back(std::move(record));
+    }
+    WriteText(root / "checkpoint" / "seed_every_field.json",
+              ros::olfs::EncodeCheckpoint(every_field).Dump());
+  }
 
   std::printf("seed corpus written under %s\n", root.string().c_str());
   return 0;

@@ -294,45 +294,104 @@ json::Value Maintenance::StatusReport() const {
   return json::Value(std::move(report));
 }
 
-sim::Task<Status> Maintenance::Checkpoint() {
+json::Value EncodeCheckpoint(const ControllerCheckpoint& checkpoint) {
   json::Object state;
-
-  // DAindex.
   json::Array used;
+  for (const mech::TrayAddress& tray : checkpoint.da_used) {
+    used.push_back(json::Value(tray.ToIndex()));
+  }
   json::Array failed;
-  for (int t = 0;
-       t < olfs_->da_index().rollers() * mech::kTraysPerRoller; ++t) {
-    switch (olfs_->da_index().state(mech::TrayAddress::FromIndex(t))) {
-      case ArrayState::kUsed: used.push_back(json::Value(t)); break;
-      case ArrayState::kFailed: failed.push_back(json::Value(t)); break;
-      case ArrayState::kEmpty: break;
-    }
+  for (const mech::TrayAddress& tray : checkpoint.da_failed) {
+    failed.push_back(json::Value(tray.ToIndex()));
   }
   state["da_used"] = json::Value(std::move(used));
   state["da_failed"] = json::Value(std::move(failed));
-  state["bucket_counter"] =
-      json::Value(olfs_->buckets().buckets_created());
-
-  // Image registry + buffered structures flushed to the disk buffer.
+  state["bucket_counter"] = json::Value(checkpoint.bucket_counter);
   json::Array images;
-  for (const ImageRecord* record : olfs_->images().AllRecords()) {
+  for (const ImageRecord& record : checkpoint.images) {
     json::Object entry;
-    entry["id"] = json::Value(record->id);
-    entry["parity"] = json::Value(record->parity);
-    entry["tier"] = json::Value(static_cast<int>(record->tier));
-    entry["bytes"] = json::Value(record->logical_bytes);
-    entry["vol"] = json::Value(record->volume_index);
-    entry["file"] = json::Value(record->volume_file);
-    if (record->disc.has_value()) {
-      entry["disc"] = json::Value(record->disc->ToIndex());
+    entry["id"] = json::Value(record.id);
+    entry["parity"] = json::Value(record.parity);
+    entry["tier"] = json::Value(static_cast<int>(record.tier));
+    entry["bytes"] = json::Value(record.logical_bytes);
+    entry["vol"] = json::Value(record.volume_index);
+    entry["file"] = json::Value(record.volume_file);
+    if (record.disc.has_value()) {
+      entry["disc"] = json::Value(record.disc->ToIndex());
     }
     json::Array members;
-    for (const std::string& member : record->array_members) {
+    for (const std::string& member : record.array_members) {
       members.push_back(json::Value(member));
     }
     entry["members"] = json::Value(std::move(members));
     images.push_back(json::Value(std::move(entry)));
+  }
+  state["images"] = json::Value(std::move(images));
+  return json::Value(std::move(state));
+}
 
+StatusOr<ControllerCheckpoint> DecodeCheckpoint(const json::Value& state,
+                                                int rollers, int volumes) {
+  CheckpointReader in;
+  const std::int64_t trays = std::int64_t{rollers} * mech::kTraysPerRoller;
+  ControllerCheckpoint checkpoint;
+  for (const json::Value& t : in.Array(state["da_used"], "da_used")) {
+    checkpoint.da_used.push_back(mech::TrayAddress::FromIndex(
+        static_cast<int>(in.Int(t, trays, "da_used tray"))));
+  }
+  for (const json::Value& t : in.Array(state["da_failed"], "da_failed")) {
+    checkpoint.da_failed.push_back(mech::TrayAddress::FromIndex(
+        static_cast<int>(in.Int(t, trays, "da_failed tray"))));
+  }
+  checkpoint.bucket_counter = static_cast<int>(
+      in.Int(state["bucket_counter"], std::numeric_limits<int>::max(),
+             "bucket_counter"));
+  for (const json::Value& entry : in.Array(state["images"], "images")) {
+    ImageRecord record;
+    record.id = in.String(entry["id"], "image id");
+    record.parity = in.Bool(entry["parity"], "image parity");
+    record.logical_bytes = static_cast<std::uint64_t>(in.Int(
+        entry["bytes"], std::numeric_limits<std::int64_t>::max(),
+        "image bytes"));
+    record.volume_index =
+        static_cast<int>(in.Int(entry["vol"], volumes, "image vol"));
+    record.volume_file = in.String(entry["file"], "image file");
+    if (entry.contains("disc")) {
+      record.disc = mech::DiscAddress::FromIndex(static_cast<int>(
+          in.Int(entry["disc"], trays * mech::kDiscsPerTray, "image disc")));
+    }
+    for (const json::Value& member :
+         in.Array(entry["members"], "image members")) {
+      record.array_members.push_back(in.String(member, "image member"));
+    }
+    const auto tier = static_cast<ImageTier>(
+        in.Int(entry["tier"], static_cast<int>(ImageTier::kBurnedOnly) + 1,
+               "image tier"));
+    record.tier = tier == ImageTier::kOpenBucket ? ImageTier::kBuffered
+                                                 : tier;
+    checkpoint.images.push_back(std::move(record));
+  }
+  if (!in.status().ok()) {
+    return in.status();
+  }
+  return checkpoint;
+}
+
+sim::Task<Status> Maintenance::Checkpoint() {
+  ControllerCheckpoint checkpoint;
+  for (int t = 0;
+       t < olfs_->da_index().rollers() * mech::kTraysPerRoller; ++t) {
+    const mech::TrayAddress tray = mech::TrayAddress::FromIndex(t);
+    switch (olfs_->da_index().state(tray)) {
+      case ArrayState::kUsed: checkpoint.da_used.push_back(tray); break;
+      case ArrayState::kFailed: checkpoint.da_failed.push_back(tray); break;
+      case ArrayState::kEmpty: break;
+    }
+  }
+  checkpoint.bucket_counter = olfs_->buckets().buckets_created();
+
+  for (const ImageRecord* record : olfs_->images().AllRecords()) {
+    checkpoint.images.push_back(*record);
     // Persist the serialized structure of every image whose bytes live
     // only in controller memory + buffer (open buckets included: the
     // checkpoint closes over their current content). Serialize copies a
@@ -347,64 +406,22 @@ sim::Task<Status> Maintenance::Checkpoint() {
           name, udf::Serializer::Serialize(*record->image)));
     }
   }
-  state["images"] = json::Value(std::move(images));
   co_return co_await olfs_->mv().PutState(kCheckpointKey,
-                                          json::Value(std::move(state)));
+                                          EncodeCheckpoint(checkpoint));
 }
 
 sim::Task<Status> Maintenance::RestoreFromCheckpoint() {
   ROS_CO_ASSIGN_OR_RETURN(json::Value state,
                           co_await olfs_->mv().GetState(kCheckpointKey));
-  CheckpointReader in;
-  const std::int64_t trays =
-      std::int64_t{olfs_->da_index().rollers()} * mech::kTraysPerRoller;
-  std::vector<mech::TrayAddress> used;
-  std::vector<mech::TrayAddress> failed;
-  for (const json::Value& t : in.Array(state["da_used"], "da_used")) {
-    used.push_back(mech::TrayAddress::FromIndex(
-        static_cast<int>(in.Int(t, trays, "da_used tray"))));
-  }
-  for (const json::Value& t : in.Array(state["da_failed"], "da_failed")) {
-    failed.push_back(mech::TrayAddress::FromIndex(
-        static_cast<int>(in.Int(t, trays, "da_failed tray"))));
-  }
-  const auto counter = static_cast<int>(in.Int(
-      state["bucket_counter"], std::numeric_limits<int>::max(),
-      "bucket_counter"));
-  std::vector<ImageRecord> decoded;
-  for (const json::Value& entry : in.Array(state["images"], "images")) {
-    ImageRecord record;
-    record.id = in.String(entry["id"], "image id");
-    record.parity = in.Bool(entry["parity"], "image parity");
-    record.logical_bytes = static_cast<std::uint64_t>(in.Int(
-        entry["bytes"], std::numeric_limits<std::int64_t>::max(),
-        "image bytes"));
-    record.volume_index = static_cast<int>(
-        in.Int(entry["vol"], olfs_->buckets().num_volumes(), "image vol"));
-    record.volume_file = in.String(entry["file"], "image file");
-    if (entry.contains("disc")) {
-      record.disc = mech::DiscAddress::FromIndex(static_cast<int>(
-          in.Int(entry["disc"], trays * mech::kDiscsPerTray, "image disc")));
-    }
-    for (const json::Value& member :
-         in.Array(entry["members"], "image members")) {
-      record.array_members.push_back(in.String(member, "image member"));
-    }
-    const auto tier = static_cast<ImageTier>(
-        in.Int(entry["tier"], static_cast<int>(ImageTier::kBurnedOnly) + 1,
-               "image tier"));
-    // Open buckets are closed by the crash; their checkpointed content
-    // survives as a buffered image awaiting burn.
-    record.tier = tier == ImageTier::kOpenBucket ? ImageTier::kBuffered
-                                                 : tier;
-    decoded.push_back(std::move(record));
-  }
-  ROS_CO_RETURN_IF_ERROR(in.status());
+  ROS_CO_ASSIGN_OR_RETURN(
+      ControllerCheckpoint checkpoint,
+      DecodeCheckpoint(state, olfs_->da_index().rollers(),
+                       olfs_->buckets().num_volumes()));
 
   // Reload every buffer-resident data image before touching controller
   // state, so a lost image leaves the controller as it was.
   std::vector<ImageRecord> records;
-  for (ImageRecord& record : decoded) {
+  for (ImageRecord& record : checkpoint.images) {
     if ((record.tier == ImageTier::kBuffered ||
          record.tier == ImageTier::kBurnedCached) &&
         !record.parity) {
@@ -436,13 +453,13 @@ sim::Task<Status> Maintenance::RestoreFromCheckpoint() {
     records.push_back(std::move(record));
   }
 
-  for (const mech::TrayAddress& tray : used) {
+  for (const mech::TrayAddress& tray : checkpoint.da_used) {
     olfs_->da_index().set_state(tray, ArrayState::kUsed);
   }
-  for (const mech::TrayAddress& tray : failed) {
+  for (const mech::TrayAddress& tray : checkpoint.da_failed) {
     olfs_->da_index().set_state(tray, ArrayState::kFailed);
   }
-  olfs_->buckets().RestoreCounter(counter);
+  olfs_->buckets().RestoreCounter(checkpoint.bucket_counter);
   for (ImageRecord& record : records) {
     ROS_CO_RETURN_IF_ERROR(
         olfs_->images().RestoreRecord(std::move(record)));

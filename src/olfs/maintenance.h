@@ -12,12 +12,31 @@
 #define ROS_SRC_OLFS_MAINTENANCE_H_
 
 #include <string>
+#include <vector>
 
 #include "src/common/json.h"
 #include "src/olfs/olfs.h"
 #include "src/olfs/power.h"
 
 namespace ros::olfs {
+
+// The controller state a checkpoint carries (§4.2): the DAindex's used
+// and failed trays, the bucket counter and the image registry.
+struct ControllerCheckpoint {
+  std::vector<mech::TrayAddress> da_used;
+  std::vector<mech::TrayAddress> da_failed;
+  int bucket_counter = 0;
+  // Registry records; their in-memory `image` is not encoded.
+  std::vector<ImageRecord> images;
+};
+
+json::Value EncodeCheckpoint(const ControllerCheckpoint& checkpoint);
+// Decodes a checkpoint for a rack of `rollers` rollers and `volumes`
+// buffer volumes. A missing field, a field of the wrong type and a value
+// outside its range are kDataLoss. An open bucket decodes as buffered:
+// the crash closed it.
+StatusOr<ControllerCheckpoint> DecodeCheckpoint(const json::Value& state,
+                                                int rollers, int volumes);
 
 class Maintenance {
  public:

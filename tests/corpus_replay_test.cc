@@ -76,6 +76,10 @@ TEST(CorpusReplay, Routes) { ReplayAll("routes", FuzzRouteShard); }
 
 TEST(CorpusReplay, TrayManifests) { ReplayAll("trays", FuzzTrayManifest); }
 
+TEST(CorpusReplay, ControllerCheckpoints) {
+  ReplayAll("checkpoint", FuzzControllerCheckpoint);
+}
+
 // The audit corpus holds a valid seed set of each manifest version, so the
 // replay above walks both leaf hashes and both version values.
 TEST(CorpusReplay, AuditManifestSeedsCoverEveryVersion) {
