@@ -3,43 +3,68 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/common/gf256.h"
+
 namespace ros::disk {
 
-void StorageDevice::StoreDirect(std::uint64_t offset,
-                                std::span<const std::uint8_t> data) {
+template <typename Fn>
+void StorageDevice::ForEachPiece(std::uint64_t offset, std::uint64_t length,
+                                 Fn&& fn) {
   std::uint64_t pos = 0;
-  while (pos < data.size()) {
+  while (pos < length) {
     const std::uint64_t abs = offset + pos;
-    const std::uint64_t chunk_index = abs / kChunk;
     const std::uint64_t within = abs % kChunk;
-    const std::uint64_t n =
-        std::min<std::uint64_t>(kChunk - within, data.size() - pos);
-    auto& chunk = chunks_[chunk_index];
-    if (chunk.empty()) {
-      chunk.resize(kChunk, 0);
-    }
-    std::memcpy(chunk.data() + within, data.data() + pos, n);
+    const std::uint64_t n = std::min(kChunk - within, length - pos);
+    fn(abs / kChunk, within, pos, n);
     pos += n;
   }
 }
 
+void StorageDevice::StoreDirect(std::uint64_t offset,
+                                std::span<const std::uint8_t> data) {
+  ForEachPiece(offset, data.size(),
+               [&](std::uint64_t chunk_index, std::uint64_t within,
+                   std::uint64_t pos, std::uint64_t n) {
+                 std::vector<std::uint8_t>& chunk = chunks_[chunk_index];
+                 const std::uint8_t* src = data.data() + pos;
+                 if (chunk.empty() && n == kChunk) {
+                   chunk.assign(src, src + n);
+                   return;
+                 }
+                 if (chunk.empty()) {
+                   chunk.resize(kChunk, 0);
+                 }
+                 std::memcpy(chunk.data() + within, src, n);
+               });
+}
+
 void StorageDevice::LoadDirect(std::uint64_t offset,
                                std::span<std::uint8_t> out) const {
-  std::uint64_t pos = 0;
-  while (pos < out.size()) {
-    const std::uint64_t abs = offset + pos;
-    const std::uint64_t chunk_index = abs / kChunk;
-    const std::uint64_t within = abs % kChunk;
-    const std::uint64_t n =
-        std::min<std::uint64_t>(kChunk - within, out.size() - pos);
-    auto it = chunks_.find(chunk_index);
-    if (it == chunks_.end()) {
-      std::memset(out.data() + pos, 0, n);
-    } else {
-      std::memcpy(out.data() + pos, it->second.data() + within, n);
-    }
-    pos += n;
-  }
+  ForEachPiece(offset, out.size(),
+               [&](std::uint64_t chunk_index, std::uint64_t within,
+                   std::uint64_t pos, std::uint64_t n) {
+                 auto it = chunks_.find(chunk_index);
+                 if (it == chunks_.end()) {
+                   std::memset(out.data() + pos, 0, n);
+                 } else {
+                   std::memcpy(out.data() + pos, it->second.data() + within,
+                               n);
+                 }
+               });
+}
+
+void StorageDevice::MulAccDirect(std::uint64_t offset, std::uint8_t coeff,
+                                 std::span<const std::uint8_t> delta) {
+  ForEachPiece(offset, delta.size(),
+               [&](std::uint64_t chunk_index, std::uint64_t within,
+                   std::uint64_t pos, std::uint64_t n) {
+                 std::vector<std::uint8_t>& chunk = chunks_[chunk_index];
+                 if (chunk.empty()) {
+                   chunk.resize(kChunk, 0);
+                 }
+                 gf256::MulAcc({chunk.data() + within, n}, coeff,
+                               delta.subspan(pos, n));
+               });
 }
 
 Status StorageDevice::CheckInjectedFault(bool is_read) {
@@ -116,6 +141,7 @@ sim::Task<Status> StorageDevice::ReadDiscard(std::uint64_t offset,
 void StorageDevice::Replace() {
   failed_ = false;
   chunks_.clear();
+  ++replacements_;
 }
 
 }  // namespace ros::disk

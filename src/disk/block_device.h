@@ -100,6 +100,9 @@ class StorageDevice : public BlockDevice {
   void Fail() { failed_ = true; }
   // Replaces the failed device with a fresh one (contents lost).
   void Replace();
+  // How many times Replace() has swapped in blank media: a RAID volume
+  // knows from it which members it has not rebuilt yet.
+  std::uint64_t replacements() const { return replacements_; }
   // Clears the failed flag, KEEPING contents — a power-cycle of an intact
   // device, as opposed to Replace()'s swap-in of blank media. Crash tests
   // use this to model "host died mid-write, storage survived": bytes the
@@ -134,8 +137,19 @@ class StorageDevice : public BlockDevice {
                           std::uint64_t length,
                           std::vector<std::uint8_t>* bytes);
 
+  // A chunk the store covers entirely is built straight from `data`; a
+  // partly covered new chunk is zero-filled first.
   void StoreDirect(std::uint64_t offset, std::span<const std::uint8_t> data);
   void LoadDirect(std::uint64_t offset, std::span<std::uint8_t> out) const;
+  // stored ^= coeff * delta over [offset, offset + delta.size()), an
+  // unwritten range counting as zeros: a parity read-modify-write.
+  void MulAccDirect(std::uint64_t offset, std::uint8_t coeff,
+                    std::span<const std::uint8_t> delta);
+  // Calls fn(chunk_index, within, pos, n) for each chunk piece of the
+  // device range [offset, offset + length); `pos` counts from `offset`.
+  template <typename Fn>
+  static void ForEachPiece(std::uint64_t offset, std::uint64_t length,
+                           Fn&& fn);
 
   // Consults the fault injector (if any) at the head of a request.
   Status CheckInjectedFault(bool is_read);
@@ -157,6 +171,7 @@ class StorageDevice : public BlockDevice {
   std::uint64_t bytes_written_ = 0;
   std::uint64_t bytes_read_ = 0;
   sim::Duration busy_time_ = 0;
+  std::uint64_t replacements_ = 0;
 };
 
 }  // namespace ros::disk

@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "src/common/erasure.h"
+#include "src/common/gf256.h"
 #include "src/sim/join.h"
 
 namespace ros::disk {
@@ -41,6 +42,9 @@ RaidVolume::RaidVolume(sim::Simulator& sim, RaidLevel level,
   num_stripes_ = min_cap / stripe_unit_;
   capacity_ = num_stripes_ * stripe_bytes_;
   drained_ = std::make_unique<sim::ConditionVariable>(sim_);
+  for (const StorageDevice* device : devices_) {
+    rebuilt_replacements_.push_back(device->replacements());
+  }
 }
 
 int RaidVolume::ParityDevice(std::uint64_t stripe, int row) const {
@@ -193,6 +197,16 @@ sim::Task<Status> RaidVolume::DiscardOnLiveDevices(bool is_read,
   co_return co_await sim::AllOk(sim_, std::move(ops));
 }
 
+bool RaidVolume::MembersInSync() const {
+  for (int i = 0; i < num_devices(); ++i) {
+    if (devices_[i]->failed() ||
+        devices_[i]->replacements() != rebuilt_replacements_[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
 Status RaidVolume::StoreStripes(std::uint64_t offset, std::uint64_t length,
                                 const std::uint8_t* data) {
   if (level_ == RaidLevel::kRaid1) {
@@ -203,23 +217,29 @@ Status RaidVolume::StoreStripes(std::uint64_t offset, std::uint64_t length,
     }
     return OkStatus();
   }
+  if (!MembersInSync()) {
+    merge_whole_stripes_ = true;
+  }
   const std::uint64_t end = offset + length;
-  std::vector<std::uint8_t> merged;
+  std::vector<std::uint8_t> scratch;
   for (std::uint64_t stripe = offset / stripe_bytes_;
        stripe * stripe_bytes_ < end; ++stripe) {
     const std::uint64_t start = stripe * stripe_bytes_;
     const std::uint64_t lo = std::max(offset, start);
     const std::uint64_t hi = std::min(end, start + stripe_bytes_);
-    if (parity_count() > 0) {
+    const bool partial = hi - lo < stripe_bytes_;
+    if (parity_count() > 0 && partial && !merge_whole_stripes_) {
+      UpdateParity(lo, hi - lo, data + (lo - offset), &scratch);
+    } else if (parity_count() > 0) {
       // Parity covers the whole stripe: merge a partly written stripe
       // over its current contents before encoding.
       const std::uint8_t* stripe_data = data + (lo - offset);
-      if (hi - lo < stripe_bytes_) {
-        merged.resize(stripe_bytes_);
-        ROS_RETURN_IF_ERROR(LoadStripe(stripe, merged.data()));
-        std::memcpy(merged.data() + (lo - start), data + (lo - offset),
+      if (partial) {
+        scratch.resize(stripe_bytes_);
+        ROS_RETURN_IF_ERROR(LoadStripe(stripe, scratch.data()));
+        std::memcpy(scratch.data() + (lo - start), data + (lo - offset),
                     hi - lo);
-        stripe_data = merged.data();
+        stripe_data = scratch.data();
       }
       const ec::Encoded parity =
           ec::Encode(StripeShards(stripe_data), parity_count());
@@ -241,6 +261,26 @@ Status RaidVolume::StoreStripes(std::uint64_t offset, std::uint64_t length,
                  });
   }
   return OkStatus();
+}
+
+void RaidVolume::UpdateParity(std::uint64_t offset, std::uint64_t length,
+                              const std::uint8_t* data,
+                              std::vector<std::uint8_t>* delta) {
+  ForEachChunk(offset, length,
+               [&](std::uint64_t pos, ChunkLoc loc, std::uint64_t n) {
+                 // delta = old ^ new over the piece; a parity chunk sits
+                 // at the same device offset as the stripe's data chunks.
+                 delta->resize(n);
+                 devices_[loc.device]->LoadDirect(loc.dev_offset, *delta);
+                 gf256::XorAcc(*delta, {data + (pos - offset), n});
+                 const std::uint64_t stripe = pos / stripe_bytes_;
+                 const int k =
+                     static_cast<int>(pos % stripe_bytes_ / stripe_unit_);
+                 for (int r = 0; r < parity_count(); ++r) {
+                   devices_[ParityDevice(stripe, r)]->MulAccDirect(
+                       loc.dev_offset, ec::Coefficient(r, k), *delta);
+                 }
+               });
 }
 
 bool RaidVolume::RangeInCache(std::uint64_t offset,
@@ -485,6 +525,7 @@ sim::Task<Status> RaidVolume::Rebuild(int index) {
         ROS_CO_RETURN_IF_ERROR(
             co_await target->Write(off, std::move(data).value()));
       }
+      rebuilt_replacements_[index] = target->replacements();
       co_return OkStatus();
     }
     co_return UnavailableError("no live mirror to rebuild from");
@@ -513,6 +554,7 @@ sim::Task<Status> RaidVolume::Rebuild(int index) {
     ROS_CO_RETURN_IF_ERROR(
         co_await target->Write(stripe * stripe_unit_, std::move(chunk)));
   }
+  rebuilt_replacements_[index] = target->replacements();
   co_return OkStatus();
 }
 

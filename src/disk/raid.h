@@ -140,11 +140,29 @@ class RaidVolume : public BlockDevice {
   sim::Task<Status> DiscardOnLiveDevices(bool is_read, std::uint64_t offset,
                                          std::uint64_t length);
 
-  // Untimed: stores a write's bytes on the live members. Each touched
-  // stripe's parity is re-encoded over its merged contents; only the
-  // data chunks the write covers are stored.
+  // Untimed: stores a write's bytes on the live members, and only the data
+  // chunks the write covers. A whole stripe's parity rows are encoded
+  // from the write's bytes. A partly written stripe is updated by
+  // read-modify-write over the covered range only (UpdateParity), the
+  // RAID small-write update of Patterson, Gibson & Katz (SIGMOD 1988).
+  // That update trusts the stored parity to match the stored data, so
+  // once the volume stores a write while a member is failed, or replaced
+  // and not yet rebuilt, it merges every partly written stripe over its
+  // current contents (decoding around a failed member) and re-encodes
+  // the parity from then on, so parity always describes the chunks the
+  // members hold, also those of a member revived with stale chunks.
   Status StoreStripes(std::uint64_t offset, std::uint64_t length,
                       const std::uint8_t* data);
+  // The read-modify-write of the volume range [offset, offset+length)
+  // inside one stripe, before its data is stored: per covered piece of
+  // data chunk k, delta = old ^ new, then P ^= delta and Q ^= g^k * delta
+  // on the same device range. `delta` is scratch.
+  void UpdateParity(std::uint64_t offset, std::uint64_t length,
+                    const std::uint8_t* data,
+                    std::vector<std::uint8_t>* delta);
+  // True when every member is live and holds what the volume stored:
+  // none failed, none replaced since the volume last rebuilt it.
+  bool MembersInSync() const;
 
   // Shards of a stripe (data chunks 0..data_n_-1, then the parity rows)
   // on a failed member or on `exclude`.
@@ -189,6 +207,11 @@ class RaidVolume : public BlockDevice {
   std::unique_ptr<sim::ConditionVariable> drained_;
   std::uint64_t bytes_written_ = 0;
   std::uint64_t bytes_read_ = 0;
+  // Sticky: a write was stored while the members were out of sync.
+  bool merge_whole_stripes_ = false;
+  // Each member's replacements() when the volume last held all of its
+  // chunks (at construction, or after Rebuild).
+  std::vector<std::uint64_t> rebuilt_replacements_;
 };
 
 }  // namespace ros::disk

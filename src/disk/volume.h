@@ -182,7 +182,9 @@ class Volume {
 
   // The one write path: allocate, grow the size, write each device run,
   // charge one metadata update. An empty `data` charges the range without
-  // storing it. A failed write does not grow the file.
+  // storing it. A range that maps to one device run hands `data` itself
+  // to the device, which owns it from then on; a fragmented range copies
+  // each run's piece. A failed write does not grow the file.
   sim::Task<Status> WriteRange(std::string name, std::uint64_t offset,
                                std::uint64_t length,
                                std::vector<std::uint8_t> data);

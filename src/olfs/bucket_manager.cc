@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/olfs/affinity.h"
@@ -84,6 +86,7 @@ sim::Task<StatusOr<WriteReceipt>> BucketManager::WriteFile(
   }
   sim::Mutex::ScopedLock lock = co_await write_mutex_.Lock();
 
+  const std::uint64_t real_size = data.size();
   const std::string internal = InternalPath(path, version);
   WriteReceipt receipt;
   receipt.total_size = logical_size;
@@ -130,14 +133,13 @@ sim::Task<StatusOr<WriteReceipt>> BucketManager::WriteFile(
       take = std::min(take, remaining);
     }
 
-    // Split the real payload bytes covering [written, written + take).
-    std::vector<std::uint8_t> piece;
-    if (written < data.size()) {
-      const std::uint64_t real =
-          std::min<std::uint64_t>(take, data.size() - written);
-      piece.assign(data.begin() + static_cast<std::ptrdiff_t>(written),
-                   data.begin() + static_cast<std::ptrdiff_t>(written + real));
-    }
+    // The real payload bytes covering [written, written + take). The
+    // image keeps its own copy of them.
+    const std::uint64_t real =
+        written < real_size ? std::min(take, real_size - written) : 0;
+    const std::span<const std::uint8_t> part =
+        real > 0 ? std::span<const std::uint8_t>(data).subspan(written, real)
+                 : std::span<const std::uint8_t>();
 
     // Continuation images link back to the previous part (§4.5).
     if (part_number > 0) {
@@ -145,7 +147,8 @@ sim::Task<StatusOr<WriteReceipt>> BucketManager::WriteFile(
           image.AddLink(SplitLinkPath(internal, part_number),
                         previous_image));
     }
-    ROS_CO_RETURN_IF_ERROR(image.AddFile(internal, std::move(piece), take));
+    ROS_CO_RETURN_IF_ERROR(
+        image.AddFile(internal, {part.begin(), part.end()}, take));
 
     // Refuse user data that would eat into the burn pipeline's headroom
     // (parity generation must always have room to drain the buffer).
@@ -155,13 +158,13 @@ sim::Task<StatusOr<WriteReceipt>> BucketManager::WriteFile(
           "disk buffer full; waiting for the burn pipeline to reclaim "
           "space");
     }
+    // The volume takes the caller's buffer when this part holds all of
+    // its real bytes, and a copy of the part's bytes otherwise.
     std::vector<std::uint8_t> stored;
-    if (written < data.size()) {
-      const std::uint64_t real =
-          std::min<std::uint64_t>(take, data.size() - written);
-      stored.assign(data.begin() + static_cast<std::ptrdiff_t>(written),
-                    data.begin() +
-                        static_cast<std::ptrdiff_t>(written + real));
+    if (real == real_size) {
+      stored = std::exchange(data, {});
+    } else {
+      stored.assign(part.begin(), part.end());
     }
     ROS_CO_RETURN_IF_ERROR(co_await volume->AppendSparse(
         VolumeFileName(image.id()), std::move(stored), take));

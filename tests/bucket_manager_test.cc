@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
+#include "src/common/rng.h"
 #include "src/disk/block_device.h"
 #include "src/olfs/disc_image_store.h"
 #include "src/sim/simulator.h"
@@ -92,6 +94,57 @@ TEST_F(BucketManagerTest, OversizeFileSplitsWithLinks) {
   auto link = (*second)->image->Lookup(SplitLinkPath("/huge", 1));
   ASSERT_TRUE(link.ok());
   EXPECT_EQ((*link)->link_target_image, receipt.parts[0].image_id);
+}
+
+// The buffer file holds the payload each part wrote, whether the volume
+// took the writer's buffer (a file in one part) or a copy of its slice (a
+// split file). Nothing else reads these bytes back yet.
+TEST_F(BucketManagerTest, BufferFileHoldsEachPartsBytes) {
+  auto random_bytes = [](std::size_t n, std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<std::uint8_t> bytes(n);
+    for (auto& b : bytes) {
+      b = static_cast<std::uint8_t>(rng.Next());
+    }
+    return bytes;
+  };
+  auto expect_parts = [&](const WriteReceipt& receipt,
+                          const std::vector<std::uint8_t>& want,
+                          std::uint64_t first_offset) {
+    std::uint64_t consumed = 0;
+    for (std::size_t i = 0; i < receipt.parts.size(); ++i) {
+      const FilePart& part = receipt.parts[i];
+      auto record = images_.Lookup(part.image_id);
+      ASSERT_TRUE(record.ok());
+      auto stored = sim_.RunUntilComplete(
+          volumes_[(*record)->volume_index]->Read(
+              (*record)->volume_file, i == 0 ? first_offset : 0, part.size));
+      ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+      EXPECT_TRUE(std::equal(stored->begin(), stored->end(),
+                             want.begin() +
+                                 static_cast<std::ptrdiff_t>(consumed)))
+          << "part " << i << " in " << part.image_id;
+      consumed += part.size;
+    }
+    EXPECT_EQ(consumed, want.size());
+  };
+
+  const std::vector<std::uint8_t> one = random_bytes(100 * kKiB, 1);
+  auto receipt = sim_.RunUntilComplete(
+      buckets_->WriteFile("/one", 1, one, one.size()));
+  ASSERT_TRUE(receipt.ok());
+  ASSERT_EQ(receipt->parts.size(), 1u);
+  expect_parts(*receipt, one, 0);
+
+  // 2.5 MiB into 1 MiB buckets: the head lands after /one in its bucket.
+  const std::vector<std::uint8_t> split =
+      random_bytes(2 * kMiB + 512 * kKiB, 2);
+  receipt = sim_.RunUntilComplete(
+      buckets_->WriteFile("/split", 1, split, split.size()));
+  ASSERT_TRUE(receipt.ok());
+  ASSERT_GE(receipt->parts.size(), 3u);
+  EXPECT_EQ(receipt->parts[0].image_id, "img-000000");
+  expect_parts(*receipt, split, one.size());
 }
 
 TEST_F(BucketManagerTest, BucketClosesWhenNearlyFull) {
