@@ -141,7 +141,6 @@ sim::Task<Status> StorageDevice::ReadDiscard(std::uint64_t offset,
 void StorageDevice::Replace() {
   failed_ = false;
   chunks_.clear();
-  ++replacements_;
 }
 
 }  // namespace ros::disk

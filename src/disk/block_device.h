@@ -100,9 +100,6 @@ class StorageDevice : public BlockDevice {
   void Fail() { failed_ = true; }
   // Replaces the failed device with a fresh one (contents lost).
   void Replace();
-  // How many times Replace() has swapped in blank media: a RAID volume
-  // knows from it which members it has not rebuilt yet.
-  std::uint64_t replacements() const { return replacements_; }
   // Clears the failed flag, KEEPING contents — a power-cycle of an intact
   // device, as opposed to Replace()'s swap-in of blank media. Crash tests
   // use this to model "host died mid-write, storage survived": bytes the
@@ -171,7 +168,6 @@ class StorageDevice : public BlockDevice {
   std::uint64_t bytes_written_ = 0;
   std::uint64_t bytes_read_ = 0;
   sim::Duration busy_time_ = 0;
-  std::uint64_t replacements_ = 0;
 };
 
 }  // namespace ros::disk

@@ -42,9 +42,6 @@ RaidVolume::RaidVolume(sim::Simulator& sim, RaidLevel level,
   num_stripes_ = min_cap / stripe_unit_;
   capacity_ = num_stripes_ * stripe_bytes_;
   drained_ = std::make_unique<sim::ConditionVariable>(sim_);
-  for (const StorageDevice* device : devices_) {
-    rebuilt_replacements_.push_back(device->replacements());
-  }
 }
 
 int RaidVolume::ParityDevice(std::uint64_t stripe, int row) const {
@@ -197,16 +194,6 @@ sim::Task<Status> RaidVolume::DiscardOnLiveDevices(bool is_read,
   co_return co_await sim::AllOk(sim_, std::move(ops));
 }
 
-bool RaidVolume::MembersInSync() const {
-  for (int i = 0; i < num_devices(); ++i) {
-    if (devices_[i]->failed() ||
-        devices_[i]->replacements() != rebuilt_replacements_[i]) {
-      return false;
-    }
-  }
-  return true;
-}
-
 Status RaidVolume::StoreStripes(std::uint64_t offset, std::uint64_t length,
                                 const std::uint8_t* data) {
   if (level_ == RaidLevel::kRaid1) {
@@ -217,7 +204,7 @@ Status RaidVolume::StoreStripes(std::uint64_t offset, std::uint64_t length,
     }
     return OkStatus();
   }
-  if (!MembersInSync()) {
+  if (failed_devices() > 0) {
     merge_whole_stripes_ = true;
   }
   const std::uint64_t end = offset + length;
@@ -525,7 +512,6 @@ sim::Task<Status> RaidVolume::Rebuild(int index) {
         ROS_CO_RETURN_IF_ERROR(
             co_await target->Write(off, std::move(data).value()));
       }
-      rebuilt_replacements_[index] = target->replacements();
       co_return OkStatus();
     }
     co_return UnavailableError("no live mirror to rebuild from");
@@ -554,7 +540,6 @@ sim::Task<Status> RaidVolume::Rebuild(int index) {
     ROS_CO_RETURN_IF_ERROR(
         co_await target->Write(stripe * stripe_unit_, std::move(chunk)));
   }
-  rebuilt_replacements_[index] = target->replacements();
   co_return OkStatus();
 }
 

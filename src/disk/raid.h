@@ -146,11 +146,13 @@ class RaidVolume : public BlockDevice {
   // read-modify-write over the covered range only (UpdateParity), the
   // RAID small-write update of Patterson, Gibson & Katz (SIGMOD 1988).
   // That update trusts the stored parity to match the stored data, so
-  // once the volume stores a write while a member is failed, or replaced
-  // and not yet rebuilt, it merges every partly written stripe over its
-  // current contents (decoding around a failed member) and re-encodes
-  // the parity from then on, so parity always describes the chunks the
-  // members hold, also those of a member revived with stale chunks.
+  // once the volume stores a write while a member is failed, it merges
+  // every partly written stripe over its current contents (decoding
+  // around a failed member) and re-encodes the parity from then on: a
+  // member revived with stale chunks then gets parity that describes
+  // them, as before read-modify-write. A member swapped in by
+  // StorageDevice::Replace() is blank until Rebuild(); write the volume
+  // only after rebuilding it.
   Status StoreStripes(std::uint64_t offset, std::uint64_t length,
                       const std::uint8_t* data);
   // The read-modify-write of the volume range [offset, offset+length)
@@ -160,9 +162,6 @@ class RaidVolume : public BlockDevice {
   void UpdateParity(std::uint64_t offset, std::uint64_t length,
                     const std::uint8_t* data,
                     std::vector<std::uint8_t>* delta);
-  // True when every member is live and holds what the volume stored:
-  // none failed, none replaced since the volume last rebuilt it.
-  bool MembersInSync() const;
 
   // Shards of a stripe (data chunks 0..data_n_-1, then the parity rows)
   // on a failed member or on `exclude`.
@@ -207,11 +206,8 @@ class RaidVolume : public BlockDevice {
   std::unique_ptr<sim::ConditionVariable> drained_;
   std::uint64_t bytes_written_ = 0;
   std::uint64_t bytes_read_ = 0;
-  // Sticky: a write was stored while the members were out of sync.
+  // Sticky: a write was stored while a member was failed.
   bool merge_whole_stripes_ = false;
-  // Each member's replacements() when the volume last held all of its
-  // chunks (at construction, or after Rebuild).
-  std::vector<std::uint64_t> rebuilt_replacements_;
 };
 
 }  // namespace ros::disk

@@ -233,25 +233,25 @@ sim::Task<Status> Volume::WriteRange(std::string name, std::uint64_t offset,
   std::vector<std::pair<std::uint64_t, std::uint64_t>> segs;
   ROS_CO_RETURN_IF_ERROR(MapRange(meta, offset, length, &segs));
   Status written = OkStatus();
-  if (!data.empty() && segs.size() == 1) {
-    // One extent run: the device takes the buffer itself.
-    written = co_await device_->Write(segs.front().first, std::move(data));
-  } else {
-    std::uint64_t pos = 0;
-    for (const auto& [dev_offset, n] : segs) {
-      if (data.empty()) {
-        written = co_await device_->WriteDiscard(dev_offset, n);
-      } else {
-        std::vector<std::uint8_t> piece(
-            data.begin() + static_cast<std::ptrdiff_t>(pos),
-            data.begin() + static_cast<std::ptrdiff_t>(pos + n));
-        written = co_await device_->Write(dev_offset, std::move(piece));
-      }
-      if (!written.ok()) {
-        break;
-      }
-      pos += n;
+  std::uint64_t pos = 0;
+  for (const auto& [dev_offset, n] : segs) {
+    if (data.empty()) {
+      written = co_await device_->WriteDiscard(dev_offset, n);
+    } else {
+      // One extent run hands the buffer itself to the device; a
+      // fragmented range copies each run's piece.
+      std::vector<std::uint8_t> piece =
+          segs.size() == 1
+              ? std::move(data)
+              : std::vector<std::uint8_t>(
+                    data.begin() + static_cast<std::ptrdiff_t>(pos),
+                    data.begin() + static_cast<std::ptrdiff_t>(pos + n));
+      written = co_await device_->Write(dev_offset, std::move(piece));
     }
+    if (!written.ok()) {
+      break;
+    }
+    pos += n;
   }
   if (written.ok()) {
     written = co_await WriteMetadata();
